@@ -32,7 +32,7 @@ for N in (8, 16):
     ubar = solve_homogenized(EffectiveGradient.identity(), dom, datum,
                              dt_unit=stable_dt(V, 2), record_stride=16)
     pack = make_correctors(ubar, kappa, V, NoiseSource(seed=42))
-    expansion = build_two_scale(ubar, kappa, pack, V)
+    expansion = build_two_scale(ubar, kappa, pack)
     agg = error_terms_aggregate(expansion)
     weak = flux_weak_norm(expansion, EffectiveGradient.identity(), V)
     print(f"mesh 1/{N}: mesoscale {kappa:.3f}, {len(pack[0])} cells, "

@@ -1,10 +1,11 @@
 """Stochastic integrators for the lattice Langevin dynamics.
 
-One explicit Euler-Maruyama engine drives everything: the periodic interface
-dynamic with (possibly time-dependent) tilt, the Dirichlet dynamic for the
-rescaled boundary-value problem, and the Gaussian free-field dynamic.  The
-step is dt = 1/(8 d c+), at which the drift is contractive and the explicit
-scheme preserves the maximum principle.
+Two explicit Euler-Maruyama steppers, both built on the stencil of
+`lattice`: `evolve_torus` drives the periodic interface dynamic with
+(possibly time-dependent) tilt and the Gaussian free-field dynamic, and
+`run_dirichlet` drives the Dirichlet dynamic for the rescaled
+boundary-value problem.  The step is dt = 1/(8 d c+), at which the drift is
+contractive and the explicit scheme preserves the maximum principle.
 
 Noise is addressed by absolute step index and absolute site coordinates, so
 trajectories driven by the same NoiseSource are coupled pathwise whether or
@@ -23,15 +24,22 @@ from .lattice import (
     EdgeTrajectory,
     SpaceTimeField,
     TorusGrid,
+    dirichlet_divergence,
+    dirichlet_forward_difference,
+    forward_difference,
+    horizon_steps,
+    shift,
 )
-from .noise import NoiseSource
-from .potential import Potential, from_config as potential_from_config
+from .noise import MeanSubtractedNoise, NoiseSource
+from .potential import Potential, quadratic
 from .spectral import laplacian_eigenvalues
 
 
-def stable_dt(V: Potential, d: int) -> float:
-    """Largest admissible explicit step, 1/(8 d c+)."""
-    return 1.0 / (8.0 * d * V.c_plus)
+def stable_dt(V: Potential | float, d: int) -> float:
+    """Largest admissible explicit step, 1/(8 d c+), for a potential or for
+    a bound c+ on the coefficients of a linear equation."""
+    c_plus = V.c_plus if isinstance(V, Potential) else V
+    return 1.0 / (8.0 * d * c_plus)
 
 
 @dataclass(frozen=True)
@@ -89,62 +97,9 @@ def slope_from_config(spec, d: int) -> SlopePath:
     return SlopePath.constant(np.asarray(spec, dtype=np.float64))
 
 
-@dataclass
-class SimConfig:
-    """Bundle of run parameters; dt defaults to the stability rule."""
-
-    potential: dict
-    grid: dict
-    horizon: float
-    slope: object = None
-    dt: float | None = None
-    seed: int = 0
-    replicas: int = 1
-    burn_in: float | None = None
-
-    def resolved_dt(self) -> float:
-        V = potential_from_config(self.potential)
-        d = int(self.grid["d"])
-        cap = stable_dt(V, d)
-        if self.dt is None:
-            return cap
-        if self.dt > cap * (1 + 1e-12):
-            raise ValueError(f"dt={self.dt} violates the stability bound {cap}")
-        return self.dt
-
-
 # ---------------------------------------------------------------------------
 # core torus engine
 # ---------------------------------------------------------------------------
-
-class _NoiseBuffer:
-    """Reusable buffers for one mean-subtracted normal field per step.
-
-    `keys` may carry a leading batch axis (stacked windows with distinct
-    absolute coordinates); the spatial mean is always taken over the
-    trailing `spatial_ndim` axes.
-    """
-
-    def __init__(self, src: NoiseSource, keys: np.ndarray,
-                 replicas: np.ndarray | None, spatial_ndim: int | None = None):
-        self.src = src
-        self.keys = keys
-        self.replicas = replicas
-        self.spatial_ndim = keys.ndim if spatial_ndim is None else spatial_ndim
-        shape = keys.shape if replicas is None else (len(replicas),) + keys.shape
-        self._bits = (np.empty(shape, dtype=np.uint64),
-                      np.empty(shape, dtype=np.uint64))
-
-    def __call__(self, step: int) -> np.ndarray:
-        g = self.src.raw_normals(self.keys, step, replicas=self.replicas,
-                                 out_bits=self._bits)
-        axes = tuple(range(g.ndim - self.spatial_ndim, g.ndim))
-        if len(axes) == g.ndim:
-            g -= g.mean()
-        else:
-            g -= g.mean(axis=axes, keepdims=True)
-        return g
-
 
 class MultiSlope:
     """Batch of slope paths evaluated together: at(t) -> (B, d)."""
@@ -169,7 +124,6 @@ def evolve_torus(
     dt: float,
     init: np.ndarray,
     replicas: np.ndarray | None = None,
-    mean_zero_noise: bool = True,
     on_step=None,
     record_stride: int | None = None,
     batch_keys: np.ndarray | None = None,
@@ -197,14 +151,12 @@ def evolve_torus(
 
     noise = None
     if src is not None:
-        if not mean_zero_noise:
-            raise NotImplementedError("torus dynamics always run with mean-zero noise")
         if batch_keys is not None:
             if replicas is not None:
                 raise ValueError("batch_keys and replicas are mutually exclusive")
-            noise = _NoiseBuffer(src, batch_keys, None, spatial_ndim=d)
+            noise = MeanSubtractedNoise(src, batch_keys, spatial_ndim=d)
         else:
-            noise = _NoiseBuffer(src, grid.site_keys, replicas)
+            noise = MeanSubtractedNoise(src, grid.site_keys, replicas)
 
     k0 = int(round(t0 / dt))
     sq = np.sqrt(2.0 * dt)
@@ -217,12 +169,17 @@ def evolve_torus(
         recorded = np.empty((n_rec,) + state.shape, dtype=np.float64)
         recorded[0] = state
 
+    # The drift accumulates `+= f; -= shift(f)`, not `+= f - shift(f)` as the
+    # Dirichlet and deterministic solvers do: the two orders round
+    # differently, so merging the steppers would change every trajectory.
+    # shift() allocates a fresh array each step on purpose: writing into
+    # preallocated buffers gives the same bits but costs far more page faults.
     for k in range(n_steps):
         q = slope.at(t0 + k * dt) if slope is not None else None
         drift.fill(0.0)
         for ax in range(d):
             a = ax0 + ax
-            np.subtract(np.roll(state, -1, axis=a), state, out=gbuf)
+            forward_difference(state, a, out=gbuf)
             if q is not None:
                 if q.ndim == 2:  # per-window slopes, broadcast over space
                     gbuf += q[:, ax].reshape((-1,) + (1,) * d)
@@ -230,7 +187,7 @@ def evolve_torus(
                     gbuf += q[ax]
             f = V.vp(gbuf)
             drift += f
-            drift -= np.roll(f, 1, axis=a)
+            drift -= shift(f, a, 1)
         state += dt * drift
         if noise is not None:
             state += sq * noise(k0 + k)
@@ -265,8 +222,7 @@ def run_corrector(
     dt = stable_dt(V, grid.dim) if dt is None else dt
     if dt > stable_dt(V, grid.dim) * (1 + 1e-12):
         raise ValueError("time step violates the stability rule")
-    n_steps = int(round(horizon / dt))
-    t0 = t_end - n_steps * dt
+    t0, n_steps = horizon_steps(horizon, dt, t_end)
     path = as_slope_path(slope, grid.dim, t_start=t0)
     if not path.covers(t0, t_end):
         raise ValueError("slope path does not cover the simulation window")
@@ -315,10 +271,9 @@ def run_gff_dynamic(
     returns a SpaceTimeField; with `replicas` the raw stacked trajectory
     array (slices, B, *shape) is returned instead.
     """
-    V = quadratic_potential()
+    V = quadratic()
     dt = stable_dt(V, grid.dim) if dt is None else dt
-    n_steps = int(round(horizon / dt))
-    t0 = t_end - n_steps * dt
+    t0, n_steps = horizon_steps(horizon, dt, t_end)
     init = sample_gff(grid, src, tag=init_tag, replicas=replicas)
     _, rec = evolve_torus(grid, V, None, src, t0, n_steps, dt, init,
                           replicas=replicas, record_stride=record_stride)
@@ -345,30 +300,19 @@ def run_stationary_periodic(
     """
     dt = stable_dt(V, grid.dim) if dt is None else dt
     if V.name == "quadratic":
-        init = sample_gff(grid, src)
-        n_steps = int(round(horizon / dt))
-        t0 = -n_steps * dt
-        path = as_slope_path(p, grid.dim, t_start=t0)
-        _, rec = evolve_torus(grid, V, path, src, t0, n_steps, dt, init,
-                              record_stride=record_stride)
-        return SpaceTimeField(grid, t0, dt * record_stride, rec)
-    if burn_in is None:
-        burn_in = float(grid.radius**2)
-    n_burn = int(round(burn_in / dt))
+        state, n_burn = sample_gff(grid, src), 0
+    else:
+        state = np.zeros(grid.shape)
+        n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
     n_keep = int(round(horizon / dt))
     t0 = -(n_burn + n_keep) * dt
     path = as_slope_path(p, grid.dim, t_start=t0)
-    state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt,
-                            np.zeros(grid.shape))
-    _, rec = evolve_torus(grid, V, path, src, t0 + n_burn * dt, n_keep, dt, state,
+    if n_burn:
+        state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state)
+    t_keep = t0 + n_burn * dt
+    _, rec = evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
                           record_stride=record_stride)
-    return SpaceTimeField(grid, t0 + n_burn * dt, dt * record_stride, rec)
-
-
-def quadratic_potential() -> Potential:
-    from .potential import quadratic
-
-    return quadratic()
+    return SpaceTimeField(grid, t_keep, dt * record_stride, rec)
 
 
 # 8-point Gauss-Legendre on [0, 1]
@@ -395,26 +339,13 @@ def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential,
     qv = np.zeros(d) if slope_v is None else np.asarray(slope_v, dtype=float)
     for j in range(n):
         for ax in range(d):
-            gu = np.roll(u.values[j], -1, axis=ax) - u.values[j] + qu[ax]
-            gv = np.roll(v.values[j], -1, axis=ax) - v.values[j] + qv[ax]
+            gu = forward_difference(u.values[j], ax) + qu[ax]
+            gv = forward_difference(v.values[j], ax) + qv[ax]
             acc = np.zeros(grid.shape)
             for s, w in zip(_GL8_X, _GL8_W):
                 acc += w * V.vpp(s * gv + (1.0 - s) * gu)
             out[j, ax] = np.clip(acc, V.c_minus, V.c_plus)
     return EdgeTrajectory(grid, u.t0, u.dt, out)
-
-
-def tilted_environment(phi: SpaceTimeField, p, V: Potential) -> EdgeTrajectory:
-    """a(t,e) = V''(p.e + grad phi(t,e)) along a recorded trajectory."""
-    grid: TorusGrid = phi.grid
-    d = grid.dim
-    pv = np.zeros(d) if p is None else np.asarray(p, dtype=float)
-    out = np.empty((phi.nslices, d) + grid.shape)
-    for j in range(phi.nslices):
-        for ax in range(d):
-            g = np.roll(phi.values[j], -1, axis=ax) - phi.values[j] + pv[ax]
-            out[j, ax] = V.vpp(g)
-    return EdgeTrajectory(grid, phi.t0, phi.dt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +404,7 @@ def run_dirichlet(
     eps = dom.mesh
     d = dom.dim
     dt_unit = stable_dt(V, d) if dt_unit is None else dt_unit
-    n_steps = int(round(1.0 / (eps * eps) / dt_unit))
-    t0_unit = -n_steps * dt_unit
+    t0_unit, n_steps = horizon_steps(1.0 / (eps * eps), dt_unit)
     k0 = int(round(t0_unit / dt_unit))
 
     datum = smoothed_boundary_datum(f, dom)
@@ -491,7 +421,7 @@ def run_dirichlet(
     state = np.zeros(lead + dom.shape)
     state[bsel + (all_mask,)] = datum(t0_unit * eps * eps, all_mask) / eps
 
-    noise = _NoiseBuffer(src, dom.site_keys, replicas) if src is not None else None
+    noise = MeanSubtractedNoise(src, dom.site_keys, replicas) if src is not None else None
     sq = np.sqrt(2.0 * dt_unit)
 
     if record_stride is None:
@@ -504,15 +434,9 @@ def run_dirichlet(
     drift = np.zeros(lead + dom.shape)
     for k in range(n_steps):
         drift.fill(0.0)
-        for ax in range(d):
-            gplus = np.diff(state, axis=ax0 + ax)  # forward differences
-            flux = V.vp(gplus)
-            pad = [(0, 0)] * (ax0 + d)
-            pad[ax0 + ax] = (1, 0)
-            fp = np.pad(flux, pad)
-            pad[ax0 + ax] = (0, 1)
-            fm = np.pad(flux, pad)
-            drift += fm - fp
+        for ax in range(ax0, ax0 + d):
+            flux = V.vp(dirichlet_forward_difference(state, ax))
+            drift += dirichlet_divergence(flux, ax)
         state[bsel + (interior,)] += dt_unit * drift[bsel + (interior,)]
         if noise is not None:
             state[bsel + (interior,)] += sq * noise(k0 + k)[bsel + (interior,)]

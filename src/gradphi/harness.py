@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import run_dirichlet, run_gff_dynamic, stable_dt
+from .dynamics import evolve_torus, run_dirichlet, run_gff_dynamic, stable_dt
 from .homogenize import (
     corrector_fluctuation_experiment,
     estimate_hessian,
@@ -29,7 +29,14 @@ from .homogenize import (
     flux_decay_experiment,
     linearization_modulus,
 )
-from .lattice import DirichletDomain, make_torus
+from .lattice import (
+    DirichletDomain,
+    SpaceTimeField,
+    dirichlet_edges,
+    dirichlet_forward_difference,
+    horizon_steps,
+    make_torus,
+)
 from .noise import NoiseSource
 from .occupation import (
     BrownianSpec,
@@ -393,14 +400,9 @@ def run_excess(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     replicas = int(cfg.get("replicas", 20))
     src = NoiseSource(seed=seed)
     grid = make_torus(d, L)
-
-    from .dynamics import evolve_torus, stable_dt
-    from .lattice import SpaceTimeField
-
     dt = stable_dt(V, d)
     stride = 64
-    n_steps = int(round(float(L * L) / dt))
-    t0 = -n_steps * dt
+    t0, n_steps = horizon_steps(float(L * L), dt)
     _, rec = evolve_torus(grid, V, None, src, t0, n_steps, dt,
                           np.zeros(grid.shape), replicas=np.arange(replicas),
                           record_stride=stride)
@@ -443,7 +445,7 @@ def run_heatkernel(cfg: dict, seed: int, threads=None) -> ExperimentResult:
         env = np.exp(np.log(contrast) / 2 * rng.uniform(-1, 1,
                                                         size=(d,) + grid.shape))
         c_plus = float(np.sqrt(contrast))
-        dt = 1.0 / (8 * d * c_plus)
+        dt = stable_dt(c_plus, d)
         tab = heat_kernel(env, grid, 0.0, (0,) * d, float(L * L), dt,
                           c_plus=c_plus)
         fit = nash_aronson_fit(tab)
@@ -496,8 +498,7 @@ def run_gff(cfg: dict, seed: int, threads=None) -> ExperimentResult:
 
 
 def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
-                             ubar, Dsigma: EffectiveGradient,
-                             kappa: float, dt_unit: float) -> float:
+                             ubar, kappa: float, dt_unit: float) -> float:
     """L2 gap between the gradients of the noisy dynamic and the corrected
     effective solution, for one replica.
 
@@ -513,12 +514,14 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // (ubar.nslices - 1), 1)
     traj = run_dirichlet(dom, f, V, src, dt_unit=dt_unit, record_stride=stride)
     pack = make_correctors(ubar, kappa, V, src)
-    expansion = build_two_scale(ubar, kappa, pack, V)
+    expansion = build_two_scale(ubar, kappa, pack)
     acc = 0.0
     for j in range(ubar.nslices):
         du = traj.values[j] - expansion.w[j]
         for ax in range(d):
-            g = np.diff(du, axis=ax) / eps
+            # the sum runs over the edges only, in the order of the
+            # unpadded difference array
+            g = dirichlet_forward_difference(du, ax)[dirichlet_edges(d, ax)] / eps
             acc += float((g**2).sum()) * ubar.dt
     return float(np.sqrt(eps**d * acc))
 
@@ -573,7 +576,7 @@ def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResu
             for rep in range(diag_reps):
                 gerr = gradient_two_scale_error(dom, f, V,
                                                 src.with_replica(rep), ubar,
-                                                Dsigma, kappa, dt_unit)
+                                                kappa, dt_unit)
                 gradient_rows.append((eps, rep, gerr))
 
         if zero_noise:

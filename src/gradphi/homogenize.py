@@ -28,7 +28,12 @@ from .lattice import (
     ParabolicCylinder,
     SpaceTimeField,
     TorusGrid,
+    dirichlet_edges,
+    dirichlet_forward_difference,
+    forward_difference,
+    horizon_steps,
     make_torus,
+    shift,
 )
 from .noise import NoiseSource
 from .norms import hminus1_par_multiscale, lp_norm
@@ -118,12 +123,11 @@ class _WindowAccumulator:
     """
 
     def __init__(self, grid: TorusGrid, V: Potential, path: SlopePath | None,
-                 radii, n_batch: int, dt: float):
+                 radii, n_batch: int):
         self.grid = grid
         self.V = V
         self.path = path
         self.radii = list(radii)
-        self.dt = dt
         d = grid.dim
         self.flux_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
         self.grad_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
@@ -154,13 +158,10 @@ class _WindowAccumulator:
             box = lead + self.boxes[r]
             for ax in range(d):
                 g = state[lead + self.boxes_shifted[r][ax]] - state[box]
-                if q is not None and q[ax] != 0.0:
-                    self.flux_acc[r][:, ax] += self.V.vp(g + q[ax]).mean(
-                        axis=tuple(range(1, g.ndim)))
-                else:
-                    self.flux_acc[r][:, ax] += self.V.vp(g).mean(
-                        axis=tuple(range(1, g.ndim)))
-                self.grad_acc[r][:, ax] += g.mean(axis=tuple(range(1, g.ndim)))
+                tilted = g + q[ax] if q is not None and q[ax] != 0.0 else g
+                space = tuple(range(1, g.ndim))
+                self.flux_acc[r][:, ax] += self.V.vp(tilted).mean(axis=space)
+                self.grad_acc[r][:, ax] += g.mean(axis=space)
             self.counts[r] += 1
 
     def averages(self, r) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +214,9 @@ def estimate_tau(
         horizon = max(float(L * L), window)
         start = np.zeros(grid.shape)
 
-    n_steps = int(round(horizon / dt))
-    t0 = -n_steps * dt
+    t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, d, t_start=t0)
-    acc = _WindowAccumulator(grid, V, path, [r], replicas, dt)
+    acc = _WindowAccumulator(grid, V, path, [r], replicas)
     evolve_torus(grid, V, path, src, t0, n_steps, dt, start,
                  replicas=np.arange(replicas), on_step=acc)
     flux, _ = acc.averages(r)
@@ -264,8 +264,8 @@ def estimate_hessian(
                 phi_s = traj.values[j]
                 w_s = w.values[j]
                 for ax in range(d):
-                    gphi = np.roll(phi_s, -1, axis=ax) - phi_s + pv[ax]
-                    gw = np.roll(w_s, -1, axis=ax) - w_s + (1.0 if ax == i else 0.0)
+                    gphi = forward_difference(phi_s, ax) + pv[ax]
+                    gw = forward_difference(w_s, ax) + (1.0 if ax == i else 0.0)
                     acc[ax] += (V.vpp(gphi)[box] * gw[box]).mean()
                 count += 1
             entries[rep, i] = acc / count
@@ -335,8 +335,7 @@ def flux_decay_experiment(
     dt = stable_dt(V, d) if dt is None else dt
     if horizon is None:
         horizon = float(ells[-1] ** 2 + 64)
-    n_steps = int(round(horizon / dt))
-    t0 = -n_steps * dt
+    t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, d, t_start=t0)
 
     n_chunks = max(int(threads or 1), 1)
@@ -344,18 +343,15 @@ def flux_decay_experiment(
                  if len(ids)]
 
     def run_chunk(ids):
-        acc = _WindowAccumulator(grid, V, path, ells, len(ids), dt)
+        acc = _WindowAccumulator(grid, V, path, ells, len(ids))
         evolve_torus(grid, V, path, src, t0, n_steps, dt, np.zeros(grid.shape),
                      replicas=ids, on_step=acc)
         return acc
 
-    if len(chunk_ids) == 1:
-        accs = [run_chunk(chunk_ids[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: harness imports this module
+    from .harness import fit_power_law, parallel_map
 
-        with ThreadPoolExecutor(max_workers=len(chunk_ids)) as pool:
-            accs = list(pool.map(run_chunk, chunk_ids))
+    accs = parallel_map(run_chunk, chunk_ids, len(chunk_ids))
 
     flux_var, flux_se, grad_var = [], [], []
     samples = {}
@@ -373,8 +369,6 @@ def flux_decay_experiment(
         flux_var.append(float(np.sum(var_components)))
         flux_se.append(float(np.sqrt(se_sq)))
         grad_var.append(float(sum(gradv[:, ax].var(ddof=1) for ax in range(d))))
-    from .harness import fit_power_law
-
     fit = fit_power_law(np.asarray(ells, dtype=float), np.asarray(flux_var))
     return FluxDecayResult(np.asarray(ells, dtype=float), np.asarray(flux_var),
                            np.asarray(flux_se), np.asarray(grad_var),
@@ -442,8 +436,7 @@ def corrector_fluctuation_experiment(
         else:
             horizon = float(L * L)
             start = np.zeros(grid.shape)
-        n_steps = int(round(horizon / dt))
-        t0 = -n_steps * dt
+        t0, n_steps = horizon_steps(horizon, dt)
 
         sq_acc = np.zeros(replicas)
         count = 0
@@ -457,7 +450,7 @@ def corrector_fluctuation_experiment(
                                 replicas=reps, on_step=on_step)
         v, se = site_variance_with_jackknife(final)
         grads = np.concatenate([
-            np.abs(np.roll(final, -1, axis=1 + ax) - final).ravel()
+            np.abs(forward_difference(final, 1 + ax)).ravel()
             for ax in range(d)
         ])
         sizes.append(float(L))
@@ -507,7 +500,7 @@ def slope_stability_check(q1, q2, L: int, V: Potential, src: NoiseSource,
     for j in range(j0, j1 + 1):
         diff = f1.values[j] - f2.values[j]
         for ax in range(d):
-            g = (np.roll(diff, -1, axis=ax) - diff)[box]
+            g = forward_difference(diff, ax)[box]
             acc += (g**2).mean()
         n += 1
     lhs = float(np.sqrt(acc / n))
@@ -543,9 +536,7 @@ def linearization_modulus(
     dt = stable_dt(V, d) if dt is None else dt
     pv = np.asarray(p, dtype=float)
     qs = [np.asarray(q, dtype=float) for q in qs]
-    horizon = float(L * L)
-    n_steps = int(round(horizon / dt))
-    t0 = -n_steps * dt
+    t0, n_steps = horizon_steps(float(L * L), dt)
 
     res = np.zeros((replicas, len(qs)))
     for lo in range(0, replicas, chunk):
@@ -566,7 +557,7 @@ def linearization_modulus(
                 diff = recs_q[iq][:, b] - traj_p.values - w.values
                 acc = 0.0
                 for ax in range(d):
-                    g = np.roll(diff, -1, axis=1 + ax) - diff
+                    g = forward_difference(diff, 1 + ax)
                     acc += (g**2).mean()
                 res[rep, iq] = np.sqrt(acc)
     gaps = np.array([np.linalg.norm(q - pv) for q in qs])
@@ -665,18 +656,11 @@ def _window_gradient_average(ubar, pts, y, half_width, t_lo, t_hi):
     j0, j1 = ubar.time_window(max(t_lo, ubar.t0), min(t_hi, ubar.t1))
     out = np.zeros(d)
     for ax in range(d):
-        sel = mask.copy()
-        idx = [slice(None)] * d
-        idx[ax] = slice(0, dom.shape[ax] - 1)
-        valid = np.zeros(dom.shape, dtype=bool)
-        valid[tuple(idx)] = True
-        sel &= valid
+        sel = mask & _valid_edge_mask(dom, ax)
         vals = 0.0
         for j in range(j0, j1 + 1):
-            g = np.diff(ubar.values[j], axis=ax) / eps
-            gfull = np.zeros(dom.shape)
-            gfull[tuple(idx)] = g
-            vals += gfull[sel].mean()
+            g = dirichlet_forward_difference(ubar.values[j], ax) / eps
+            vals += g[sel].mean()
         out[ax] = vals / (j1 - j0 + 1)
     return out
 
@@ -700,11 +684,9 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     centers, chi = partition_of_unity(dom, kappa)
     xi = local_slopes(ubar, kappa, centers)
 
-    micro_horizon = 1.0 / (eps * eps)
     dt = stable_dt(V, d) if dt is None else dt
     stride = max(int(round(ubar.dt / (eps * eps) / dt)), 1)
-    n_steps = int(round(micro_horizon / dt))
-    t0 = -n_steps * dt
+    t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
 
     from .dynamics import MultiSlope
 
@@ -723,8 +705,8 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     return centers, chi, xi, correctors, np.asarray(origins), L_micro
 
 
-def build_two_scale(ubar: SpaceTimeField, kappa: float, correctors_pack,
-                    V: Potential) -> TwoScaleExpansion:
+def build_two_scale(ubar: SpaceTimeField, kappa: float,
+                    correctors_pack) -> TwoScaleExpansion:
     """Assemble the corrected effective solution and its gradient remainder.
 
     w = ubar + eps sum_y chi_y phi_y(t/eps^2, x/eps; xi_y(t)); the returned
@@ -738,36 +720,23 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float, correctors_pack,
     n_slices = ubar.nslices
     w = ubar.values.copy()
     remainder = np.zeros((n_slices, d) + dom.shape)
+    times = ubar.times
 
-    interior_chi_sum = chi.sum(axis=0)
-
-    for i, (y, path, traj, z_y) in enumerate(zip(centers, xi, correctors, origins)):
-        box_rad = traj.grid.radius
-        lo = z_y - box_rad
-        hi = z_y + box_rad
-        lo_c = np.maximum(lo, 0)
-        hi_c = np.minimum(hi, dom.resolution)
-        if np.any(lo_c > hi_c):
+    for i, (traj, z_y) in enumerate(zip(correctors, origins)):
+        overlap = _box_overlap(traj.grid, z_y, dom)
+        if overlap is None:
             continue
-        dom_sel = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo_c, hi_c))
-        box_sel = tuple(slice(int(a - l), int(b - l) + 1)
-                        for a, b, l in zip(lo_c, hi_c, lo))
+        dom_sel, box_sel = overlap
         chi_i = chi[i][dom_sel]
         for j in range(n_slices):
-            t = ubar.times[j]
-            micro_slice = traj.values[min(traj.slice_index(
-                np.clip(t / (eps * eps), traj.t0, traj.t1)), traj.nslices - 1)]
+            micro_slice = traj.at_clamped(times[j] / (eps * eps))
             w[(j,) + dom_sel] += eps * chi_i * micro_slice[box_sel]
 
     # gradient remainder: grad w - sum_y chi_bar grad v_y
     for j in range(n_slices):
-        t = ubar.times[j]
+        t = times[j]
         for ax in range(d):
-            gw = np.zeros(dom.shape)
-            gw_idx = [slice(None)] * d
-            gw_idx[ax] = slice(0, dom.shape[ax] - 1)
-            gw[tuple(gw_idx)] = np.diff(w[j], axis=ax) / eps
-            total = gw.copy()
+            total = dirichlet_forward_difference(w[j], ax) / eps
             for i, (path, traj, z_y) in enumerate(zip(xi, correctors, origins)):
                 chi_edge = _edge_average(chi[i], ax)
                 if not np.any(chi_edge):
@@ -781,30 +750,32 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float, correctors_pack,
 
 def _edge_average(chi: np.ndarray, ax: int) -> np.ndarray:
     out = np.zeros_like(chi)
-    idx = [slice(None)] * chi.ndim
-    idx[ax] = slice(0, chi.shape[ax] - 1)
-    shifted = np.roll(chi, -1, axis=ax)
-    out[tuple(idx)] = (0.5 * (chi + shifted))[tuple(idx)]
+    edges = dirichlet_edges(chi.ndim, ax)
+    out[edges] = (0.5 * (chi + shift(chi, ax, -1)))[edges]
     return out
+
+
+def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
+    """Index pair (into the domain, into the micro box) selecting the part
+    of the micro box centered at site z_y that lies on the domain, or None."""
+    lo = z_y - grid.radius
+    lo_c = np.maximum(lo, 0)
+    hi_c = np.minimum(z_y + grid.radius, dom.resolution)
+    if np.any(lo_c > hi_c):
+        return None
+    dom_sel = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo_c, hi_c))
+    box_sel = tuple(slice(int(a - l), int(b - l) + 1)
+                    for a, b, l in zip(lo_c, hi_c, lo))
+    return dom_sel, box_sel
 
 
 def _corrector_edge_gradient(traj, z_y, dom, t_macro, eps, ax):
     """Unit-lattice forward gradient of the corrector on domain edges."""
-    micro_t = np.clip(t_macro / (eps * eps), traj.t0, traj.t1)
-    sl = traj.values[traj.slice_index(micro_t)]
-    g_box = np.roll(sl, -1, axis=ax) - sl  # periodic in the micro box
-    grid = traj.grid
     out = np.zeros(dom.shape)
-    lo = z_y - grid.radius
-    hi = z_y + grid.radius
-    lo_c = np.maximum(lo, 0)
-    hi_c = np.minimum(hi, dom.resolution)
-    if np.any(lo_c > hi_c):
-        return out
-    dom_sel = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo_c, hi_c))
-    box_sel = tuple(slice(int(a - l), int(b - l) + 1)
-                    for a, b, l in zip(lo_c, hi_c, lo))
-    out[dom_sel] = g_box[box_sel]
+    overlap = _box_overlap(traj.grid, z_y, dom)
+    if overlap is not None:
+        g_box = forward_difference(traj.at_clamped(t_macro / (eps * eps)), ax)
+        out[overlap[0]] = g_box[overlap[1]]
     return out
 
 
@@ -816,7 +787,6 @@ def error_terms(expansion: TwoScaleExpansion, cell) -> tuple[float, float, float
     dom: DirichletDomain = expansion.ubar.grid
     eps = dom.mesh
     kappa = expansion.kappa
-    d = dom.dim
     pts = dom.coordinates * eps
     centers = expansion.centers
 
@@ -868,23 +838,17 @@ def _gradient_mismatch(ubar, pts, y, kappa, t_lo, t_hi, xi):
     cnt = 0
     for j in range(j0, j1 + 1):
         for ax in range(d):
-            g = np.diff(ubar.values[j], axis=ax) / eps
-            gfull = np.zeros(dom.shape)
-            idx = [slice(None)] * d
-            idx[ax] = slice(0, dom.shape[ax] - 1)
-            gfull[tuple(idx)] = g
+            g = dirichlet_forward_difference(ubar.values[j], ax) / eps
             sel = mask & _valid_edge_mask(dom, ax)
             if np.any(sel):
-                acc += ((gfull[sel] - xi[ax]) ** 2).mean()
+                acc += ((g[sel] - xi[ax]) ** 2).mean()
         cnt += 1
     return float(np.sqrt(acc / max(cnt, 1)))
 
 
 def _valid_edge_mask(dom, ax):
     m = np.zeros(dom.shape, dtype=bool)
-    idx = [slice(None)] * dom.dim
-    idx[ax] = slice(0, dom.shape[ax] - 1)
-    m[tuple(idx)] = True
+    m[dirichlet_edges(dom.dim, ax)] = True
     return m
 
 
@@ -924,10 +888,7 @@ def flux_weak_norm(expansion: TwoScaleExpansion, Dsigma: EffectiveGradient,
         grad_chi = []
         has_support = False
         for ax in range(d):
-            g = np.zeros(dom.shape)
-            idx = [slice(None)] * d
-            idx[ax] = slice(0, dom.shape[ax] - 1)
-            g[tuple(idx)] = np.diff(chi_i, axis=ax) / eps
+            g = dirichlet_forward_difference(chi_i, ax) / eps
             grad_chi.append(g)
             has_support = has_support or np.any(g)
         if not has_support:

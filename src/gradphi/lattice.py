@@ -3,8 +3,13 @@
 Two site sets are supported: the periodic box (torus) of side 2L+1 used by
 the interface dynamics, and the Dirichlet discretization of the unit cube
 at mesh 1/N used by the rescaled boundary-value problems.  Fields are plain
-numpy arrays over the grid shape; space-time fields carry a uniform time
-grid and snap query times to the nearest slice.
+numpy arrays over the grid shape; space-time fields share one uniform time
+grid (`TimeGrid`) and snap query times to the nearest slice.
+
+Every lattice difference and divergence of the package is one of the
+stencil functions below: the periodic shift, forward difference and
+backward divergence, and their Dirichlet forms, which read zero across the
+far face.
 
 Site indexing is row-major over {-L..L}^d.  Edge fields store the value on
 the positively oriented edge (x, x+e_i) at index [i, x]; antisymmetry is
@@ -185,19 +190,13 @@ def standard_cylinder(L: int, center=None) -> ParabolicCylinder:
     return ParabolicCylinder(t_lo=-float(L * L), t_hi=0.0, radius=L, center=center)
 
 
-@dataclass
-class SpaceTimeField:
-    """Site values on a uniform time grid; queries snap to the nearest slice."""
+class TimeGrid:
+    """Uniform time grid t0 + j dt over the leading axis of `values`.
 
-    grid: TorusGrid | DirichletDomain
-    t0: float
-    dt: float
-    values: np.ndarray  # (nslices, *grid.shape)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape[1:] != self.grid.shape:
-            raise ValueError("field shape does not match the grid")
+    Subclasses provide the attributes `t0`, `dt` and `values`.  `at` and
+    `time_window` snap to the nearest slice and reject times outside the
+    stored range; `at_clamped` snaps and then clamps into it.
+    """
 
     @property
     def nslices(self) -> int:
@@ -220,6 +219,11 @@ class SpaceTimeField:
     def at(self, t: float) -> np.ndarray:
         return self.values[self.slice_index(t)]
 
+    def at_clamped(self, t: float) -> np.ndarray:
+        """The nearest slice, the first or last one outside the stored range."""
+        j = int(round((t - self.t0) / self.dt))
+        return self.values[min(max(j, 0), self.nslices - 1)]
+
     def time_window(self, t_lo: float, t_hi: float) -> tuple[int, int]:
         """Slice index range [j0, j1] covering (t_lo, t_hi), snapped."""
         j0 = self.slice_index(max(t_lo, self.t0))
@@ -227,6 +231,27 @@ class SpaceTimeField:
         if j1 <= j0:
             raise ValueError("cylinder covers fewer than two time slices")
         return j0, j1
+
+
+def horizon_steps(horizon: float, dt: float, t_end: float = 0.0) -> tuple[float, int]:
+    """(t0, n_steps) of a run of round(horizon / dt) steps that ends at t_end."""
+    n_steps = int(round(horizon / dt))
+    return t_end - n_steps * dt, n_steps
+
+
+@dataclass
+class SpaceTimeField(TimeGrid):
+    """Site values on a uniform time grid; queries snap to the nearest slice."""
+
+    grid: TorusGrid | DirichletDomain
+    t0: float
+    dt: float
+    values: np.ndarray  # (nslices, *grid.shape)
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape[1:] != self.grid.shape:
+            raise ValueError("field shape does not match the grid")
 
 
 @dataclass
@@ -257,7 +282,7 @@ class EdgeField:
 
 
 @dataclass
-class EdgeTrajectory:
+class EdgeTrajectory(TimeGrid):
     """Time-indexed edge field: values (nslices, dim, *shape)."""
 
     grid: TorusGrid
@@ -265,42 +290,81 @@ class EdgeTrajectory:
     dt: float
     values: np.ndarray
 
-    @property
-    def nslices(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + (self.nslices - 1) * self.dt
-
-    def slice_index(self, t: float) -> int:
-        j = int(round((t - self.t0) / self.dt))
-        if j < 0 or j >= self.nslices:
-            raise ValueError(f"time {t} outside the stored range")
-        return j
-
-    def time_window(self, t_lo: float, t_hi: float) -> tuple[int, int]:
-        j0 = self.slice_index(max(t_lo, self.t0))
-        j1 = self.slice_index(min(t_hi, self.t1))
-        if j1 <= j0:
-            raise ValueError("cylinder covers fewer than two time slices")
-        return j0, j1
-
 
 # ---------------------------------------------------------------------------
 # discrete differential calculus
 # ---------------------------------------------------------------------------
 
-def forward_gradients(u: np.ndarray, periodic: bool = True) -> np.ndarray:
-    """All forward differences of a slice: out[i] = u(.+e_i) - u(.).
+# Fields may carry leading batch axes: `ax` counts from the first array
+# axis.  Every function returns a new array unless `out` is given.
 
-    For non-periodic data the wrapped entries are meaningless and must be
-    masked by the caller.
+def _along(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
+    idx = [slice(None)] * ndim
+    idx[ax] = sl
+    return tuple(idx)
+
+
+def shift(a: np.ndarray, ax: int, step: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic shift along ax, equal to np.roll(a, step, axis=ax).
+
+    step = -1 reads the forward neighbor, out[x] = a[x + e_ax]; step = +1
+    reads the backward one, out[x] = a[x - e_ax].
     """
-    d = u.ndim
-    out = np.empty((d,) + u.shape, dtype=np.float64)
-    for ax in range(d):
-        out[ax] = np.roll(u, -1, axis=ax) - u
+    if out is None:
+        out = np.empty_like(a)
+    n = a.shape[ax]
+    k = step % n
+    out[_along(a.ndim, ax, slice(k, None))] = a[_along(a.ndim, ax, slice(None, n - k))]
+    out[_along(a.ndim, ax, slice(None, k))] = a[_along(a.ndim, ax, slice(n - k, None))]
+    return out
+
+
+def forward_difference(u: np.ndarray, ax: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic forward difference u(x + e_ax) - u(x)."""
+    return np.subtract(shift(u, ax, -1), u, out=out)
+
+
+def forward_gradients(u: np.ndarray) -> np.ndarray:
+    """All forward differences of a torus slice: out[i] = u(.+e_i) - u(.)."""
+    out = np.empty((u.ndim,) + u.shape, dtype=np.float64)
+    for ax in range(u.ndim):
+        forward_difference(u, ax, out=out[ax])
+    return out
+
+
+def divergence_field(g: np.ndarray) -> np.ndarray:
+    """Backward divergence of an edge array (dim, *shape) at every torus
+    site: the sum over i of g_i(x) - g_i(x - e_i)."""
+    out = np.zeros(g.shape[1:], dtype=np.float64)
+    for ax in range(g.shape[0]):
+        out += g[ax] - shift(g[ax], ax, 1)
+    return out
+
+
+def dirichlet_edges(ndim: int, ax: int) -> tuple[slice, ...]:
+    """Index of the Dirichlet-grid sites x whose edge (x, x + e_ax) stays on
+    the grid: every site but the far face along ax."""
+    return _along(ndim, ax, slice(None, -1))
+
+
+def dirichlet_forward_difference(u: np.ndarray, ax: int) -> np.ndarray:
+    """u(x + e_ax) - u(x) on the full Dirichlet grid, zero on the far face
+    along ax, where the edge leaves the grid."""
+    out = np.zeros(u.shape, dtype=np.float64)
+    out[dirichlet_edges(u.ndim, ax)] = np.diff(u, axis=ax)
+    return out
+
+
+def dirichlet_divergence(F: np.ndarray, ax: int) -> np.ndarray:
+    """F(x) - F(x - e_ax) for an edge field on the Dirichlet grid.
+
+    F holds the edge (x, x + e_ax) at x.  Edges that leave the grid read
+    zero, so the far-face entries of F are never read.
+    """
+    edges = dirichlet_edges(F.ndim, ax)
+    out = np.zeros(F.shape, dtype=np.float64)
+    out[edges] = F[edges]
+    out[_along(F.ndim, ax, slice(1, None))] -= F[edges]
     return out
 
 
@@ -318,15 +382,6 @@ def grad(grid, u: np.ndarray, x, y) -> float:
     return float(u[yi] - u[xi]) / grid.mesh
 
 
-def divergence_field(g: np.ndarray) -> np.ndarray:
-    """Divergence of an edge array (dim, *shape) at every torus site."""
-    d = g.shape[0]
-    out = np.zeros(g.shape[1:], dtype=np.float64)
-    for ax in range(d):
-        out += g[ax] - np.roll(g[ax], 1, axis=ax)
-    return out
-
-
 def divergence(g: EdgeField, x) -> float:
     """Sum of g(x, y) over the 2*dim neighbors y of x."""
     return float(divergence_field(g.data)[g.grid.array_index(x)])
@@ -334,15 +389,10 @@ def divergence(g: EdgeField, x) -> float:
 
 def nonlinear_div_field(V, q, u: np.ndarray) -> np.ndarray:
     """The drift field x -> sum_y V'(q.(y-x) + u(y) - u(x)) on the torus."""
-    d = u.ndim
-    out = np.zeros_like(u)
-    for ax in range(d):
-        g = np.roll(u, -1, axis=ax) - u
-        if q is not None:
-            g = g + q[ax]
-        f = V.vp(g)
-        out += f - np.roll(f, 1, axis=ax)
-    return out
+    g = forward_gradients(u)
+    if q is not None:
+        g += np.reshape(q, (-1,) + (1,) * u.ndim)
+    return divergence_field(V.vp(g))
 
 
 def nonlinear_div(V, q, u: np.ndarray, x) -> float:
@@ -366,21 +416,16 @@ def cylinder_average(f, Q: ParabolicCylinder):
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     w = _trapezoid_weights(j1 - j0 + 1)
     w = w / w.sum()
+    if not isinstance(f, (SpaceTimeField, EdgeTrajectory)):
+        raise TypeError(f"cannot average object of type {type(f)!r}")
+    lead = (slice(None),) * (1 if isinstance(f, SpaceTimeField) else 2)
+    vals = f.values[j0:j1 + 1]
+    if Q.radius is not None:
+        vals = vals[lead + f.grid.box_slices(Q.radius, Q.center)]
+    spatial = vals.mean(axis=tuple(range(len(lead), vals.ndim)))
     if isinstance(f, SpaceTimeField):
-        vals = f.values[j0:j1 + 1]
-        if Q.radius is not None:
-            box = f.grid.box_slices(Q.radius, Q.center)
-            vals = vals[(slice(None),) + box]
-        spatial = vals.mean(axis=tuple(range(1, vals.ndim)))
         return float(np.dot(w, spatial))
-    if isinstance(f, EdgeTrajectory):
-        vals = f.values[j0:j1 + 1]
-        if Q.radius is not None:
-            box = f.grid.box_slices(Q.radius, Q.center)
-            vals = vals[(slice(None), slice(None)) + box]
-        spatial = vals.mean(axis=tuple(range(2, vals.ndim)))
-        return w @ spatial
-    raise TypeError(f"cannot average object of type {type(f)!r}")
+    return w @ spatial
 
 
 # ---------------------------------------------------------------------------

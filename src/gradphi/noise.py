@@ -161,19 +161,33 @@ class NoiseSource:
         return self.raw_normals(keys, tag, channel=CHANNEL_INIT, replicas=replicas)
 
 
-def increment(src: NoiseSource, site_key, step: int):
-    return src.increment(site_key, step)
+class MeanSubtractedNoise:
+    """One normal field per step minus its spatial mean, in reused buffers.
 
+    `keys` may carry a leading batch axis (stacked windows with distinct
+    absolute coordinates); the spatial mean is always taken over the
+    trailing `spatial_ndim` axes.  With `replicas` the draw has one more
+    leading axis, one stream per replica id.
+    """
 
-def mean_subtracted(src: NoiseSource, keys: np.ndarray, step: int,
-                    replicas: np.ndarray | None = None) -> np.ndarray:
-    """Per-site increments minus their spatial average (sums to zero)."""
-    if keys.size < 2:
-        raise ValueError("mean subtraction needs at least two sites")
-    g = src.raw_normals(keys, step, replicas=replicas)
-    if replicas is None:
-        g -= g.mean()
-    else:
-        axes = tuple(range(1, g.ndim))
-        g -= g.mean(axis=axes, keepdims=True)
-    return g
+    def __init__(self, src: NoiseSource, keys: np.ndarray,
+                 replicas: np.ndarray | None = None, spatial_ndim: int | None = None):
+        self.src = src
+        self.keys = keys
+        self.replicas = replicas
+        self.spatial_ndim = keys.ndim if spatial_ndim is None else spatial_ndim
+        if np.prod(keys.shape[keys.ndim - self.spatial_ndim:]) < 2:
+            raise ValueError("mean subtraction needs at least two sites")
+        shape = keys.shape if replicas is None else (len(replicas),) + keys.shape
+        self._bits = (np.empty(shape, dtype=np.uint64),
+                      np.empty(shape, dtype=np.uint64))
+
+    def __call__(self, step: int) -> np.ndarray:
+        g = self.src.raw_normals(self.keys, step, replicas=self.replicas,
+                                 out_bits=self._bits)
+        axes = tuple(range(g.ndim - self.spatial_ndim, g.ndim))
+        if len(axes) == g.ndim:
+            g -= g.mean()
+        else:
+            g -= g.mean(axis=axes, keepdims=True)
+        return g

@@ -14,7 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import DirichletDomain, EdgeTrajectory, SpaceTimeField, TorusGrid
+from .dynamics import smoothed_boundary_datum, stable_dt
+from .lattice import (
+    DirichletDomain,
+    EdgeTrajectory,
+    SpaceTimeField,
+    TimeGrid,
+    TorusGrid,
+    dirichlet_divergence,
+    dirichlet_forward_difference,
+    divergence_field,
+    forward_difference,
+    forward_gradients,
+    shift,
+)
 from .potential import Potential
 
 
@@ -24,46 +37,25 @@ from .potential import Potential
 
 def _env_slices(a, grid: TorusGrid, t0: float, dt: float, n_steps: int):
     """Yield the coefficient array (d, *shape) for each step."""
-    d = grid.dim
-    if a is None or np.isscalar(a):
-        const = np.full((d,) + grid.shape, 1.0 if a is None else float(a))
-        for _ in range(n_steps):
-            yield const
-    elif isinstance(a, np.ndarray):
-        if a.shape != (d,) + grid.shape:
-            raise ValueError("static environment must have shape (dim, *grid.shape)")
-        for _ in range(n_steps):
-            yield a
-    elif isinstance(a, EdgeTrajectory):
+    shape = (grid.dim,) + grid.shape
+    if isinstance(a, EdgeTrajectory):
         for k in range(n_steps):
-            t = t0 + k * dt
-            j = int(round((t - a.t0) / a.dt))
-            j = min(max(j, 0), a.nslices - 1)
-            yield a.values[j]
-    else:
+            yield a.at_clamped(t0 + k * dt)
+        return
+    if a is None or np.isscalar(a):
+        a = np.full(shape, 1.0 if a is None else float(a))
+    elif not isinstance(a, np.ndarray):
         raise TypeError(f"unsupported environment type {type(a)!r}")
+    elif a.shape != shape:
+        raise ValueError("static environment must have shape (dim, *grid.shape)")
+    for _ in range(n_steps):
+        yield a
 
 
 def _check_dt(dt: float, d: int, c_plus: float):
-    cap = 1.0 / (8.0 * d * c_plus)
+    cap = stable_dt(c_plus, d)
     if dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={dt} violates the stability bound {cap}")
-
-
-def _div_a_grad(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Periodic divergence-form operator: sum_i D_i^-(a_i D_i^+ u)."""
-    out = np.zeros_like(u)
-    for ax in range(u.ndim):
-        flux = a[ax] * (np.roll(u, -1, axis=ax) - u)
-        out += flux - np.roll(flux, 1, axis=ax)
-    return out
-
-
-def _div_edge(F: np.ndarray) -> np.ndarray:
-    out = np.zeros(F.shape[1:])
-    for ax in range(F.shape[0]):
-        out += F[ax] - np.roll(F[ax], 1, axis=ax)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +63,7 @@ def _div_edge(F: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class HeatKernelTable:
+class HeatKernelTable(TimeGrid):
     """Mean-zero periodic heat kernel from a point source at (s, y)."""
 
     grid: TorusGrid
@@ -81,30 +73,25 @@ class HeatKernelTable:
     values: np.ndarray  # (nslices, *shape), slice 0 at t = source_time
 
     @property
-    def times(self) -> np.ndarray:
-        return self.source_time + self.dt * np.arange(self.values.shape[0])
+    def t0(self) -> float:
+        return self.source_time
 
     def at(self, t: float) -> np.ndarray:
+        """The kernel at time t: zero before the source, the last slice
+        after the stored range."""
         if t < self.source_time - 1e-12:
             return np.zeros(self.grid.shape)
-        j = int(round((t - self.source_time) / self.dt))
-        j = min(j, self.values.shape[0] - 1)
-        return self.values[j]
+        return self.at_clamped(t)
 
 
 def heat_kernel(a, grid: TorusGrid, s: float, y, t_end: float, dt: float,
                 c_plus: float = 1.0) -> HeatKernelTable:
     """Explicit stepping of the periodic kernel started from delta_y - 1/|L|."""
-    _check_dt(dt, grid.dim, c_plus)
-    n_steps = int(round((t_end - s) / dt))
     P = np.full(grid.shape, -1.0 / grid.nsites)
     P[grid.array_index(y)] += 1.0
-    out = np.empty((n_steps + 1,) + grid.shape)
-    out[0] = P
-    for k, a_k in enumerate(_env_slices(a, grid, s, dt, n_steps)):
-        P = P + dt * _div_a_grad(P, a_k)
-        out[k + 1] = P
-    return HeatKernelTable(grid, s, tuple(y), dt, out)
+    n_steps = int(round((t_end - s) / dt))
+    sol = solve_linear_parabolic(a, grid, s, n_steps, dt, init=P, c_plus=c_plus)
+    return HeatKernelTable(grid, s, tuple(y), dt, sol.values)
 
 
 def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
@@ -192,23 +179,18 @@ def solve_linear_parabolic(
             return None
         t = t0 + k * dt
         if isinstance(edge_forcing, EdgeTrajectory):
-            j = min(max(int(round((t - edge_forcing.t0) / edge_forcing.dt)), 0),
-                    edge_forcing.nslices - 1)
-            return edge_forcing.values[j]
+            return edge_forcing.at_clamped(t)
         F = edge_forcing(t) if callable(edge_forcing) else edge_forcing
         F = np.asarray(F, dtype=float)
         if F.shape == (d,):
-            full = np.empty((d,) + grid.shape)
-            for ax in range(d):
-                full[ax] = F[ax]
-            return full
+            return np.broadcast_to(F.reshape((d,) + (1,) * d), (d,) + grid.shape)
         return F
 
     for k, a_k in enumerate(_env_slices(a, grid, t0, dt, n_steps)):
-        du = _div_a_grad(u, a_k)
+        du = divergence_field(a_k * forward_gradients(u))
         F = edge_at(k)
         if F is not None:
-            du += _div_edge(F)
+            du += divergence_field(F)
         if site_forcing is not None:
             t = t0 + k * dt
             if isinstance(site_forcing, SpaceTimeField):
@@ -219,25 +201,6 @@ def solve_linear_parabolic(
         if (k + 1) % record_stride == 0:
             out[(k + 1) // record_stride] = u
     return SpaceTimeField(grid, t0, dt * record_stride, out)
-
-
-def _shift(a: np.ndarray, shift: int, ax: int, out: np.ndarray) -> np.ndarray:
-    """Periodic shift by +-1 along ax via slice assignment (cheap on small
-    arrays where np.roll's overhead dominates)."""
-    n = a.shape[ax]
-    lo = [slice(None)] * a.ndim
-    hi = [slice(None)] * a.ndim
-    if shift == -1:  # out[x] = a[x + e_ax]
-        lo[ax], hi[ax] = slice(0, n - 1), slice(1, n)
-        out[tuple(lo)] = a[tuple(hi)]
-        lo[ax], hi[ax] = slice(n - 1, n), slice(0, 1)
-        out[tuple(lo)] = a[tuple(hi)]
-    else:  # out[x] = a[x - e_ax]
-        lo[ax], hi[ax] = slice(1, n), slice(0, n - 1)
-        out[tuple(lo)] = a[tuple(hi)]
-        lo[ax], hi[ax] = slice(0, 1), slice(n - 1, n)
-        out[tuple(lo)] = a[tuple(hi)]
-    return out
 
 
 def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> SpaceTimeField:
@@ -259,24 +222,27 @@ def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> Spac
     # environment along the whole trajectory, vectorized over slices
     env = np.empty((n - 1, d) + grid.shape)
     for ax in range(d):
-        g = np.roll(phi.values[:-1], -1, axis=1 + ax) - phi.values[:-1] + pv[ax]
-        env[:, ax] = V.vpp(g)
+        env[:, ax] = V.vpp(forward_difference(phi.values[:-1], 1 + ax) + pv[ax])
     w = np.zeros(grid.shape)
     out = np.empty_like(phi.values)
     out[0] = w
     flux = np.empty(grid.shape)
     shifted = np.empty(grid.shape)
     du = np.empty(grid.shape)
+    # evolve_torus's accumulation order, `+= f; -= shift(f)`, written into
+    # preallocated buffers because per-call cost dominates on small arrays.
+    # The loop stays apart from evolve_torus, which would otherwise have to
+    # branch on its caller.
     for j in range(n - 1):
         du.fill(0.0)
         for ax in range(d):
-            _shift(w, -1, ax, flux)
+            shift(w, ax, -1, out=flux)
             flux -= w
             if xi[ax] != 0.0:
                 flux += xi[ax]
             flux *= env[j, ax]
             du += flux
-            du -= _shift(flux, +1, ax, shifted)
+            du -= shift(flux, ax, 1, out=shifted)
         w = w + dt * du
         out[j + 1] = w
     return SpaceTimeField(grid, phi.t0, dt, out)
@@ -349,12 +315,10 @@ def solve_homogenized(
     e_i, so the discrete integration-by-parts identity holds exactly.
     Boundary sites are pinned to the locally averaged datum at every step.
     """
-    from .dynamics import smoothed_boundary_datum
-
     eps = dom.mesh
     d = dom.dim
     if dt_unit is None:
-        dt_unit = 1.0 / (8.0 * d * max(Dsigma.lipschitz, 1.0))
+        dt_unit = stable_dt(max(Dsigma.lipschitz, 1.0), d)
     dt = dt_unit * eps * eps
     n_steps = int(round(1.0 / dt))
     datum = smoothed_boundary_datum(f, dom)
@@ -384,32 +348,28 @@ def solve_homogenized(
     return SpaceTimeField(dom, -1.0, dt * record_stride, out)
 
 
+def _inner_gradients(u: np.ndarray, eps: float) -> np.ndarray:
+    """Gradient vectors (..., d) at the sites off every far face, where all
+    d forward differences exist."""
+    inner = tuple(slice(0, n - 1) for n in u.shape)
+    return np.stack([dirichlet_forward_difference(u, ax)[inner] / eps
+                     for ax in range(u.ndim)], axis=-1)
+
+
 def homogenized_operator(Dsigma: EffectiveGradient, u: np.ndarray, eps: float) -> np.ndarray:
     """Conservative divergence of the effective flux on the mesh-eps grid.
 
-    Fluxes use forward differences; sites on the far faces carry no forward
-    gradient and their entries are zero-padded, which is harmless because
-    only interior sites are ever updated.
+    The vector map is evaluated on full gradient vectors; sites on the far
+    faces carry no forward gradient and get zero flux, which is harmless
+    because only interior sites are ever updated.
     """
-    d = u.ndim
     inner = tuple(slice(0, n - 1) for n in u.shape)
-    grads = np.zeros((d,) + u.shape)
-    for ax in range(d):
-        grads[(ax,) + inner] = (np.diff(u, axis=ax) / eps)[
-            tuple(slice(0, n - 1) if a != ax else slice(None)
-                  for a, n in enumerate(u.shape))]
-    # evaluate the vector map on full gradient vectors at inner sites
-    gvecs = np.stack([grads[ax][inner] for ax in range(d)], axis=-1)
-    fvecs = Dsigma(gvecs)
+    fvecs = Dsigma(_inner_gradients(u, eps))
     out = np.zeros_like(u)
-    for ax in range(d):
+    for ax in range(u.ndim):
         flux = np.zeros(u.shape)
         flux[inner] = fvecs[..., ax]
-        pad_lo = [(0, 0)] * d
-        pad_lo[ax] = (1, 0)
-        shifted = np.pad(flux, pad_lo)[tuple(
-            slice(0, n) for n in u.shape)]
-        out += (flux - shifted) / eps
+        out += dirichlet_divergence(flux, ax) / eps
     return out
 
 
@@ -417,19 +377,8 @@ def integration_by_parts_gap(Dsigma: EffectiveGradient, u: np.ndarray,
                              v: np.ndarray, eps: float) -> float:
     """|sum div(Dsigma(grad u)) v + sum Dsigma(grad u).grad v| for compactly
     supported u, v (zero on all faces)."""
-    d = u.ndim
     lhs = float(np.sum(homogenized_operator(Dsigma, u, eps) * v))
-    inner = tuple(slice(0, n - 1) for n in u.shape)
-    grads_u = []
-    grads_v = []
-    for ax in range(d):
-        sel = tuple(slice(0, n - 1) if a != ax else slice(None)
-                    for a, n in enumerate(u.shape))
-        grads_u.append((np.diff(u, axis=ax) / eps)[sel])
-        grads_v.append((np.diff(v, axis=ax) / eps)[sel])
-    gu = np.stack(grads_u, axis=-1)
-    gv = np.stack(grads_v, axis=-1)
-    rhs = float(np.sum(Dsigma(gu) * gv))
+    rhs = float(np.sum(Dsigma(_inner_gradients(u, eps)) * _inner_gradients(v, eps)))
     return abs(lhs + rhs)
 
 

@@ -6,7 +6,9 @@ from gradphi.lattice import (
     DirichletDomain,
     ParabolicCylinder,
     cylinder_average,
+    forward_difference,
     make_torus,
+    shift,
 )
 from gradphi.dynamics import (
     SlopePath,
@@ -69,9 +71,43 @@ def test_corrector_variance_matches_spectral_oracle():
     state, _ = evolve_torus(grid, V, None, NoiseSource(seed=42), -T,
                             int(T / dt), dt, np.zeros(grid.shape), replicas=reps)
     emp = state[:, 8, 8].var(ddof=1)
-    oracle = spectral.relaxation_variance(grid, T)
+    oracle = spectral.relaxation_variance_discrete(grid, T, dt)
     se = oracle * np.sqrt(2.0 / (len(reps) - 1))
     assert abs(emp - oracle) <= 3 * se
+
+
+def test_discrete_relaxation_variance_tends_to_continuous():
+    # the explicit scheme's variance exceeds the continuous-time one by a
+    # first-order term in dt: halving dt halves the gap
+    grid = make_torus(2, 8)
+    T = 64.0
+    cont = spectral.relaxation_variance(grid, T)
+    gaps = [spectral.relaxation_variance_discrete(grid, T, dt) - cont
+            for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128)]
+    assert gaps[0] > 0
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 0.45 * coarse <= fine <= 0.55 * coarse
+
+
+def test_torus_step_accumulation_order():
+    # a noiseless step is bitwise the hand-written `drift += f; drift -=
+    # shift(f)` update; the other order, `drift += f - shift(f)`, rounds
+    # differently on this field
+    grid = make_torus(2, 4)
+    V = soft_quartic(0.5)
+    dt = stable_dt(V, 2)
+    u = np.random.default_rng(3).normal(size=grid.shape)
+    q = np.array([0.3, -0.2])
+    state, _ = evolve_torus(grid, V, SlopePath.constant(q), None, 0.0, 1, dt, u)
+    drift = np.zeros(grid.shape)
+    other = np.zeros(grid.shape)
+    for ax in range(2):
+        f = V.vp(forward_difference(u, ax) + q[ax])
+        drift += f
+        drift -= shift(f, ax, 1)
+        other += f - shift(f, ax, 1)
+    assert np.array_equal(state, u + dt * drift)
+    assert not np.array_equal(state, u + dt * other)
 
 
 def test_contraction_same_noise_quadratic():

@@ -206,3 +206,19 @@ def test_hydro_gradient_two_scale_diagnostic():
     diag = res.summary["gradient_two_scale"]
     assert len(diag) == 3
     assert all(np.isfinite(row["error"]) and row["error"] > 0 for row in diag)
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("flux-decay", {"potential": {"kind": "soft_quartic", "a": 0.5}, "L": 8,
+                    "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}),
+    ("excess", {"L": 8, "scales": [4, 8], "replicas": 3, "seed": 13}),
+])
+def test_threaded_experiments_are_thread_independent(tmp_path, name, cfg):
+    # flux-decay and excess are the experiments that use --threads
+    csvs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"threads{threads}"
+        run_experiment(name, dict(cfg), str(out), threads=threads)
+        (csv,) = out.glob("*.csv")
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]

@@ -139,7 +139,7 @@ def small_expansion():
     ubar = solve_homogenized(EffectiveGradient.identity(), dom, _sine_datum,
                              dt_unit=stable_dt(V, 2), record_stride=16)
     pack = make_correctors(ubar, 0.25, V, NoiseSource(seed=14))
-    return ubar, pack, build_two_scale(ubar, 0.25, pack, V)
+    return ubar, pack, build_two_scale(ubar, 0.25, pack)
 
 
 def test_partition_sums_to_one():
@@ -155,7 +155,7 @@ def test_two_scale_zero_correctors_reduce_to_ubar(small_expansion):
                  [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
                   for t in pack[3]],
                  pack[4], pack[5])
-    exp0 = build_two_scale(ubar, 0.25, zero_pack, quadratic())
+    exp0 = build_two_scale(ubar, 0.25, zero_pack)
     assert np.max(np.abs(exp0.w - ubar.values)) == 0.0
 
 
@@ -210,7 +210,7 @@ def test_error_terms_affine_profile():
                  [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
                   for t in pack[3]],
                  pack[4], pack[5])
-    exp = build_two_scale(ubar, kappa, zero_pack, V)
+    exp = build_two_scale(ubar, kappa, zero_pack)
     first, second, third = error_terms(exp, (-0.25, np.array([0.5, 0.5])))
     assert first < 1e-12
     assert second < 1e-12
@@ -236,7 +236,7 @@ def test_flux_weak_norm_zero_correctors_quadratic(small_expansion):
                  [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
                   for t in pack[3]],
                  pack[4], pack[5])
-    exp0 = build_two_scale(ubar, 0.25, zero_pack, quadratic())
+    exp0 = build_two_scale(ubar, 0.25, zero_pack)
     val = flux_weak_norm(exp0, EffectiveGradient.identity(), quadratic())
     assert val == 0.0
 
@@ -301,18 +301,6 @@ def test_tabulate_effective_gradient_quadratic_near_identity():
     assert Ds.lipschitz < 1.3
 
 
-def test_sim_config_resolves_stable_step():
-    from gradphi.dynamics import SimConfig
-
-    cfg = SimConfig(potential={"kind": "soft_quartic", "a": 0.5},
-                    grid={"d": 2, "L": 8}, horizon=16.0)
-    assert cfg.resolved_dt() == pytest.approx(1.0 / 24.0)
-    bad = SimConfig(potential={"kind": "quadratic"}, grid={"d": 2, "L": 8},
-                    horizon=1.0, dt=0.2)
-    with pytest.raises(ValueError):
-        bad.resolved_dt()
-
-
 def test_hessian_tilt_sign_symmetry_and_bounds():
     # symmetric potential: estimates at p and -p agree within 4 combined SE;
     # at zero tilt the diagonal sits inside the convexity window and the
@@ -349,7 +337,7 @@ def test_error_aggregate_decreases_with_mesh():
         ubar = solve_homogenized(Ds, dom, _sine_datum,
                                  dt_unit=stable_dt(V, 2), record_stride=16)
         pack = make_correctors(ubar, kappa, V, NoiseSource(seed=22))
-        exp = build_two_scale(ubar, kappa, pack, V)
+        exp = build_two_scale(ubar, kappa, pack)
         aggregates.append(error_terms_aggregate(exp))
     assert aggregates[1] < aggregates[0]
 
@@ -372,7 +360,7 @@ def test_flux_weak_norm_decreases_with_mesh():
         for rep in range(20):
             pack = make_correctors(ubar, kappa, V,
                                    NoiseSource(seed=23, replica=rep))
-            exp = build_two_scale(ubar, kappa, pack, V)
+            exp = build_two_scale(ubar, kappa, pack)
             per_rep.append(flux_weak_norm(exp, EffectiveGradient.identity(), V))
         vals[N] = float(np.mean(per_rep))
     assert vals[16] < vals[8]

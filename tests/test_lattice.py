@@ -8,17 +8,22 @@ from gradphi.lattice import (
     SpaceTimeField,
     EdgeTrajectory,
     cylinder_average,
+    dirichlet_divergence,
+    dirichlet_edges,
+    dirichlet_forward_difference,
     divergence,
     divergence_field,
+    forward_difference,
     forward_gradients,
     grad,
     make_torus,
     nonlinear_div,
     nonlinear_div_field,
     partition_cells,
+    shift,
     standard_cylinder,
 )
-from gradphi.potential import quadratic
+from gradphi.potential import quadratic, soft_quartic
 
 
 def test_torus_site_counts():
@@ -216,3 +221,62 @@ def test_edge_field_antisymmetric_lookup():
     assert g.value((2, 0), (-2, 0)) == -g.value((-2, 0), (2, 0))  # wrap edge
     with pytest.raises(ValueError):
         g.value((0, 0), (1, 1))
+
+
+# The stencil must reproduce the np.roll and np.diff + np.pad expressions it
+# replaced bit for bit, on 2-d, 3-d and batched (leading replica axis) fields.
+STENCIL_SHAPES = [(7, 7), (5, 6, 4), (3, 7, 7)]
+
+
+def _stencil_fields():
+    rng = np.random.default_rng(12)
+    return [rng.normal(size=shape) for shape in STENCIL_SHAPES]
+
+
+def test_periodic_stencil_equals_roll():
+    for a in _stencil_fields():
+        for ax in range(a.ndim):
+            for step in (1, -1):
+                assert np.array_equal(shift(a, ax, step), np.roll(a, step, axis=ax))
+                out = np.empty_like(a)
+                assert shift(a, ax, step, out=out) is out
+                assert np.array_equal(out, np.roll(a, step, axis=ax))
+            assert np.array_equal(forward_difference(a, ax), np.roll(a, -1, axis=ax) - a)
+
+
+def test_gradient_and_divergence_fields_equal_roll():
+    rng = np.random.default_rng(13)
+    V = soft_quartic(0.5)
+    for u in _stencil_fields()[:2]:
+        d = u.ndim
+        rolled = np.stack([np.roll(u, -1, axis=ax) - u for ax in range(d)])
+        assert np.array_equal(forward_gradients(u), rolled)
+        g = rng.normal(size=(d,) + u.shape)
+        div = np.zeros(u.shape)
+        drift = np.zeros(u.shape)
+        q = rng.normal(size=d)
+        for ax in range(d):
+            div += g[ax] - np.roll(g[ax], 1, axis=ax)
+            f = V.vp(np.roll(u, -1, axis=ax) - u + q[ax])
+            drift += f - np.roll(f, 1, axis=ax)
+        assert np.array_equal(divergence_field(g), div)
+        assert np.array_equal(nonlinear_div_field(V, q, u), drift)
+
+
+def test_dirichlet_stencil_equals_diff_and_pad():
+    for a in _stencil_fields():
+        for ax in range(a.ndim):
+            far = [(0, 0)] * a.ndim
+            near = [(0, 0)] * a.ndim
+            far[ax], near[ax] = (0, 1), (1, 0)
+            diff = np.diff(a, axis=ax)
+            assert np.array_equal(a[dirichlet_edges(a.ndim, ax)], a.take(
+                np.arange(a.shape[ax] - 1), axis=ax))
+            grad_a = dirichlet_forward_difference(a, ax)
+            assert np.array_equal(grad_a, np.pad(diff, far))
+            # far-face entries of the flux are never read
+            face = [slice(None)] * a.ndim
+            face[ax] = -1
+            grad_a[tuple(face)] = np.nan
+            assert np.array_equal(dirichlet_divergence(grad_a, ax),
+                                  np.pad(diff, far) - np.pad(diff, near))
