@@ -1,14 +1,20 @@
 """SHA-256 digests of every CLI experiment's output on small configs.
 
-    PYTHONPATH=src python3 scripts/cli_digests.py [OUT.json]
+    PYTHONPATH=src python3 scripts/cli_digests.py [OUT.json] [--check BASELINE.json]
 
 Runs all ten experiments through `harness.run_experiment` on a few small
 configs each (flux-decay and excess at 1, 2 and 3 threads) and prints, per
 config, the digest of the CSV and of the `results` block of summary.json.
 Two source trees give byte-identical outputs exactly when their digests
-agree; with OUT.json the digests are also written there.
+agree; with OUT.json the digests are also written there.  With --check the
+digests are compared with a file written by an earlier run: every config
+whose CSV or `results` digest differs (or is missing on one side) is named,
+and the exit code is 1.  `scripts/cli_digests_baseline.json` holds the
+digests under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; other numpy or
+scipy versions may round differently and give other digests.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -54,7 +60,7 @@ def sha(b):
     return hashlib.sha256(b).hexdigest()
 
 
-def main(out_path=None):
+def main(out_path=None, baseline_path=None):
     res = {}
     for case in CASES:
         name, tag, cfg = case[:3]
@@ -72,7 +78,22 @@ def main(out_path=None):
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(res, fh, indent=1, sort_keys=True)
+    if baseline_path:
+        with open(baseline_path) as fh:
+            baseline = json.load(fh)
+        differ = [key for key in sorted(set(res) | set(baseline))
+                  if res.get(key) != baseline.get(key)]
+        for key in differ:
+            print(f"DIFFERS: {key}", file=sys.stderr)
+        print(f"{len(res) - len(differ)} of {len(res)} configs equal to {baseline_path}")
+        return 1 if differ else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="write the digests to this JSON file")
+    parser.add_argument("--check", metavar="BASELINE.json",
+                        help="compare with digests written by an earlier run")
+    args = parser.parse_args()
+    sys.exit(main(args.out, args.check))

@@ -209,11 +209,10 @@ def run_corrector(
     V: Potential,
     src: NoiseSource,
     dt: float | None = None,
-    t_end: float = 0.0,
     record_stride: int = 1,
-    init: np.ndarray | None = None,
 ) -> SpaceTimeField:
-    """Mean-zero periodic dynamic with tilt, started from zero at t_end - horizon.
+    """Mean-zero periodic dynamic with tilt, started from zero at -horizon and
+    run to t = 0.
 
     Returns the recorded trajectory; the spatial mean of every slice stays
     at zero because the noise is mean-subtracted and the drift conserves the
@@ -222,12 +221,11 @@ def run_corrector(
     dt = stable_dt(V, grid.dim) if dt is None else dt
     if dt > stable_dt(V, grid.dim) * (1 + 1e-12):
         raise ValueError("time step violates the stability rule")
-    t0, n_steps = horizon_steps(horizon, dt, t_end)
+    t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, grid.dim, t_start=t0)
-    if not path.covers(t0, t_end):
+    if not path.covers(t0, 0.0):
         raise ValueError("slope path does not cover the simulation window")
-    start = np.zeros(grid.shape) if init is None else init
-    _, rec = evolve_torus(grid, V, path, src, t0, n_steps, dt, start,
+    _, rec = evolve_torus(grid, V, path, src, t0, n_steps, dt, np.zeros(grid.shape),
                           record_stride=record_stride)
     return SpaceTimeField(grid, t0, dt * record_stride, rec)
 
@@ -258,23 +256,21 @@ def run_gff_dynamic(
     grid: TorusGrid,
     horizon: float,
     src: NoiseSource,
-    dt: float | None = None,
-    t_end: float = 0.0,
     record_stride: int = 1,
-    init_tag: int = 1,
     replicas: np.ndarray | None = None,
 ) -> SpaceTimeField | np.ndarray:
-    """Stationary free-field dynamic: GFF initial data plus quadratic drift.
+    """Stationary free-field dynamic on (-horizon, 0): GFF initial data plus
+    quadratic drift.
 
-    The initial slice comes from the initial-condition noise channel, so it
-    is independent of the driving increments.  The single-replica form
-    returns a SpaceTimeField; with `replicas` the raw stacked trajectory
-    array (slices, B, *shape) is returned instead.
+    The initial slice comes from tag 1 of the initial-condition noise
+    channel, so it is independent of the driving increments.  The
+    single-replica form returns a SpaceTimeField; with `replicas` the raw
+    stacked trajectory array (slices, B, *shape) is returned instead.
     """
     V = quadratic()
-    dt = stable_dt(V, grid.dim) if dt is None else dt
-    t0, n_steps = horizon_steps(horizon, dt, t_end)
-    init = sample_gff(grid, src, tag=init_tag, replicas=replicas)
+    dt = stable_dt(V, grid.dim)
+    t0, n_steps = horizon_steps(horizon, dt)
+    init = sample_gff(grid, src, tag=1, replicas=replicas)
     _, rec = evolve_torus(grid, V, None, src, t0, n_steps, dt, init,
                           replicas=replicas, record_stride=record_stride)
     if replicas is None:
@@ -289,7 +285,6 @@ def run_stationary_periodic(
     src: NoiseSource,
     horizon: float,
     burn_in: float | None = None,
-    dt: float | None = None,
     record_stride: int = 1,
 ) -> SpaceTimeField:
     """Trajectory of the tilted dynamic after equilibration, ending at t = 0.
@@ -298,7 +293,7 @@ def run_stationary_periodic(
     no burn-in; other potentials start from zero and discard a burn-in of
     L^2 by default.
     """
-    dt = stable_dt(V, grid.dim) if dt is None else dt
+    dt = stable_dt(V, grid.dim)
     if V.name == "quadratic":
         state, n_burn = sample_gff(grid, src), 0
     else:
@@ -321,13 +316,11 @@ _GL8_X = 0.5 * (_GL8_X + 1.0)
 _GL8_W = 0.5 * _GL8_W
 
 
-def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential,
-                           slope_u=None, slope_v=None) -> EdgeTrajectory:
+def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential) -> EdgeTrajectory:
     """Coefficient field a(t,e) = int_0^1 V''(s grad v + (1-s) grad u) ds.
 
-    Optional constant tilts are added to the stored gradients so the same
-    helper covers tilted dynamics.  Values are clamped into [c-, c+], which
-    only removes quadrature roundoff.
+    Values are clamped into [c-, c+], which only removes quadrature
+    roundoff.
     """
     if u.values.shape != v.values.shape or abs(u.t0 - v.t0) > 1e-12 or abs(u.dt - v.dt) > 1e-12:
         raise ValueError("fields must share cylinder and time grid")
@@ -335,12 +328,10 @@ def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential,
     d = grid.dim
     n = u.nslices
     out = np.empty((n,) + (d,) + grid.shape)
-    qu = np.zeros(d) if slope_u is None else np.asarray(slope_u, dtype=float)
-    qv = np.zeros(d) if slope_v is None else np.asarray(slope_v, dtype=float)
     for j in range(n):
         for ax in range(d):
-            gu = forward_difference(u.values[j], ax) + qu[ax]
-            gv = forward_difference(v.values[j], ax) + qv[ax]
+            gu = forward_difference(u.values[j], ax)
+            gv = forward_difference(v.values[j], ax)
             acc = np.zeros(grid.shape)
             for s, w in zip(_GL8_X, _GL8_W):
                 acc += w * V.vpp(s * gv + (1.0 - s) * gu)
@@ -352,14 +343,15 @@ def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential,
 # Dirichlet dynamic (rescaled boundary-value problem)
 # ---------------------------------------------------------------------------
 
-def smoothed_boundary_datum(f, dom: DirichletDomain, nodes: int = 8):
+def smoothed_boundary_datum(f, dom: DirichletDomain):
     """Return g(t, mask) evaluating the local average of f at masked sites.
 
     The datum is averaged over the cube of half-width one mesh around each
-    site with a fixed tensor Gauss-Legendre rule, normalized so constants
-    are reproduced exactly.
+    site with a fixed 8-point tensor Gauss-Legendre rule, normalized so
+    constants are reproduced exactly.
     """
     eps = dom.mesh
+    nodes = 8
     x1, w1 = np.polynomial.legendre.leggauss(nodes)
     x1 = x1 * eps
     w1 = w1 / w1.sum()

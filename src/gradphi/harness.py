@@ -14,20 +14,29 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .dynamics import evolve_torus, run_dirichlet, run_gff_dynamic, stable_dt
+from .dynamics import (
+    evolve_torus,
+    run_dirichlet,
+    run_gff_dynamic,
+    slope_from_config,
+    stable_dt,
+)
 from .homogenize import (
+    build_two_scale,
     corrector_fluctuation_experiment,
     estimate_hessian,
     estimate_tau,
     excess_decay,
+    fit_power_law,
     flux_decay_experiment,
     linearization_modulus,
+    make_correctors,
+    parallel_map,
 )
 from .lattice import (
     DirichletDomain,
@@ -55,40 +64,17 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class FitResult:
-    exponent: float
-    log_prefactor: float
-    r_squared: float
-    residuals: np.ndarray
-
-
-def fit_power_law(xs, ys) -> FitResult:
-    """Least squares of log y against log x."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < 3:
-        raise ValueError("need at least three points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("power-law fit needs strictly positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fitted = A @ coef
-    resid = ly - fitted
-    ss_res = float((resid**2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return FitResult(float(coef[0]), float(coef[1]), r2, resid)
-
-
-@dataclass
 class ExperimentResult:
     name: str
     header: list
     rows: list
     summary: dict
     criteria: dict
-    flagged: bool = False
+
+    @property
+    def flagged(self) -> bool:
+        """Whether some criterion failed."""
+        return not all(self.criteria.values())
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +155,6 @@ def _jsonable(obj):
     return obj
 
 
-def parallel_map(fn, items, threads: int | None):
-    """Order-preserving map over items, optionally on a thread pool."""
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # boundary data library
 # ---------------------------------------------------------------------------
@@ -247,7 +224,6 @@ def run_corrector_experiment(cfg: dict, seed: int, threads=None) -> ExperimentRe
         "corrector",
         ["L", "center_variance", "stderr", "l2_norm_sq", "grad_q999", "replicas"],
         rows, summary, criteria,
-        flagged=not all(criteria.values()) if criteria else False,
     )
 
 
@@ -280,13 +256,11 @@ def run_flux_decay(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     return ExperimentResult(
         "flux-decay",
         ["window", "flux_variance", "jackknife_se", "gradient_variance", "replicas"],
-        rows, summary, criteria, flagged=not all(criteria.values()),
+        rows, summary, criteria,
     )
 
 
 def run_surface_tension(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    from .dynamics import slope_from_config
-
     V = potential_from_config(_require(cfg, "potential"))
     d = int(cfg.get("d", 2))
     L = int(_require(cfg, "L"))
@@ -298,7 +272,7 @@ def run_surface_tension(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     for i, path in enumerate(slopes):
         constant = len(path.slopes) == 1
         arg = tuple(path.slopes[0]) if constant else path
-        est = estimate_tau(arg, L, V, replicas, src.with_replica(i * replicas))
+        est = estimate_tau(arg, L, V, replicas, src.with_replica(i * replicas), d=d)
         p = path.slopes[0] if constant else path.slopes.mean(axis=0)
         rows.append(tuple(p) + tuple(est.mean) + tuple(est.stderr) + (replicas,))
         summary_rows.append({"slope": p, "mean": est.mean, "stderr": est.stderr})
@@ -309,8 +283,7 @@ def run_surface_tension(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     header = [f"p{i+1}" for i in range(d)] + [f"mean{i+1}" for i in range(d)] \
         + [f"stderr{i+1}" for i in range(d)] + ["replicas"]
     return ExperimentResult("surface-tension", header, rows,
-                            {"estimates": summary_rows}, criteria,
-                            flagged=bool(criteria) and not all(criteria.values()))
+                            {"estimates": summary_rows}, criteria)
 
 
 def run_hessian(cfg: dict, seed: int, threads=None) -> ExperimentResult:
@@ -333,8 +306,7 @@ def run_hessian(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     summary = {"matrix": est.matrix, "stderr": est.stderr,
                "eigenvalues": est.eigenvalues}
     return ExperimentResult("hessian", ["i", "j", "entry", "stderr", "replicas"],
-                            rows, summary, criteria,
-                            flagged=not all(criteria.values()))
+                            rows, summary, criteria)
 
 
 def run_linearize(cfg: dict, seed: int, threads=None) -> ExperimentResult:
@@ -361,20 +333,20 @@ def run_linearize(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     summary = {"gaps": res.gaps, "residuals": res.residuals,
                "stderr": res.stderr, "normalized": ratios}
     return ExperimentResult("linearize", ["gap", "residual", "stderr", "replicas"],
-                            rows, summary, criteria,
-                            flagged=not all(criteria.values()))
+                            rows, summary, criteria)
 
 
 def run_occupation(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     eps = [float(e) for e in cfg.get("thresholds", [0.05, 0.1, 0.2])]
     replicas = int(cfg.get("replicas", 2000))
     kind = cfg.get("process", "brownian")
+    d = int(cfg.get("d", 2))
     src = NoiseSource(seed=seed)
     if kind == "brownian":
         spec = BrownianSpec(dt=float(cfg.get("dt", 1e-3)))
     elif kind == "edge_gradient":
         V = potential_from_config(cfg.get("potential", {"kind": "quadratic"}))
-        spec = EdgeGradientSpec(L=int(cfg.get("L", 8)), potential=V)
+        spec = EdgeGradientSpec(L=int(cfg.get("L", 8)), d=d, potential=V)
     else:
         raise ConfigError(f"unknown occupation process {kind!r}")
     rep = occupation_experiment(spec, eps, replicas, src)
@@ -388,8 +360,7 @@ def run_occupation(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                "relative_intercept": rep.relative_intercept}
     return ExperimentResult("occupation",
                             ["epsilon", "mean_occupation", "stderr", "replicas"],
-                            rows, summary, criteria,
-                            flagged=not all(criteria.values()))
+                            rows, summary, criteria)
 
 
 def run_excess(cfg: dict, seed: int, threads=None) -> ExperimentResult:
@@ -428,7 +399,7 @@ def run_excess(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                "gradient_bound_mean": gb.mean(axis=0)}
     return ExperimentResult("excess", ["replica", "scale", "excess",
                                        "gradient_bound"], rows, summary,
-                            criteria, flagged=not all(criteria.values()))
+                            criteria)
 
 
 def run_heatkernel(cfg: dict, seed: int, threads=None) -> ExperimentResult:
@@ -462,8 +433,7 @@ def run_heatkernel(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     return ExperimentResult("heatkernel",
                             ["environment", "c_hat", "worst_ratio",
                              "mass_defect", "min_shifted"],
-                            rows, summary, criteria,
-                            flagged=not all(criteria.values()))
+                            rows, summary, criteria)
 
 
 def run_gff(cfg: dict, seed: int, threads=None) -> ExperimentResult:
@@ -493,8 +463,7 @@ def run_gff(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     criteria["covariance_within_4se"] = bool(ok_all)
     summary = {"T": T, "replicas": replicas}
     header = [f"dx{i+1}" for i in range(d)] + ["empirical", "oracle", "stderr", "ok"]
-    return ExperimentResult("gff", header, rows, summary, criteria,
-                            flagged=not ok_all)
+    return ExperimentResult("gff", header, rows, summary, criteria)
 
 
 def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
@@ -507,8 +476,6 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     coordinates and step indices), so this measures the pathwise gradient
     coupling of the expansion.
     """
-    from .homogenize import build_two_scale, make_correctors
-
     eps = dom.mesh
     d = dom.dim
     stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // (ubar.nslices - 1), 1)
@@ -627,8 +594,7 @@ def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResu
     if Dsigma.kind == "table":
         criteria["no_effective_clamping"] = Dsigma.clamp_events == 0
     return ExperimentResult("hydro", ["epsilon", "replica", "l2_error"], rows,
-                            summary, criteria,
-                            flagged=bool(criteria) and not all(criteria.values()))
+                            summary, criteria)
 
 
 EXPERIMENTS = {

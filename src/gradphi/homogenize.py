@@ -6,20 +6,25 @@ module: flux means and their derivatives (the effective nonlinearity and
 its Hessian), decay of window averages, slope-coupling residuals, and the
 assembly of the corrected effective solution with its error terms.  All
 estimates carry standard errors and acceptance comparisons happen at stated
-multiples of them.
+multiples of them.  The power-law fit and the thread map live here too,
+because the flux-decay experiment needs them and the harness imports this
+module.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
+    MultiSlope,
     SlopePath,
     as_slope_path,
     evolve_torus,
     run_corrector,
+    run_stationary_periodic,
     sample_gff,
     stable_dt,
 )
@@ -92,6 +97,42 @@ class FluxDecayResult:
     exponent: float
     r_squared: float
     samples: dict
+
+
+@dataclass
+class FitResult:
+    exponent: float
+    log_prefactor: float
+    r_squared: float
+    residuals: np.ndarray
+
+
+def fit_power_law(xs, ys) -> FitResult:
+    """Least squares of log y against log x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) < 3:
+        raise ValueError("need at least three points")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("power-law fit needs strictly positive data")
+    lx, ly = np.log(xs), np.log(ys)
+    A = np.stack([lx, np.ones_like(lx)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    fitted = A @ coef
+    resid = ly - fitted
+    ss_res = float((resid**2).sum())
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
+    return FitResult(float(coef[0]), float(coef[1]), r2, resid)
+
+
+def parallel_map(fn, items, threads: int | None):
+    """Order-preserving map over items, optionally on a thread pool."""
+    items = list(items)
+    if threads is None or threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def variance_with_jackknife(samples: np.ndarray) -> tuple[float, float]:
@@ -180,8 +221,6 @@ def estimate_tau(
     replicas: int,
     src: NoiseSource,
     d: int = 2,
-    dt: float | None = None,
-    window_radius: int | None = None,
     init: str = "auto",
     keep_samples: bool = False,
 ) -> FluxEstimate:
@@ -196,8 +235,8 @@ def estimate_tau(
     if replicas < 2:
         raise ValueError("need at least two replicas")
     grid = make_torus(d, L)
-    dt = stable_dt(V, d) if dt is None else dt
-    r = L // 2 if window_radius is None else window_radius
+    dt = stable_dt(V, d)
+    r = L // 2
     window = float(r * r)
 
     constant = not isinstance(slope, SlopePath)
@@ -233,7 +272,6 @@ def estimate_hessian(
     replicas: int,
     src: NoiseSource,
     d: int = 2,
-    dt: float | None = None,
 ) -> HessianEstimate:
     """Derivative of the flux mean with respect to the tilt.
 
@@ -242,19 +280,15 @@ def estimate_hessian(
     linearized response to tilt direction e_i; replica means with SEs.
     """
     grid = make_torus(d, L)
-    dt = stable_dt(V, d) if dt is None else dt
     pv = np.asarray(p, dtype=float)
     r = L // 2
     window = float(r * r)
     box = grid.box_slices(r)
 
-    from .dynamics import run_stationary_periodic
-
     entries = np.zeros((replicas, d, d))
     for rep in range(replicas):
         src_r = src.with_replica(src.replica + rep)
-        traj = run_stationary_periodic(grid, pv, V, src_r, horizon=float(L * L),
-                                       dt=dt, record_stride=1)
+        traj = run_stationary_periodic(grid, pv, V, src_r, horizon=float(L * L))
         j0 = traj.slice_index(-window)
         for i in range(d):
             w = solve_linearized_corrector(traj, pv, np.eye(d)[i], V)
@@ -297,7 +331,7 @@ def tabulate_effective_gradient(
         tilt = np.zeros(d)
         tilt[0] = s
         est = estimate_tau(tuple(tilt), L, V, replicas,
-                           src.with_replica(src.replica + (i + 1) * replicas))
+                           src.with_replica(src.replica + (i + 1) * replicas), d=d)
         values.append(float(est.mean[0]))
     return EffectiveGradient.from_axis_table(knots, np.asarray(values))
 
@@ -313,16 +347,15 @@ def flux_decay_experiment(
     replicas: int,
     src: NoiseSource,
     d: int = 2,
-    slope=None,
     horizon: float | None = None,
-    dt: float | None = None,
     threads: int | None = None,
 ) -> FluxDecayResult:
     """Variance of window flux averages against the window size.
 
-    Runs the zero-started dynamic once per replica batch and accumulates
-    the flux and gradient averages over trailing windows of every requested
-    radius; the decay exponent is the log-log slope of the total variance.
+    Runs the zero-started, untilted dynamic once per replica batch and
+    accumulates the flux and gradient averages over trailing windows of
+    every requested radius; the decay exponent is the log-log slope of the
+    total variance.
     Replica chunks may run on worker threads; results do not depend on the
     chunking.
     """
@@ -332,11 +365,11 @@ def flux_decay_experiment(
     if ells[-1] > L:
         raise ValueError("windows must fit in the torus")
     grid = make_torus(d, L)
-    dt = stable_dt(V, d) if dt is None else dt
+    dt = stable_dt(V, d)
     if horizon is None:
         horizon = float(ells[-1] ** 2 + 64)
     t0, n_steps = horizon_steps(horizon, dt)
-    path = as_slope_path(slope, d, t_start=t0)
+    path = as_slope_path(None, d, t_start=t0)
 
     n_chunks = max(int(threads or 1), 1)
     chunk_ids = [ids for ids in np.array_split(np.arange(replicas), n_chunks)
@@ -347,9 +380,6 @@ def flux_decay_experiment(
         evolve_torus(grid, V, path, src, t0, n_steps, dt, np.zeros(grid.shape),
                      replicas=ids, on_step=acc)
         return acc
-
-    # imported here: harness imports this module
-    from .harness import fit_power_law, parallel_map
 
     accs = parallel_map(run_chunk, chunk_ids, len(chunk_ids))
 
@@ -412,7 +442,6 @@ def corrector_fluctuation_experiment(
     replicas: int,
     src: NoiseSource,
     d: int = 2,
-    dt: float | None = None,
     stationary_window: float = 8.0,
 ) -> FluctuationResult:
     """Site variance, averaged L2 mass, and gradient tail per size.
@@ -424,11 +453,10 @@ def corrector_fluctuation_experiment(
     Non-quadratic potentials start from zero over the full L^2 window.
     The variance estimator averages the per-site sample variances.
     """
-    dt_user = dt
+    dt = stable_dt(V, d)
     sizes, var_c, var_se, l2m, gq = [], [], [], [], []
     for L in Ls:
         grid = make_torus(d, int(L))
-        dt = stable_dt(V, d) if dt_user is None else dt_user
         reps = np.arange(replicas)
         if V.name == "quadratic":
             horizon = min(float(L * L), stationary_window)
@@ -475,7 +503,7 @@ class SlopeStabilityReport:
 
 
 def slope_stability_check(q1, q2, L: int, V: Potential, src: NoiseSource,
-                          d: int = 2, dt: float | None = None) -> SlopeStabilityReport:
+                          d: int = 2) -> SlopeStabilityReport:
     """Coupled-trajectory gradient distance against the tilt-gap bound.
 
     Both dynamics run on the same torus with identical Brownian increments;
@@ -484,12 +512,11 @@ def slope_stability_check(q1, q2, L: int, V: Potential, src: NoiseSource,
     the fitted constant.
     """
     grid = make_torus(d, L)
-    dt = stable_dt(V, d) if dt is None else dt
     horizon = float(L * L)
     path1 = as_slope_path(q1, d, t_start=-horizon)
     path2 = as_slope_path(q2, d, t_start=-horizon)
-    f1 = run_corrector(grid, horizon, path1, V, src, dt=dt)
-    f2 = run_corrector(grid, horizon, path2, V, src, dt=dt)
+    f1 = run_corrector(grid, horizon, path1, V, src)
+    f2 = run_corrector(grid, horizon, path2, V, src)
     r = L // 2
     window = ParabolicCylinder(-float(r * r), 0.0, radius=r)
 
@@ -523,17 +550,17 @@ def linearization_modulus(
     src: NoiseSource,
     replicas: int,
     d: int = 2,
-    dt: float | None = None,
-    chunk: int = 16,
 ) -> ModulusEstimate:
     """Residual of the first-order tilt expansion, per tilt gap.
 
     For each probe tilt q, couples the dynamics at p and q through the same
     noise, solves the linearized equation along the p-trajectory, and
     measures || grad phi_q - grad phi_p - grad w || over the cylinder.
+    Replicas run in batches of 16.
     """
     grid = make_torus(d, L)
-    dt = stable_dt(V, d) if dt is None else dt
+    dt = stable_dt(V, d)
+    chunk = 16
     pv = np.asarray(p, dtype=float)
     qs = [np.asarray(q, dtype=float) for q in qs]
     t0, n_steps = horizon_steps(float(L * L), dt)
@@ -666,7 +693,7 @@ def _window_gradient_average(ubar, pts, y, half_width, t_lo, t_hi):
 
 
 def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
-                    src: NoiseSource, dt: float | None = None):
+                    src: NoiseSource):
     """Run one microscopic corrector per partition cell.
 
     Boxes have radius 2 floor(kappa/eps) around the rescaled centers; the
@@ -684,11 +711,9 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     centers, chi = partition_of_unity(dom, kappa)
     xi = local_slopes(ubar, kappa, centers)
 
-    dt = stable_dt(V, d) if dt is None else dt
+    dt = stable_dt(V, d)
     stride = max(int(round(ubar.dt / (eps * eps) / dt)), 1)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
-
-    from .dynamics import MultiSlope
 
     origins = [np.rint(y / eps).astype(int) for y in centers]
     grids = [TorusGrid(d, 2 * L_micro, origin=tuple(int(c) for c in z))

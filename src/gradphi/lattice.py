@@ -88,16 +88,12 @@ class TorusGrid:
                 out.append(tuple(n))
         return out
 
-    def box_slices(self, radius: int, center=None) -> tuple[np.ndarray, ...]:
-        """Index arrays selecting the sub-box center + {-radius..radius}^d."""
+    def box_slices(self, radius: int) -> tuple[np.ndarray, ...]:
+        """Index arrays selecting the centered sub-box {-radius..radius}^d."""
         if radius > self.radius:
             raise ValueError("sub-box does not fit in the torus")
-        center = (0,) * self.dim if center is None else center
-        idx = []
-        for ax in range(self.dim):
-            offs = np.arange(-radius, radius + 1) + center[ax] + self.radius
-            idx.append(offs % self.side)
-        return np.ix_(*idx)
+        offs = np.arange(-radius, radius + 1) + self.radius
+        return np.ix_(*([offs] * self.dim))
 
 
 def make_torus(d: int, L: int) -> TorusGrid:
@@ -162,12 +158,12 @@ class DirichletDomain:
 
 @dataclass(frozen=True)
 class ParabolicCylinder:
-    """Time interval (t_lo, t_hi) times a spatial box (or the full torus)."""
+    """Time interval (t_lo, t_hi) times the centered box of the given radius
+    (or the full torus)."""
 
     t_lo: float
     t_hi: float
     radius: int | None = None  # None: full torus / full domain
-    center: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.t_lo < self.t_hi:
@@ -185,9 +181,9 @@ class ParabolicCylinder:
         return self.duration * nsites
 
 
-def standard_cylinder(L: int, center=None) -> ParabolicCylinder:
-    """The cylinder (-L^2, 0) x (center + {-L..L}^d)."""
-    return ParabolicCylinder(t_lo=-float(L * L), t_hi=0.0, radius=L, center=center)
+def standard_cylinder(L: int) -> ParabolicCylinder:
+    """The cylinder (-L^2, 0) x {-L..L}^d."""
+    return ParabolicCylinder(t_lo=-float(L * L), t_hi=0.0, radius=L)
 
 
 class TimeGrid:
@@ -233,10 +229,11 @@ class TimeGrid:
         return j0, j1
 
 
-def horizon_steps(horizon: float, dt: float, t_end: float = 0.0) -> tuple[float, int]:
-    """(t0, n_steps) of a run of round(horizon / dt) steps that ends at t_end."""
+def horizon_steps(horizon: float, dt: float) -> tuple[float, int]:
+    """(t0, n_steps) of a run of round(horizon / dt) steps that ends at t = 0."""
     n_steps = int(round(horizon / dt))
-    return t_end - n_steps * dt, n_steps
+    # 0.0 - x, not -x: a zero horizon starts at +0.0
+    return 0.0 - n_steps * dt, n_steps
 
 
 @dataclass
@@ -421,7 +418,7 @@ def cylinder_average(f, Q: ParabolicCylinder):
     lead = (slice(None),) * (1 if isinstance(f, SpaceTimeField) else 2)
     vals = f.values[j0:j1 + 1]
     if Q.radius is not None:
-        vals = vals[lead + f.grid.box_slices(Q.radius, Q.center)]
+        vals = vals[lead + f.grid.box_slices(Q.radius)]
     spatial = vals.mean(axis=tuple(range(len(lead), vals.ndim)))
     if isinstance(f, SpaceTimeField):
         return float(np.dot(w, spatial))

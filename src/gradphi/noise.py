@@ -93,15 +93,13 @@ class NoiseSource:
 
     seed: int
     replica: int = 0
-    dt: float | None = None
 
     def with_replica(self, replica: int) -> "NoiseSource":
         return replace(self, replica=replica)
 
-    def _stream_key(self, channel: int, step: int, replica: int | None = None) -> int:
-        rep = self.replica if replica is None else replica
+    def _stream_key(self, channel: int, step: int) -> int:
         k = _mix_int(self.seed & _MASK)
-        k = _mix_int(k ^ ((rep * _GOLDEN) & _MASK))
+        k = _mix_int(k ^ ((self.replica * _GOLDEN) & _MASK))
         k = _mix_int(k ^ ((channel * _MIX1) & _MASK))
         return _mix_int(k ^ ((step * _MIX2) & _MASK))
 

@@ -22,14 +22,6 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class NormReport:
-    name: str
-    cylinder: str
-    value: float
-    normalized: bool
-
-
 # ---------------------------------------------------------------------------
 # Lp norms
 # ---------------------------------------------------------------------------
@@ -43,7 +35,7 @@ def _windowed_values(f, Q: ParabolicCylinder | None):
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     vals = f.values[j0:j1 + 1]
     if Q.radius is not None:
-        box = f.grid.box_slices(Q.radius, Q.center)
+        box = f.grid.box_slices(Q.radius)
         if isinstance(f, EdgeTrajectory):
             vals = vals[(slice(None), slice(None)) + box]
         else:
@@ -51,9 +43,9 @@ def _windowed_values(f, Q: ParabolicCylinder | None):
     return vals, f.dt, (j1 - j0) * f.dt
 
 
-def lp_norm(f, Q: ParabolicCylinder | None = None, p: float = 2.0,
-            normalized: bool = True) -> float:
-    """Space-time L^p norm; `normalized` divides by |Q| before the p-th root.
+def lp_norm(f, p: float = 2.0, normalized: bool = True) -> float:
+    """Space-time L^p norm over the whole stored cylinder Q; `normalized`
+    divides by |Q| before the p-th root.
 
     For edge trajectories the sum runs over all directed-edge
     representatives (one per undirected edge), matching the convention that
@@ -61,7 +53,7 @@ def lp_norm(f, Q: ParabolicCylinder | None = None, p: float = 2.0,
     """
     if p != np.inf and p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    vals, dt, duration = _windowed_values(f, Q)
+    vals, dt, duration = _windowed_values(f, None)
     if p == np.inf:
         return float(np.max(np.abs(vals)))
     nspace = vals[0].size
@@ -75,24 +67,19 @@ def lp_norm(f, Q: ParabolicCylinder | None = None, p: float = 2.0,
     return total ** (1.0 / p)
 
 
-def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float,
-                    time_stride: int = 1, space_stride: int = 1) -> float:
+def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float) -> float:
     """Parabolic Hoelder seminorm sup |f(t,x)-f(s,y)| / (|t-s|^(a/2) + |x-y|^a).
 
-    Pairs are enumerated on the (optionally strided) restriction, with the
-    plain Euclidean distance on coordinates; intended as a diagnostic on
-    small cylinders.
+    Pairs are enumerated on the restriction to Q (the whole field for
+    None), with the plain Euclidean distance on coordinates; intended as a
+    diagnostic on small cylinders.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"exponent must lie in (0, 1], got {alpha}")
     vals, dt, _ = _windowed_values(f, Q)
-    vals = vals[::time_stride]
-    dt = dt * time_stride
     d = vals.ndim - 1
-    sub = (slice(None),) + (slice(None, None, space_stride),) * d
-    vals = vals[sub]
     shape = vals.shape[1:]
-    coords = np.stack(np.meshgrid(*[np.arange(n) * space_stride for n in shape],
+    coords = np.stack(np.meshgrid(*[np.arange(n) for n in shape],
                                   indexing="ij"), axis=-1).reshape(-1, d).astype(float)
     flat = vals.reshape(vals.shape[0], -1)
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)) ** alpha
@@ -113,8 +100,7 @@ def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float
 # multiscale negative-norm estimator
 # ---------------------------------------------------------------------------
 
-def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None,
-                           prefactor: float = 1.0) -> float:
+def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None) -> float:
     """Upper estimator of the parabolic H^-1 norm from triadic block averages.
 
     `values` has shape (n_t, 3^m, ..., 3^m) and spans a cylinder of duration
@@ -122,8 +108,8 @@ def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None,
 
         ||f||_avg-L2  +  sum_{k=0..m} 3^k (mean square of scale-k block averages)^(1/2)
 
-    with the stated prefactor (default 1) multiplying both parts; the
-    inequality constant is absorbed into fitted constants downstream.
+    with prefactor 1; the inequality constant is absorbed into fitted
+    constants downstream.
     """
     values = np.asarray(values, dtype=np.float64)
     d = values.ndim - 1
@@ -152,7 +138,7 @@ def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None,
             sp[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:]) if b > a
         ])
         total += 3**k * float(np.sqrt(np.mean(cell_means**2)))
-    return prefactor * total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +209,14 @@ class _ParabolicBall:
         return self.scale * float(np.sum(v * (v @ self.K.T)) + np.sum(eta * sol))
 
 
-def hminus1_par_exact(values: np.ndarray, dt: float, L_weight: float | None = None,
-                      tol: float = 1e-6, max_iter: int = 200_000) -> DualNormResult:
+def hminus1_par_exact(values: np.ndarray, dt: float, tol: float = 1e-6) -> DualNormResult:
     """Exact discrete parabolic dual norm by projected gradient ascent.
 
     Maximizes the normalized pairing (1/|Q|) * dt * sum_j <f_j, v_j> over
-    the unit ball of the parabolic test-function form (see _ParabolicBall),
-    by Riemannian gradient ascent on the ellipsoid boundary with radial
-    retraction.  Flags nonconvergence instead of raising.
+    the unit ball of the parabolic test-function form (see _ParabolicBall,
+    weighted by half the longest spatial side), by Riemannian gradient
+    ascent on the ellipsoid boundary with radial retraction.  Flags
+    nonconvergence after 200000 iterations instead of raising.
     """
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape[1:]
@@ -240,9 +226,7 @@ def hminus1_par_exact(values: np.ndarray, dt: float, L_weight: float | None = No
     nsp = int(np.prod(shape))
     if (n_t - 1) * nsp > 10**4:
         raise ValueError("cylinder too large for the exact dual norm")
-    if L_weight is None:
-        L_weight = max(shape) / 2.0
-    ball = _ParabolicBall(shape, n_t - 1, dt, L_weight)
+    ball = _ParabolicBall(shape, n_t - 1, dt, max(shape) / 2.0)
     # slice 0 is pinned to zero in the test class; pair against slices 1..n-1
     f = values[1:].reshape(n_t - 1, nsp)
     ell = ball.scale * f  # gradient of the pairing  (1/|Q|) dt sum f v
@@ -256,6 +240,7 @@ def hminus1_par_exact(values: np.ndarray, dt: float, L_weight: float | None = No
     v = ell / np.sqrt(ball.quad(ell))
     value = float(np.sum(ell * v))
     stall = 0
+    max_iter = 200_000
     for it in range(1, max_iter + 1):
         Bv = ball.apply(v)
         g = ell - (float(np.sum(ell * Bv)) / float(np.sum(Bv * Bv))) * Bv

@@ -21,19 +21,18 @@ from .potential import Potential, quadratic
 
 @dataclass(frozen=True)
 class BrownianSpec:
+    """Brownian motion from 0 over the unit time interval."""
+
     dt: float = 1e-3
-    horizon: float = 1.0
-    start: float = 0.0
 
 
 @dataclass(frozen=True)
 class EdgeGradientSpec:
-    """Gradient of the stationarily started interface dynamic over one edge."""
+    """Gradient of the stationarily started interface dynamic over the
+    first-axis edge at the center, over the unit time interval."""
 
     L: int = 8
     d: int = 2
-    axis: int = 0
-    horizon: float = 1.0
     potential: Potential | None = None  # defaults to the quadratic potential
 
 
@@ -61,13 +60,14 @@ class OccupationSetResult:
     per_replica: np.ndarray
 
 
-def _brownian_paths(spec: BrownianSpec, replicas: int, src: NoiseSource,
-                    chunk: int = 4096) -> tuple[np.ndarray, float]:
-    n = int(round(spec.horizon / spec.dt))
+def _brownian_paths(spec: BrownianSpec, replicas: int,
+                    src: NoiseSource) -> tuple[np.ndarray, float]:
+    n = int(round(1.0 / spec.dt))
+    chunk = 4096
     reps = np.arange(replicas)
     paths = np.empty((replicas, n + 1))
-    paths[:, 0] = spec.start
-    x = np.full(replicas, spec.start)
+    paths[:, 0] = 0.0
+    x = np.full(replicas, 0.0)
     sq = np.sqrt(spec.dt)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -84,14 +84,14 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
     V = spec.potential if spec.potential is not None else quadratic()
     grid = make_torus(spec.d, spec.L)
     dt = stable_dt(V, spec.d)
-    n = int(round(spec.horizon / dt))
+    n = int(round(1.0 / dt))
     reps = np.arange(replicas)
     if V.name == "quadratic":
         start = sample_gff(grid, src, replicas=reps)
     else:
         start = np.zeros(grid.shape)
         burn = int(round(spec.L**2 / dt))
-        start, _ = evolve_torus(grid, V, None, src, -spec.horizon - spec.L**2,
+        start, _ = evolve_torus(grid, V, None, src, -1.0 - spec.L**2,
                                 burn, dt, start, replicas=reps)
     center = (grid.radius,) * spec.d
     out = np.empty((replicas, n + 1))
@@ -99,7 +99,7 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
     def edge_value(state):
         idx = (slice(None),) + center
         nb = list(center)
-        nb[spec.axis] = (nb[spec.axis] + 1) % grid.side
+        nb[0] = (nb[0] + 1) % grid.side
         jdx = (slice(None),) + tuple(nb)
         return state[jdx] - state[idx]
 
@@ -108,7 +108,7 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
     def on_step(k, t, state):
         out[:, k + 1] = edge_value(state)
 
-    evolve_torus(grid, V, None, src, -spec.horizon, n, dt, start,
+    evolve_torus(grid, V, None, src, -1.0, n, dt, start,
                  replicas=reps, on_step=on_step)
     return out, dt
 

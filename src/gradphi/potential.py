@@ -22,18 +22,7 @@ class Potential:
     vpp: Callable[[np.ndarray], np.ndarray]
     c_minus: float
     c_plus: float
-    symmetric: bool = True
     params: dict = field(default_factory=dict)
-
-    def spot_check(self, lo: float = -10.0, hi: float = 10.0, n: int = 2001) -> None:
-        """Assert the certified ellipticity window on a grid."""
-        x = np.linspace(lo, hi, n)
-        w = self.vpp(x)
-        if w.min() < self.c_minus - 1e-9 or w.max() > self.c_plus + 1e-9:
-            raise AssertionError(
-                f"{self.name}: V'' leaves [{self.c_minus}, {self.c_plus}] "
-                f"(observed [{w.min()}, {w.max()}])"
-            )
 
 
 def quadratic() -> Potential:
@@ -133,23 +122,22 @@ def mollify(V: Potential, kappa: float) -> Potential:
         vpp=conv(V.vpp),
         c_minus=V.c_minus,
         c_plus=V.c_plus,
-        symmetric=V.symmetric,
         params={**V.params, "kappa": kappa},
     )
 
 
-def lusin_measure(V: Potential, S: float, kappa: float, eps: float,
-                  resolution: float = 1e-4) -> float:
+def lusin_measure(V: Potential, S: float, kappa: float, eps: float) -> float:
     """Lebesgue measure of {x in [-S, S] : |V''(x) - V_kappa''(x)| >= eps}.
 
-    Evaluated by quadrature of the indicator on a uniform grid at the given
-    resolution, refined adaptively near indicator transitions.
+    Evaluated by quadrature of the indicator on a uniform grid at resolution
+    1e-4, refined adaptively near indicator transitions.
     """
     if S < 1:
         raise ValueError("window must satisfy S >= 1")
     if not 0 < eps <= 1:
         raise ValueError("threshold must lie in (0, 1]")
     Vk = mollify(V, kappa)
+    resolution = 1e-4
 
     def indicator(x):
         return np.abs(V.vpp(x) - Vk.vpp(x)) >= eps

@@ -11,6 +11,9 @@ from gradphi.harness import (
     load_config,
     run_experiment,
 )
+from gradphi.noise import NoiseSource
+from gradphi.occupation import EdgeGradientSpec, occupation_experiment
+from gradphi.potential import quadratic
 
 
 def test_fit_power_law_exact_square():
@@ -222,3 +225,24 @@ def test_threaded_experiments_are_thread_independent(tmp_path, name, cfg):
         (csv,) = out.glob("*.csv")
         csvs.append(csv.read_bytes())
     assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("potential", [{"kind": "quadratic"},
+                                       {"kind": "soft_quartic", "a": 0.5}])
+def test_surface_tension_runs_in_three_dimensions(tmp_path, potential):
+    cfg = {"potential": potential, "d": 3, "L": 2, "replicas": 3, "seed": 27,
+           "slopes": [[0.1, 0.0, 0.2]]}
+    run_experiment("surface-tension", cfg, str(tmp_path))
+    lines = (tmp_path / "surface_tension.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert [len(line.split(",")) for line in lines] == [10, 10]
+
+
+def test_occupation_edge_gradient_runs_in_three_dimensions(tmp_path):
+    cfg = {"process": "edge_gradient", "d": 3, "L": 2,
+           "thresholds": [0.05, 0.1, 0.2], "replicas": 4, "seed": 28}
+    res = run_experiment("occupation", cfg, str(tmp_path))
+    rep = occupation_experiment(EdgeGradientSpec(L=2, d=3, potential=quadratic()),
+                                [0.05, 0.1, 0.2], 4, NoiseSource(seed=28))
+    assert [row[1] for row in res.rows] == list(rep.means)
+    assert res.summary["slope"] == rep.slope

@@ -14,6 +14,7 @@ from gradphi.homogenize import (
     make_correctors,
     partition_of_unity,
     slope_stability_check,
+    tabulate_effective_gradient,
     variance_with_jackknife,
     _edge_average,
 )
@@ -98,6 +99,11 @@ def test_slope_stability_quadratic_matches_linear_solver():
     rep = slope_stability_check((0.3, 0.0), (0.0, 0.2), 6, quadratic(),
                                 NoiseSource(seed=10))
     assert rep.lhs <= 1e-10
+    # the same on a 3-d torus
+    rep = slope_stability_check((0.3, 0.0, -0.2), (0.0, 0.1, 0.0), 2, quadratic(),
+                                NoiseSource(seed=26), d=3)
+    assert rep.lhs <= 1e-10
+    assert rep.slope_gap == pytest.approx(np.sqrt(0.14), rel=1e-12)
 
 
 def test_slope_stability_fitted_constant_bounded():
@@ -291,8 +297,6 @@ def test_excess_decay_validates_scales():
 
 
 def test_tabulate_effective_gradient_quadratic_near_identity():
-    from gradphi.homogenize import tabulate_effective_gradient
-
     Ds = tabulate_effective_gradient(quadratic(), 6, 24, NoiseSource(seed=17),
                                      knots=[0.0, 0.5, 1.0])
     probe = np.array([0.5, -1.0])
@@ -364,3 +368,17 @@ def test_flux_weak_norm_decreases_with_mesh():
             per_rep.append(flux_weak_norm(exp, EffectiveGradient.identity(), V))
         vals[N] = float(np.mean(per_rep))
     assert vals[16] < vals[8]
+
+
+def test_tabulate_effective_gradient_runs_in_the_given_dimension():
+    # each knot is the flux mean of a 3-d torus, on the replica block the
+    # tabulation assigns to it
+    src = NoiseSource(seed=24)
+    knots = [0.0, 0.5, 1.0]
+    Ds = tabulate_effective_gradient(quadratic(), 2, 3, src, knots=knots, d=3)
+    means = [0.0]
+    for i, s in enumerate(knots[1:]):
+        est = estimate_tau((s, 0.0, 0.0), 2, quadratic(), 3,
+                           src.with_replica((i + 1) * 3), d=3)
+        means.append(float(est.mean[0]))
+    assert np.array_equal(Ds.table, np.maximum.accumulate(means))

@@ -173,13 +173,6 @@ def test_normalized_norm_matches_plain_over_volume():
         assert under == pytest.approx(plain / volume ** (1.0 / p), rel=1e-12)
 
 
-def test_norm_report_container():
-    from gradphi.norms import NormReport
-
-    rep = NormReport("avg-L2", "Q_8", 0.25, normalized=True)
-    assert rep.value >= 0 and rep.normalized
-
-
 def test_multiscale_structural_upper_bound():
     # each scale's block-average RMS is at most the field RMS, so the
     # estimate never exceeds the averaged L2 norm times 1 + sum of 3^k
