@@ -18,7 +18,7 @@ grid = make_torus(2, 4)
 src = NoiseSource(seed=7)
 
 # spectral synthesis of the free field vs the exact covariance
-samples = sample_gff(grid, src, replicas=np.arange(4000))
+samples = sample_gff(grid, src, np.arange(4000))
 emp = float((samples[:, 4, 4] * samples[:, 4, 5]).mean())
 exact = spectral.gff_covariance(grid, (0, 1))
 print(f"nearest-neighbor covariance: sampled {emp:+.4f} vs exact {exact:+.4f}")

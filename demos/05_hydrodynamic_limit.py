@@ -14,7 +14,7 @@ cfg = {
     "replicas": 8,
     "f": {"name": "sine_product"},
 }
-res = hydro_limit_experiment(cfg, seed=5, threads=2)
+res = hydro_limit_experiment(seed=5, threads=2, **cfg)
 for eps, err in zip(res.summary["epsilons"], res.summary["mean_error"]):
     print(f"mesh {eps:.5f}: mean L2 error {err:.5f}")
 print(f"fitted exponent (log-corrected): {res.summary['fitted_exponent']:.3f}")

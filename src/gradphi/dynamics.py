@@ -110,9 +110,6 @@ class MultiSlope:
     def at(self, t: float) -> np.ndarray:
         return np.stack([p.at(t) for p in self.paths])
 
-    def covers(self, t_lo: float, t_hi: float) -> bool:
-        return all(p.covers(t_lo, t_hi) for p in self.paths)
-
 
 def evolve_torus(
     grid: TorusGrid,
@@ -130,33 +127,29 @@ def evolve_torus(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance the periodic Langevin dynamic by n_steps explicit steps.
 
-    init has shape grid.shape, or (B, *grid.shape) when `replicas` gives the
-    B replica ids.  Returns (final_state, recorded) where recorded stacks
-    every record_stride-th slice (including the initial one) if requested.
-    `on_step(k, t_next, state)` is invoked after each update.
+    Exactly one of `replicas` and `batch_keys` gives the batch axis.
+    `replicas` holds B replica ids, counted from `src.replica`; `batch_keys`
+    of shape (B, *grid.shape) runs B windows of the stream `src.replica` in
+    parallel, each addressed by its own absolute site coordinates, and the
+    slope may then be a MultiSlope with one path per window.  init has shape
+    grid.shape (the same start for every member) or (B, *grid.shape).
+    Returns (final_state, recorded), both with the batch axis, where
+    recorded stacks every record_stride-th slice (including the initial one)
+    if requested.  `on_step(k, t_next, state)` is invoked after each update.
 
     The absolute step index is round(t/dt): windows driven by the same
-    NoiseSource share their Brownian increments.  `batch_keys` of shape
-    (B, *grid.shape) runs B windows of one replica stream in parallel, each
-    addressed by its own absolute site coordinates; the slope may then be a
-    MultiSlope with one path per window.
+    NoiseSource share their Brownian increments.
     """
+    if (replicas is None) == (batch_keys is None):
+        raise ValueError("give exactly one of replicas and batch_keys")
     d = grid.dim
+    b = len(replicas) if batch_keys is None else len(batch_keys)
     state = np.array(init, dtype=np.float64, copy=True)
-    batched = replicas is not None or batch_keys is not None
-    if batched and state.ndim == d:
-        b = len(replicas) if replicas is not None else batch_keys.shape[0]
+    if state.ndim == d:
         state = np.broadcast_to(state, (b,) + grid.shape).copy()
-    ax0 = 1 if batched else 0
 
-    noise = None
-    if src is not None:
-        if batch_keys is not None:
-            if replicas is not None:
-                raise ValueError("batch_keys and replicas are mutually exclusive")
-            noise = MeanSubtractedNoise(src, batch_keys, spatial_ndim=d)
-        else:
-            noise = MeanSubtractedNoise(src, grid.site_keys, replicas)
+    keys, ids = (grid.site_keys, replicas) if batch_keys is None else (batch_keys, np.arange(1))
+    noise = MeanSubtractedNoise(src, keys, ids, d) if src is not None else None
 
     k0 = int(round(t0 / dt))
     sq = np.sqrt(2.0 * dt)
@@ -178,7 +171,7 @@ def evolve_torus(
         q = slope.at(t0 + k * dt) if slope is not None else None
         drift.fill(0.0)
         for ax in range(d):
-            a = ax0 + ax
+            a = 1 + ax
             forward_difference(state, a, out=gbuf)
             if q is not None:
                 if q.ndim == 2:  # per-window slopes, broadcast over space
@@ -190,7 +183,7 @@ def evolve_torus(
             drift -= shift(f, a, 1)
         state += dt * drift
         if noise is not None:
-            state += sq * noise(k0 + k)
+            state += sq * noise(k0 + k).reshape(state.shape)
         if on_step is not None:
             on_step(k, t0 + (k + 1) * dt, state)
         if recorded is not None and (k + 1) % record_stride == 0:
@@ -226,55 +219,51 @@ def run_corrector(
     if not path.covers(t0, 0.0):
         raise ValueError("slope path does not cover the simulation window")
     _, rec = evolve_torus(grid, V, path, src, t0, n_steps, dt, np.zeros(grid.shape),
-                          record_stride=record_stride)
-    return SpaceTimeField(grid, t0, dt * record_stride, rec)
+                          replicas=np.arange(1), record_stride=record_stride)
+    return SpaceTimeField(grid, t0, dt * record_stride, rec[:, 0])
 
 
-def sample_gff(grid: TorusGrid, src: NoiseSource, tag: int = 0,
-               replicas: np.ndarray | None = None) -> np.ndarray:
-    """Mean-zero Gaussian free field by spectral synthesis.
+def sample_gff(grid: TorusGrid, src: NoiseSource, replicas: np.ndarray,
+               tag: int = 0) -> np.ndarray:
+    """Mean-zero Gaussian free fields by spectral synthesis, one per replica
+    id: shape (B, *grid.shape).
 
     White noise on the sites is pushed to Fourier space, scaled by
     1/sqrt(lambda_k) on every nonzero mode, and transformed back; starting
     from a real field enforces the conjugacy constraint between opposite
     modes exactly.
     """
-    g = src.field_normals(grid.site_keys, tag=tag, replicas=replicas)
+    g = src.field_normals(grid.site_keys, replicas, tag=tag)
     lam = laplacian_eigenvalues(grid)
     scale = np.zeros(grid.shape)
     flat = scale.reshape(-1)
     lam_flat = lam.reshape(-1)
     flat[1:] = 1.0 / np.sqrt(lam_flat[1:])
-    axes = tuple(range(g.ndim - grid.dim, g.ndim))
+    axes = tuple(range(1, grid.dim + 1))
     ghat = np.fft.fftn(g, axes=axes)
     ghat *= scale
-    out = np.fft.ifftn(ghat, axes=axes).real
-    return out
+    return np.fft.ifftn(ghat, axes=axes).real
 
 
 def run_gff_dynamic(
     grid: TorusGrid,
     horizon: float,
     src: NoiseSource,
+    replicas: np.ndarray,
     record_stride: int = 1,
-    replicas: np.ndarray | None = None,
-) -> SpaceTimeField | np.ndarray:
+) -> np.ndarray:
     """Stationary free-field dynamic on (-horizon, 0): GFF initial data plus
-    quadratic drift.
+    quadratic drift; the stacked trajectories, shape (slices, B, *shape).
 
     The initial slice comes from tag 1 of the initial-condition noise
-    channel, so it is independent of the driving increments.  The
-    single-replica form returns a SpaceTimeField; with `replicas` the raw
-    stacked trajectory array (slices, B, *shape) is returned instead.
+    channel, so it is independent of the driving increments.
     """
     V = quadratic()
     dt = stable_dt(V, grid.dim)
     t0, n_steps = horizon_steps(horizon, dt)
-    init = sample_gff(grid, src, tag=1, replicas=replicas)
+    init = sample_gff(grid, src, replicas, tag=1)
     _, rec = evolve_torus(grid, V, None, src, t0, n_steps, dt, init,
                           replicas=replicas, record_stride=record_stride)
-    if replicas is None:
-        return SpaceTimeField(grid, t0, dt * record_stride, rec)
     return rec
 
 
@@ -294,8 +283,9 @@ def run_stationary_periodic(
     L^2 by default.
     """
     dt = stable_dt(V, grid.dim)
+    one = np.arange(1)
     if V.name == "quadratic":
-        state, n_burn = sample_gff(grid, src), 0
+        state, n_burn = sample_gff(grid, src, one), 0
     else:
         state = np.zeros(grid.shape)
         n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
@@ -303,11 +293,12 @@ def run_stationary_periodic(
     t0 = -(n_burn + n_keep) * dt
     path = as_slope_path(p, grid.dim, t_start=t0)
     if n_burn:
-        state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state)
+        state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state,
+                                replicas=one)
     t_keep = t0 + n_burn * dt
     _, rec = evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
-                          record_stride=record_stride)
-    return SpaceTimeField(grid, t_keep, dt * record_stride, rec)
+                          replicas=one, record_stride=record_stride)
+    return SpaceTimeField(grid, t_keep, dt * record_stride, rec[:, 0])
 
 
 # 8-point Gauss-Legendre on [0, 1]
@@ -375,11 +366,11 @@ def run_dirichlet(
     f,
     V: Potential,
     src: NoiseSource | None,
+    replicas: np.ndarray,
     dt_unit: float | None = None,
     record_stride: int | None = None,
     on_step=None,
-    replicas: np.ndarray | None = None,
-) -> SpaceTimeField | np.ndarray:
+) -> np.ndarray:
     """Langevin dynamic on the mesh-eps domain driven by diffusively rescaled noise.
 
     Internally runs the unit-lattice dynamic U on the time interval
@@ -389,9 +380,11 @@ def run_dirichlet(
     the locally averaged datum f at every step.  `f(t, points)` must accept
     points of shape (..., d) in the unit cube.
 
-    With src=None the noise is switched off (deterministic diagnostic mode).
-    With `replicas`, all replica streams advance together; the recorded
-    array then has shape (slices, B, *dom.shape) and is returned raw.
+    The B replica streams of `replicas` (ids counted from `src.replica`)
+    advance together; the recorded array has shape (slices, B, *dom.shape)
+    and holds every record_stride-th step (about 256 slices by default),
+    starting at macroscopic time -1.  With src=None the noise is switched
+    off (deterministic diagnostic mode).
     """
     eps = dom.mesh
     d = dom.dim
@@ -404,41 +397,34 @@ def run_dirichlet(
     boundary = dom.boundary_mask
     all_mask = interior | boundary
 
-    batched = replicas is not None
-    lead = (len(replicas),) if batched else ()
-    bsel = (slice(None),) if batched else ()
-
     # initial slice: averaged datum everywhere (interior + boundary), in
     # unit-lattice amplitude
-    state = np.zeros(lead + dom.shape)
-    state[bsel + (all_mask,)] = datum(t0_unit * eps * eps, all_mask) / eps
+    shape = (len(replicas),) + dom.shape
+    state = np.zeros(shape)
+    state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
-    noise = MeanSubtractedNoise(src, dom.site_keys, replicas) if src is not None else None
+    noise = MeanSubtractedNoise(src, dom.site_keys, replicas, d) if src is not None else None
     sq = np.sqrt(2.0 * dt_unit)
 
     if record_stride is None:
         record_stride = max(n_steps // 256, 1)
     n_rec = n_steps // record_stride + 1
-    recorded = np.empty((n_rec,) + lead + dom.shape)
+    recorded = np.empty((n_rec,) + shape)
     recorded[0] = state * eps
 
-    ax0 = 1 if batched else 0
-    drift = np.zeros(lead + dom.shape)
+    drift = np.zeros(shape)
     for k in range(n_steps):
         drift.fill(0.0)
-        for ax in range(ax0, ax0 + d):
+        for ax in range(1, 1 + d):
             flux = V.vp(dirichlet_forward_difference(state, ax))
             drift += dirichlet_divergence(flux, ax)
-        state[bsel + (interior,)] += dt_unit * drift[bsel + (interior,)]
+        state[:, interior] += dt_unit * drift[:, interior]
         if noise is not None:
-            state[bsel + (interior,)] += sq * noise(k0 + k)[bsel + (interior,)]
+            state[:, interior] += sq * noise(k0 + k)[:, interior]
         t_next = (t0_unit + (k + 1) * dt_unit) * eps * eps
-        state[bsel + (boundary,)] = datum(t_next, boundary) / eps
+        state[:, boundary] = datum(t_next, boundary) / eps
         if on_step is not None:
             on_step(k, t_next, state)
         if (k + 1) % record_stride == 0:
             recorded[(k + 1) // record_stride] = state * eps
-    if batched:
-        return recorded
-    macro_dt = dt_unit * eps * eps * record_stride
-    return SpaceTimeField(dom, -1.0, macro_dt, recorded)
+    return recorded

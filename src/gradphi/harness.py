@@ -10,6 +10,8 @@ the full config echo, seed, tool version, and wall-clock time.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import io
 import json
 import os
@@ -53,7 +55,7 @@ from .occupation import (
     occupation_experiment,
 )
 from .parabolic import EffectiveGradient, heat_kernel, nash_aronson_fit, solve_homogenized
-from .potential import from_config as potential_from_config
+from .potential import Potential, from_config as potential_from_config
 from .spectral import gff_covariance
 
 SCHEMA_VERSION = 1
@@ -61,6 +63,9 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
+
+
+_QUADRATIC = {"kind": "quadratic"}
 
 
 @dataclass
@@ -95,10 +100,24 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+def _bind(fn, block, what: str, *args):
+    """fn with the keys of a config block bound to its keyword parameters,
+    ready to call; a missing, unknown or misspelled key is a ConfigError."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    try:
+        bound = inspect.signature(fn).bind(*args, **block)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    return functools.partial(fn, *bound.args, **bound.kwargs)
+
+
+def _potential(spec) -> Potential:
+    """The potential of a config block; a malformed block is a ConfigError."""
+    try:
+        return potential_from_config(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"potential {spec!r}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -159,37 +178,52 @@ def _jsonable(obj):
 # boundary data library
 # ---------------------------------------------------------------------------
 
+def _zero_datum():
+    return lambda t, pts: np.zeros(pts.shape[:-1])
+
+
+def _sine_product():
+    def f(t, pts):
+        out = np.exp(t)
+        for ax in range(pts.shape[-1]):
+            out = out * np.sin(np.pi * pts[..., ax])
+        return out
+
+    return f
+
+
+def _affine(coefficients=(0.3, -0.2)):
+    coeffs = np.asarray(coefficients, dtype=float)
+
+    def g(t, pts):
+        return pts @ coeffs[: pts.shape[-1]]
+
+    return g
+
+
+BOUNDARY_DATA = {"zero": _zero_datum, "sine_product": _sine_product, "affine": _affine}
+
+
 def boundary_datum(spec: dict):
-    name = spec.get("name")
-    if name == "zero":
-        return lambda t, pts: np.zeros(pts.shape[:-1])
-    if name == "sine_product":
-        def f(t, pts):
-            out = np.exp(t)
-            for ax in range(pts.shape[-1]):
-                out = out * np.sin(np.pi * pts[..., ax])
-            return out
-
-        return f
-    if name == "affine":
-        coeffs = np.asarray(spec.get("coefficients", [0.3, -0.2]), dtype=float)
-
-        def g(t, pts):
-            return pts @ coeffs[: pts.shape[-1]]
-
-        return g
-    raise ConfigError(f"unknown boundary datum {name!r}")
+    """f(t, points) from a block like {"name": "affine", "coefficients": [...]}:
+    the other keys are bound to the parameters of BOUNDARY_DATA[name]."""
+    params = dict(spec) if isinstance(spec, dict) else {}
+    name = params.pop("name", None)
+    if name not in BOUNDARY_DATA:
+        raise ConfigError(f"unknown boundary datum {name!r}")
+    return _bind(BOUNDARY_DATA[name], params, f"boundary datum {name!r}")()
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_corrector_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    Ls = [int(v) for v in _require(cfg, "sizes")]
-    replicas = int(cfg.get("replicas", 200))
+def run_corrector_experiment(seed: int, threads=None, *, potential, sizes, d=2,
+                             replicas=200) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    Ls = [int(v) for v in sizes]
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     res = corrector_fluctuation_experiment(Ls, V, replicas, src, d=d)
     rows = [
@@ -227,13 +261,13 @@ def run_corrector_experiment(cfg: dict, seed: int, threads=None) -> ExperimentRe
     )
 
 
-def run_flux_decay(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    L = int(_require(cfg, "L"))
-    ells = [int(v) for v in _require(cfg, "windows")]
-    replicas = int(cfg.get("replicas", 300))
-    horizon = cfg.get("horizon")
+def run_flux_decay(seed: int, threads=None, *, potential, L, windows, d=2,
+                   replicas=300, horizon=None) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    L = int(L)
+    ells = [int(v) for v in windows]
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     res = flux_decay_experiment(ells, L, V, replicas, src, d=d,
                                 horizon=horizon, threads=threads)
@@ -242,7 +276,7 @@ def run_flux_decay(cfg: dict, seed: int, threads=None) -> ExperimentResult:
         for e, v, se, gv in zip(res.scales, res.flux_variance,
                                 res.flux_variance_se, res.gradient_variance)
     ]
-    lo, hi = cfg.get("exponent_range", [-d - 0.7, -d + 0.7])
+    lo, hi = -d - 0.7, -d + 0.7
     criteria = {
         "exponent_in_range": bool(lo <= res.exponent <= hi),
         "fit_r2_ge_0.9": bool(res.r_squared >= 0.9),
@@ -260,12 +294,16 @@ def run_flux_decay(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     )
 
 
-def run_surface_tension(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    L = int(_require(cfg, "L"))
-    slopes = [slope_from_config(p, d) for p in _require(cfg, "slopes")]
-    replicas = int(cfg.get("replicas", 500))
+def run_surface_tension(seed: int, threads=None, *, potential, L, slopes, d=2,
+                        replicas=500) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    L = int(L)
+    try:
+        slopes = [slope_from_config(p, d) for p in slopes]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"slopes: {exc!r}") from exc
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     rows, criteria = [], {}
     summary_rows = []
@@ -286,12 +324,13 @@ def run_surface_tension(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             {"estimates": summary_rows}, criteria)
 
 
-def run_hessian(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    L = int(_require(cfg, "L"))
-    p = np.asarray(cfg.get("slope", [0.0] * d), dtype=float)
-    replicas = int(cfg.get("replicas", 32))
+def run_hessian(seed: int, threads=None, *, potential, L, d=2, slope=None,
+                replicas=32) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    L = int(L)
+    p = np.asarray([0.0] * d if slope is None else slope, dtype=float)
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     est = estimate_hessian(p, L, V, replicas, src, d=d)
     rows = [
@@ -309,14 +348,15 @@ def run_hessian(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             rows, summary, criteria)
 
 
-def run_linearize(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    L = int(_require(cfg, "L"))
-    p = np.asarray(cfg.get("base_slope", [0.0] * d), dtype=float)
-    gaps = [float(g) for g in cfg.get("gaps", [0.4, 0.2, 0.1])]
+def run_linearize(seed: int, threads=None, *, potential, L, d=2, base_slope=None,
+                  gaps=(0.4, 0.2, 0.1), replicas=200) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    L = int(L)
+    p = np.asarray([0.0] * d if base_slope is None else base_slope, dtype=float)
+    gaps = [float(g) for g in gaps]
     qs = [p + np.eye(d)[0] * g for g in gaps]
-    replicas = int(cfg.get("replicas", 200))
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     res = linearization_modulus(p, qs, L, V, src, replicas, d=d)
     rows = [(g, r, se, replicas) for g, r, se in zip(res.gaps, res.residuals,
@@ -336,19 +376,18 @@ def run_linearize(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             rows, summary, criteria)
 
 
-def run_occupation(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    eps = [float(e) for e in cfg.get("thresholds", [0.05, 0.1, 0.2])]
-    replicas = int(cfg.get("replicas", 2000))
-    kind = cfg.get("process", "brownian")
-    d = int(cfg.get("d", 2))
+def run_occupation(seed: int, threads=None, *, thresholds=(0.05, 0.1, 0.2),
+                   replicas=2000, process="brownian", d=2, dt=1e-3,
+                   potential=_QUADRATIC, L=8) -> ExperimentResult:
+    eps = [float(e) for e in thresholds]
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
-    if kind == "brownian":
-        spec = BrownianSpec(dt=float(cfg.get("dt", 1e-3)))
-    elif kind == "edge_gradient":
-        V = potential_from_config(cfg.get("potential", {"kind": "quadratic"}))
-        spec = EdgeGradientSpec(L=int(cfg.get("L", 8)), d=d, potential=V)
+    if process == "brownian":
+        spec = BrownianSpec(dt=float(dt))
+    elif process == "edge_gradient":
+        spec = EdgeGradientSpec(L=int(L), d=int(d), potential=_potential(potential))
     else:
-        raise ConfigError(f"unknown occupation process {kind!r}")
+        raise ConfigError(f"unknown occupation process {process!r}")
     rep = occupation_experiment(spec, eps, replicas, src)
     rows = [(e, m, se, replicas) for e, m, se in zip(rep.thresholds, rep.means,
                                                      rep.stderrs)]
@@ -363,12 +402,13 @@ def run_occupation(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             rows, summary, criteria)
 
 
-def run_excess(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    V = potential_from_config(cfg.get("potential", {"kind": "quadratic"}))
-    d = int(cfg.get("d", 2))
-    L = int(cfg.get("L", 32))
-    scales = [int(v) for v in cfg.get("scales", [8, 16, 32])]
-    replicas = int(cfg.get("replicas", 20))
+def run_excess(seed: int, threads=None, *, potential=_QUADRATIC, d=2, L=32,
+               scales=(8, 16, 32), replicas=20) -> ExperimentResult:
+    V = _potential(potential)
+    d = int(d)
+    L = int(L)
+    scales = [int(v) for v in scales]
+    replicas = int(replicas)
     src = NoiseSource(seed=seed)
     grid = make_torus(d, L)
     dt = stable_dt(V, d)
@@ -402,11 +442,12 @@ def run_excess(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             criteria)
 
 
-def run_heatkernel(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    d = int(cfg.get("d", 2))
-    L = int(cfg.get("L", 8))
-    n_env = int(cfg.get("environments", 3))
-    contrast = float(cfg.get("contrast", 2.0))
+def run_heatkernel(seed: int, threads=None, *, d=2, L=8, environments=3,
+                   contrast=2.0) -> ExperimentResult:
+    d = int(d)
+    L = int(L)
+    n_env = int(environments)
+    contrast = float(contrast)
     grid = make_torus(d, L)
     rng = np.random.default_rng(seed)
     rows, criteria = [], {}
@@ -436,10 +477,10 @@ def run_heatkernel(cfg: dict, seed: int, threads=None) -> ExperimentResult:
                             rows, summary, criteria)
 
 
-def run_gff(cfg: dict, seed: int, threads=None) -> ExperimentResult:
-    d = int(cfg.get("d", 2))
-    L = int(cfg.get("L", 4))
-    replicas = int(cfg.get("replicas", 2000))
+def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentResult:
+    d = int(d)
+    L = int(L)
+    replicas = int(replicas)
     grid = make_torus(d, L)
     src = NoiseSource(seed=seed)
     T = float(L * L) / 2.0
@@ -448,7 +489,7 @@ def run_gff(cfg: dict, seed: int, threads=None) -> ExperimentResult:
     final = rec[-1]
     center = final[(slice(None),) + (grid.radius,) * d]
     rows, criteria = [], {}
-    offsets = cfg.get("offsets", [[0] * d, [1] + [0] * (d - 1), [1, 1] + [0] * (d - 2)])
+    offsets = [[0] * d, [1] + [0] * (d - 1), [1, 1] + [0] * (d - 2)]
     ok_all = True
     for off in offsets:
         off = tuple(int(v) for v in off)
@@ -479,12 +520,13 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     eps = dom.mesh
     d = dom.dim
     stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // (ubar.nslices - 1), 1)
-    traj = run_dirichlet(dom, f, V, src, dt_unit=dt_unit, record_stride=stride)
+    traj = run_dirichlet(dom, f, V, src, np.arange(1), dt_unit=dt_unit,
+                         record_stride=stride)[:, 0]
     pack = make_correctors(ubar, kappa, V, src)
     expansion = build_two_scale(ubar, kappa, pack)
     acc = 0.0
     for j in range(ubar.nslices):
-        du = traj.values[j] - expansion.w[j]
+        du = traj[j] - expansion.w[j]
         for ax in range(d):
             # the sum runs over the edges only, in the order of the
             # unpadded difference array
@@ -493,7 +535,14 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     return float(np.sqrt(eps**d * acc))
 
 
-def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResult:
+def _gradient_diagnostic(epsilons, replicas):
+    """The meshes and the replica count of hydro's gradient diagnostic."""
+    return {float(e) for e in epsilons}, int(replicas)
+
+
+def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d=2,
+                           replicas=20, zero_noise=False, effective_table=None,
+                           gradient_diagnostic=None) -> ExperimentResult:
     """Microscopic vs effective solution across mesh sizes, with a rate fit.
 
     The noisy mesh-eps dynamic and the effective solver share the boundary
@@ -503,15 +552,14 @@ def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResu
     optional gradient diagnostic reports the gap to the corrected effective
     solution for a few noise-coupled replicas.
     """
-    V = potential_from_config(_require(cfg, "potential"))
-    d = int(cfg.get("d", 2))
-    epsilons = [float(e) for e in _require(cfg, "epsilons")]
-    replicas = int(cfg.get("replicas", 20))
-    f = boundary_datum(_require(cfg, "f"))
-    zero_noise = bool(cfg.get("zero_noise", False))
-    if "effective_table" in cfg:
-        tab = cfg["effective_table"]
-        Dsigma = EffectiveGradient.from_axis_table(tab["knots"], tab["values"])
+    V = _potential(potential)
+    d = int(d)
+    epsilons = [float(e) for e in epsilons]
+    replicas = int(replicas)
+    f = boundary_datum(f)
+    if effective_table is not None:
+        Dsigma = _bind(EffectiveGradient.from_axis_table, effective_table,
+                       "effective_table")()
     elif V.name == "quadratic":
         Dsigma = EffectiveGradient.identity()
     else:
@@ -520,9 +568,10 @@ def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResu
     src = NoiseSource(seed=seed)
     dt_unit = stable_dt(V, d)
 
-    diag_cfg = cfg.get("gradient_diagnostic", {})
-    diag_eps = {float(e) for e in diag_cfg.get("epsilons", [])}
-    diag_reps = int(diag_cfg.get("replicas", 0))
+    diag_eps, diag_reps = set(), 0
+    if gradient_diagnostic is not None:
+        diag_eps, diag_reps = _bind(_gradient_diagnostic, gradient_diagnostic,
+                                    "gradient_diagnostic")()
     gradient_rows = []
 
     rows = []
@@ -546,31 +595,20 @@ def hydro_limit_experiment(cfg: dict, seed: int, threads=None) -> ExperimentResu
                                                 kappa, dt_unit)
                 gradient_rows.append((eps, rep, gerr))
 
-        if zero_noise:
-            acc = np.zeros(1)
+        # the deterministic diagnostic is the batched run with one replica
+        # and the noise off
+        noise_src, n_rep = (None, 1) if zero_noise else (src, replicas)
+        acc = np.zeros(n_rep)
 
-            def on_step(k, t, state):
-                if (k + 1) % stride == 0:
-                    j = (k + 1) // stride
-                    diff = state[interior] * eps - ubar.values[j][interior]
-                    acc[0] += float((diff**2).sum()) * dt_rec
+        def on_step(k, t, state):
+            if (k + 1) % stride == 0:
+                j = (k + 1) // stride
+                diff = state[:, interior] * eps - ubar.values[j][interior]
+                acc[:] += (diff**2).sum(axis=1) * dt_rec
 
-            run_dirichlet(dom, f, V, None, dt_unit=dt_unit,
-                          record_stride=10**9, on_step=on_step)
-            errs = np.sqrt(eps**d * acc)
-        else:
-            acc = np.zeros(replicas)
-
-            def on_step(k, t, state):
-                if (k + 1) % stride == 0:
-                    j = (k + 1) // stride
-                    diff = state[:, interior] * eps - ubar.values[j][interior]
-                    acc[:] += (diff**2).sum(axis=1) * dt_rec
-
-            run_dirichlet(dom, f, V, src, dt_unit=dt_unit,
-                          record_stride=10**9, on_step=on_step,
-                          replicas=np.arange(replicas))
-            errs = np.sqrt(eps**d * acc)
+        run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), dt_unit=dt_unit,
+                      record_stride=10**9, on_step=on_step)
+        errs = np.sqrt(eps**d * acc)
         for rep, e in enumerate(errs):
             rows.append((eps, rep, float(e)))
         means.append(float(np.mean(errs)))
@@ -619,9 +657,12 @@ def run_experiment(name: str, cfg: dict, out_dir: str, seed: int | None = None,
         raise ConfigError(
             f"config is for experiment {cfg['experiment']!r}, not {name!r}")
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    params = {k: v for k, v in cfg.items()
+              if k not in ("schema_version", "experiment", "seed")}
+    run = _bind(EXPERIMENTS[name], params, f"{name} config", seed, threads)
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
-    result = EXPERIMENTS[name](cfg, seed, threads)
+    result = run()
     wall = time.time() - start
     stem = {"corrector": "corrector_fluct"}.get(name, name.replace("-", "_"))
     write_csv(os.path.join(out_dir, f"{stem}.csv"), result.header, result.rows)

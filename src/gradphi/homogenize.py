@@ -173,34 +173,33 @@ class _WindowAccumulator:
         self.flux_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
         self.grad_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
         self.counts = {r: 0 for r in self.radii}
-        # per radius and axis: index tuples for the box and the box shifted
-        # one site forward along that axis (gradients gathered box-locally)
+        # per radius and axis: batched index tuples for the box and the box
+        # shifted one site forward along that axis (gradients gathered box-locally)
         self.boxes = {}
         self.boxes_shifted = {}
         side = grid.side
         for r in self.radii:
             offs = [(np.arange(-r, r + 1) + grid.radius) % side
                     for _ in range(d)]
-            self.boxes[r] = np.ix_(*offs)
+            self.boxes[r] = (slice(None),) + np.ix_(*offs)
             shifted = []
             for ax in range(d):
                 offs_ax = [o.copy() for o in offs]
                 offs_ax[ax] = (offs_ax[ax] + 1) % side
-                shifted.append(np.ix_(*offs_ax))
+                shifted.append((slice(None),) + np.ix_(*offs_ax))
             self.boxes_shifted[r] = shifted
 
     def __call__(self, k: int, t: float, state: np.ndarray):
         q = self.path.at(t) if self.path is not None else None
         d = self.grid.dim
-        lead = (slice(None),)
+        space = tuple(range(1, d + 1))
         for r in self.radii:
             if t < -(r * r) - 1e-9:
                 continue
-            box = lead + self.boxes[r]
+            box = self.boxes[r]
             for ax in range(d):
-                g = state[lead + self.boxes_shifted[r][ax]] - state[box]
+                g = state[self.boxes_shifted[r][ax]] - state[box]
                 tilted = g + q[ax] if q is not None and q[ax] != 0.0 else g
-                space = tuple(range(1, g.ndim))
                 self.flux_acc[r][:, ax] += self.V.vp(tilted).mean(axis=space)
                 self.grad_acc[r][:, ax] += g.mean(axis=space)
             self.counts[r] += 1
@@ -245,7 +244,7 @@ def estimate_tau(
 
     if init == "stationary" and V.name == "quadratic":
         horizon = window
-        start = sample_gff(grid, src, replicas=np.arange(replicas))
+        start = sample_gff(grid, src, np.arange(replicas))
     elif init == "stationary":
         horizon = window + float(L * L)  # burn-in of L^2 before the window
         start = np.zeros(grid.shape)
@@ -460,7 +459,7 @@ def corrector_fluctuation_experiment(
         reps = np.arange(replicas)
         if V.name == "quadratic":
             horizon = min(float(L * L), stationary_window)
-            start = sample_gff(grid, src, tag=int(L), replicas=reps)
+            start = sample_gff(grid, src, reps, tag=int(L))
         else:
             horizon = float(L * L)
             start = np.zeros(grid.shape)

@@ -97,25 +97,13 @@ class NoiseSource:
     def with_replica(self, replica: int) -> "NoiseSource":
         return replace(self, replica=replica)
 
-    def _stream_key(self, channel: int, step: int) -> int:
-        k = _mix_int(self.seed & _MASK)
-        k = _mix_int(k ^ ((self.replica * _GOLDEN) & _MASK))
-        k = _mix_int(k ^ ((channel * _MIX1) & _MASK))
-        return _mix_int(k ^ ((step * _MIX2) & _MASK))
-
     def _stream_keys(self, channel: int, step: int, replicas: np.ndarray) -> np.ndarray:
-        """Vectorized _stream_key over an array of replica ids."""
+        """Stream keys of the replica ids `self.replica + replicas`."""
         base = _mix_int(self.seed & _MASK)
-        reps = np.asarray(replicas, dtype=np.uint64) * _U64(_GOLDEN)
-        k = _mix_array(np.bitwise_xor(_U64(base), reps))
+        ids = np.asarray(replicas, dtype=np.uint64) + _U64(self.replica)
+        k = _mix_array(np.bitwise_xor(_U64(base), ids * _U64(_GOLDEN)))
         k = _mix_array(np.bitwise_xor(k, _U64((channel * _MIX1) & _MASK)))
         return _mix_array(np.bitwise_xor(k, _U64((step * _MIX2) & _MASK)))
-
-    @staticmethod
-    def _split_step(step: int) -> tuple[int, int]:
-        if step >= 0:
-            return CHANNEL_FORWARD, step
-        return CHANNEL_BACKWARD, -1 - step
 
     def raw_normals(
         self,
@@ -123,29 +111,23 @@ class NoiseSource:
         step: int,
         channel: int | None = None,
         replicas: np.ndarray | None = None,
-        out_bits: np.ndarray | None = None,
+        out_bits: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Normals for every site key at one step.
+        """Normals for every site key at one step, shape (B, *keys.shape).
 
-        With `replicas` (shape (B,)) the result has shape (B, *keys.shape),
-        one independent stream per replica id.
+        `replicas` (shape (B,)) holds replica ids counted from
+        `self.replica`, one independent stream each.  Without it the draw is
+        the single stream `self.replica`, of shape keys.shape.
         """
-        if channel is None:
-            channel, step = self._split_step(step)
-        tmp = None
-        if out_bits is not None:
-            if isinstance(out_bits, tuple):
-                out_bits, tmp = out_bits
-        if replicas is None:
-            base = _U64(self._stream_key(channel, step))
-            z = np.bitwise_xor(keys, base, out=out_bits)
-            z = _mix_array(z, out=z, tmp=tmp)
-        else:
-            bases = self._stream_keys(channel, step, replicas)
-            bases = bases.reshape((-1,) + (1,) * keys.ndim)
-            z = np.bitwise_xor(keys[None, ...], bases, out=out_bits)
-            z = _mix_array(z, out=z, tmp=tmp)
-        return ndtri(_bits_to_uniform(z))
+        if channel is None:  # negative steps draw from the backward channel
+            channel, step = (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
+        ids = np.zeros(1, dtype=np.uint64) if replicas is None else replicas
+        bases = self._stream_keys(channel, step, ids).reshape((-1,) + (1,) * keys.ndim)
+        bits, tmp = (None, None) if out_bits is None else out_bits
+        z = np.bitwise_xor(keys[None, ...], bases, out=bits)
+        z = _mix_array(z, out=z, tmp=tmp)
+        g = ndtri(_bits_to_uniform(z))
+        return g[0] if replicas is None else g
 
     def increment(self, site_key: int | np.ndarray, step: int) -> float | np.ndarray:
         """One standard normal per (site, step); scalar for a scalar key."""
@@ -153,39 +135,37 @@ class NoiseSource:
         g = self.raw_normals(np.atleast_1d(keys), step)
         return float(g[0]) if keys.ndim == 0 else g.reshape(keys.shape)
 
-    def field_normals(self, keys: np.ndarray, tag: int = 0,
-                      replicas: np.ndarray | None = None) -> np.ndarray:
-        """Normals from the initial-condition channel, distinguished by tag."""
+    def field_normals(self, keys: np.ndarray, replicas: np.ndarray,
+                      tag: int = 0) -> np.ndarray:
+        """Normals from the initial-condition channel, distinguished by tag,
+        shape (B, *keys.shape)."""
         return self.raw_normals(keys, tag, channel=CHANNEL_INIT, replicas=replicas)
 
 
 class MeanSubtractedNoise:
-    """One normal field per step minus its spatial mean, in reused buffers.
+    """One normal field per step and replica minus its spatial mean, in
+    reused buffers.
 
-    `keys` may carry a leading batch axis (stacked windows with distinct
-    absolute coordinates); the spatial mean is always taken over the
-    trailing `spatial_ndim` axes.  With `replicas` the draw has one more
-    leading axis, one stream per replica id.
+    The draw has shape (B, *keys.shape), one stream per replica id of
+    `replicas`.  `keys` may carry a leading window axis (stacked windows
+    with distinct absolute coordinates); the spatial mean is always taken
+    over the trailing `spatial_ndim` axes.
     """
 
-    def __init__(self, src: NoiseSource, keys: np.ndarray,
-                 replicas: np.ndarray | None = None, spatial_ndim: int | None = None):
+    def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
+                 spatial_ndim: int):
         self.src = src
         self.keys = keys
         self.replicas = replicas
-        self.spatial_ndim = keys.ndim if spatial_ndim is None else spatial_ndim
-        if np.prod(keys.shape[keys.ndim - self.spatial_ndim:]) < 2:
+        if np.prod(keys.shape[keys.ndim - spatial_ndim:]) < 2:
             raise ValueError("mean subtraction needs at least two sites")
-        shape = keys.shape if replicas is None else (len(replicas),) + keys.shape
+        shape = (len(replicas),) + keys.shape
+        self._axes = tuple(range(len(shape) - spatial_ndim, len(shape)))
         self._bits = (np.empty(shape, dtype=np.uint64),
                       np.empty(shape, dtype=np.uint64))
 
     def __call__(self, step: int) -> np.ndarray:
         g = self.src.raw_normals(self.keys, step, replicas=self.replicas,
                                  out_bits=self._bits)
-        axes = tuple(range(g.ndim - self.spatial_ndim, g.ndim))
-        if len(axes) == g.ndim:
-            g -= g.mean()
-        else:
-            g -= g.mean(axis=axes, keepdims=True)
+        g -= g.mean(axis=self._axes, keepdims=True)
         return g

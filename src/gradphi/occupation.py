@@ -87,7 +87,7 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
     n = int(round(1.0 / dt))
     reps = np.arange(replicas)
     if V.name == "quadratic":
-        start = sample_gff(grid, src, replicas=reps)
+        start = sample_gff(grid, src, reps)
     else:
         start = np.zeros(grid.shape)
         burn = int(round(spec.L**2 / dt))

@@ -35,21 +35,16 @@ from .potential import Potential
 # environments
 # ---------------------------------------------------------------------------
 
-def _env_slices(a, grid: TorusGrid, t0: float, dt: float, n_steps: int):
-    """Yield the coefficient array (d, *shape) for each step."""
+def _static_env(a, grid: TorusGrid) -> np.ndarray:
+    """The coefficient array (d, *shape) of a scalar or array environment."""
     shape = (grid.dim,) + grid.shape
-    if isinstance(a, EdgeTrajectory):
-        for k in range(n_steps):
-            yield a.at_clamped(t0 + k * dt)
-        return
-    if a is None or np.isscalar(a):
-        a = np.full(shape, 1.0 if a is None else float(a))
-    elif not isinstance(a, np.ndarray):
+    if np.isscalar(a):
+        return np.full(shape, float(a))
+    if not isinstance(a, np.ndarray):
         raise TypeError(f"unsupported environment type {type(a)!r}")
-    elif a.shape != shape:
+    if a.shape != shape:
         raise ValueError("static environment must have shape (dim, *grid.shape)")
-    for _ in range(n_steps):
-        yield a
+    return a
 
 
 def _check_dt(dt: float, d: int, c_plus: float):
@@ -110,11 +105,9 @@ def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
     n = f.nslices - 1
     coords = list(np.ndindex(*grid.shape))
 
-    static_env = a is None or np.isscalar(a) or isinstance(a, np.ndarray)
-    static_forcing = bool(np.all(f.values == f.values[0]))
-    if static_env and static_forcing:
-        # time-invariant kernel: one table per source site, superposed with
-        # cumulative time weights
+    if np.all(f.values == f.values[0]):
+        # time-invariant forcing and kernel: one table per source site,
+        # superposed with cumulative time weights
         u = np.zeros((f.nslices,) + grid.shape)
         f0 = f.values[0]
         for idx in coords:
@@ -164,8 +157,8 @@ def solve_linear_parabolic(
 ) -> SpaceTimeField:
     """Explicit stepping of du/dt = div(a grad u) + div(F) + f, periodic.
 
-    `edge_forcing` is a constant vector, a callable t -> vector, or an
-    EdgeTrajectory; `site_forcing` is a callable t -> site array or a
+    The environment `a` is a scalar or a (d, *shape) array; `edge_forcing`
+    is a constant d-vector or an EdgeTrajectory; `site_forcing` is a
     SpaceTimeField.  Mean-zero data stays mean-zero exactly.
     """
     _check_dt(dt, grid.dim, c_plus)
@@ -174,29 +167,21 @@ def solve_linear_parabolic(
     out = np.empty((n_steps // record_stride + 1,) + grid.shape)
     out[0] = u
 
-    def edge_at(k):
-        if edge_forcing is None:
-            return None
-        t = t0 + k * dt
-        if isinstance(edge_forcing, EdgeTrajectory):
-            return edge_forcing.at_clamped(t)
-        F = edge_forcing(t) if callable(edge_forcing) else edge_forcing
-        F = np.asarray(F, dtype=float)
-        if F.shape == (d,):
-            return np.broadcast_to(F.reshape((d,) + (1,) * d), (d,) + grid.shape)
-        return F
+    a = _static_env(a, grid)
+    F = edge_forcing
+    if F is not None and not isinstance(F, EdgeTrajectory):
+        F = np.broadcast_to(np.asarray(F, dtype=float).reshape((d,) + (1,) * d),
+                            (d,) + grid.shape)
 
-    for k, a_k in enumerate(_env_slices(a, grid, t0, dt, n_steps)):
-        du = divergence_field(a_k * forward_gradients(u))
-        F = edge_at(k)
-        if F is not None:
+    for k in range(n_steps):
+        t = t0 + k * dt
+        du = divergence_field(a * forward_gradients(u))
+        if isinstance(F, EdgeTrajectory):
+            du += divergence_field(F.at_clamped(t))
+        elif F is not None:
             du += divergence_field(F)
         if site_forcing is not None:
-            t = t0 + k * dt
-            if isinstance(site_forcing, SpaceTimeField):
-                du += site_forcing.at(t)
-            else:
-                du += site_forcing(t)
+            du += site_forcing.at(t)
         u = u + dt * du
         if (k + 1) % record_stride == 0:
             out[(k + 1) // record_stride] = u

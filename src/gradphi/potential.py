@@ -8,6 +8,7 @@ derivative jumps, which exercises the mollification machinery.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -160,12 +161,17 @@ def lusin_measure(V: Potential, S: float, kappa: float, eps: float) -> float:
 
 
 def from_config(spec: dict) -> Potential:
-    """Potential from a config block like {"kind": "soft_quartic", "a": 0.5}."""
-    kind = spec.get("kind")
-    if kind == "quadratic":
-        return quadratic()
-    if kind == "soft_quartic":
-        return soft_quartic(float(spec["a"]))
-    if kind == "kinked":
-        return kinked(float(spec["b"]))
-    raise ValueError(f"unknown potential kind: {kind!r}")
+    """Potential from a config block like {"kind": "soft_quartic", "a": 0.5};
+    the other keys are bound to the parameters of the constructor "kind"
+    names, and an unknown kind or a missing or unknown key is a ValueError."""
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    make = {"quadratic": quadratic, "soft_quartic": soft_quartic,
+            "kinked": kinked}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown potential kind: {kind!r}")
+    try:
+        inspect.signature(make).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"potential {kind!r}: {exc}") from exc
+    return make(**{k: float(v) for k, v in params.items()})

@@ -233,7 +233,7 @@ def test_criterion_07_hydrodynamic_limit():
         "replicas": 20,
         "f": {"name": "sine_product"},
     }
-    res = hydro_limit_experiment(cfg, seed=701, threads=2)
+    res = hydro_limit_experiment(seed=701, threads=2, **cfg)
     ok = bool(res.criteria["error_strictly_decreasing"])
     ok &= bool(res.criteria["exponent_ge_0.3"])
     _report(7, "quantitative effective-limit rate", ok)
@@ -320,9 +320,8 @@ def test_criterion_10_norm_machinery():
 # -------------------------------------------------------------------------
 
 def test_criterion_11_large_scale_regularity():
-    res = run_excess({"potential": {"kind": "quadratic"}, "L": 32,
-                      "scales": [8, 16, 32], "replicas": 20}, seed=1101,
-                     threads=2)
+    res = run_excess(seed=1101, threads=2, potential={"kind": "quadratic"},
+                     L=32, scales=[8, 16, 32], replicas=20)
     ok = bool(res.criteria["halving_decay_80pct"])
     ok &= bool(res.criteria["gradient_bound_constant_le_20"])
     _report(11, "excess decay and gradient bound", ok)

@@ -2,10 +2,11 @@
 caller can set is set by at least one call."""
 
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
-from gradphi.harness import EXPERIMENTS
+from gradphi.harness import BOUNDARY_DATA, EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradphi"
@@ -14,6 +15,10 @@ FOLDERS = ("src", "tests", "demos", "scripts", "bench")
 # run_experiment reaches the drivers through the EXPERIMENTS table, a call
 # that names no function
 ALLOWED = {(fn.__name__, "threads") for fn in EXPERIMENTS.values()}
+
+# the harness binds config blocks to the parameters of these functions by
+# name, so a config key sets the parameter of the same name
+CONFIG_BOUND = {fn.__name__ for fn in (*EXPERIMENTS.values(), *BOUNDARY_DATA.values())}
 
 
 def _trees():
@@ -35,6 +40,29 @@ def _references() -> Counter:
             elif isinstance(node, ast.alias):
                 names[node.name.rsplit(".", 1)[-1]] += 1
     return names
+
+
+def _config_keys() -> set:
+    """The string keys of every dict literal in the scanned folders and of
+    every object in the benchmark's workload configs."""
+    keys = set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys |= {k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            keys.update(obj)
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for value in obj:
+                walk(value)
+
+    for path in sorted((ROOT / "bench" / "workloads").glob("*.json")):
+        walk(json.loads(path.read_text()))
+    return keys
 
 
 def _classes():
@@ -160,10 +188,12 @@ def test_every_option_is_set_by_some_call():
     calls = {}
     for name, npos, keywords in _calls():
         calls.setdefault(name, []).append((npos, keywords))
+    config_keys = _config_keys()
     unset = [
         f"{callee}({param})"
         for callee, pos, param in _options()
         if (callee, param) not in ALLOWED
+        and not (callee in CONFIG_BOUND and param in config_keys)
         and not any(
             npos is None or keywords is None or param in keywords
             or (pos is not None and npos > pos)

@@ -98,7 +98,8 @@ def test_torus_step_accumulation_order():
     dt = stable_dt(V, 2)
     u = np.random.default_rng(3).normal(size=grid.shape)
     q = np.array([0.3, -0.2])
-    state, _ = evolve_torus(grid, V, SlopePath.constant(q), None, 0.0, 1, dt, u)
+    (state,), _ = evolve_torus(grid, V, SlopePath.constant(q), None, 0.0, 1, dt, u,
+                               replicas=np.arange(1))
     drift = np.zeros(grid.shape)
     other = np.zeros(grid.shape)
     for ax in range(2):
@@ -108,6 +109,37 @@ def test_torus_step_accumulation_order():
         other += f - shift(f, ax, 1)
     assert np.array_equal(state, u + dt * drift)
     assert not np.array_equal(state, u + dt * other)
+
+
+def test_batched_replicas_match_single_replica_runs():
+    # B replicas in one batch are bitwise the B runs of one replica each,
+    # replica ids counted from the source's own replica
+    V = soft_quartic(0.5)
+    src = NoiseSource(seed=61).with_replica(2)
+    B = 3
+    grid = make_torus(2, 3)
+    dt = stable_dt(V, 2)
+    path = SlopePath.constant([0.3, -0.1])
+    init = sample_gff(grid, src, replicas=np.arange(B))
+    _, rec = evolve_torus(grid, V, path, src, -1.0, 20, dt, init,
+                          replicas=np.arange(B), record_stride=5)
+    dom = DirichletDomain(2, 4)
+
+    def datum(t, pts):
+        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+
+    dirichlet = run_dirichlet(dom, datum, V, src, replicas=np.arange(B),
+                              record_stride=16)
+    for r in range(B):
+        solo = src.with_replica(2 + r)
+        one = np.arange(1)
+        init_r = sample_gff(grid, solo, replicas=one)
+        assert np.array_equal(init[r], init_r[0])
+        _, rec_r = evolve_torus(grid, V, path, solo, -1.0, 20, dt, init_r,
+                                replicas=one, record_stride=5)
+        assert np.array_equal(rec[:, r], rec_r[:, 0])
+        dirichlet_r = run_dirichlet(dom, datum, V, solo, replicas=one, record_stride=16)
+        assert np.array_equal(dirichlet[:, r], dirichlet_r[:, 0])
 
 
 def test_contraction_same_noise_quadratic():
@@ -125,8 +157,10 @@ def test_contraction_same_noise_quadratic():
     state_u = u.copy()
     state_v = v.copy()
     for k in range(200):
-        state_u, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_u)
-        state_v, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_v)
+        state_u, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_u,
+                                  replicas=np.arange(1))
+        state_v, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_v,
+                                  replicas=np.arange(1))
         dists.append(float(np.sqrt(((state_u - state_v) ** 2).sum())))
     diffs = np.diff(dists)
     assert np.all(diffs <= 1e-12)
@@ -143,8 +177,10 @@ def test_energy_monotone_drift_general_convex():
     state_v = rng.normal(size=grid.shape)
     src = NoiseSource(seed=12)
     for k in range(100):
-        new_u, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_u)
-        new_v, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_v)
+        new_u, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_u,
+                                replicas=np.arange(1))
+        new_v, _ = evolve_torus(grid, V, None, src, k * dt, 1, dt, state_v,
+                                replicas=np.arange(1))
         w = state_u - state_v
         delta_drift = ((new_u - new_v) - w) / dt
         lhs = ((new_u - new_v) ** 2).sum()
@@ -155,7 +191,7 @@ def test_energy_monotone_drift_general_convex():
 
 def test_gff_sample_spatial_mean_zero():
     grid = make_torus(2, 4)
-    s = sample_gff(grid, NoiseSource(seed=3))
+    s = sample_gff(grid, NoiseSource(seed=3), np.arange(1))
     assert abs(s.mean()) < 1e-13
 
 
@@ -323,8 +359,8 @@ def _zero_datum(t, pts):
 
 def test_dirichlet_zero_data_zero_noise_stays_zero():
     dom = DirichletDomain(2, 4)
-    out = run_dirichlet(dom, _zero_datum, quadratic(), src=None)
-    assert np.max(np.abs(out.values)) == 0.0
+    out = run_dirichlet(dom, _zero_datum, quadratic(), None, np.arange(1))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_dirichlet_boundary_pinned_every_step():
@@ -341,9 +377,10 @@ def test_dirichlet_boundary_pinned_every_step():
     def on_step(k, t, state):
         if k % 17 == 0:
             expect = smooth(t, dom.boundary_mask) / dom.mesh
-            checked.append(np.max(np.abs(state[dom.boundary_mask] - expect)))
+            checked.append(np.max(np.abs(state[:, dom.boundary_mask] - expect)))
 
-    run_dirichlet(dom, datum, quadratic(), src=NoiseSource(seed=44), on_step=on_step)
+    run_dirichlet(dom, datum, quadratic(), NoiseSource(seed=44), np.arange(1),
+                  on_step=on_step)
     assert checked and max(checked) < 1e-12
 
 
@@ -403,11 +440,12 @@ def test_dirichlet_matches_homogenized_identity_zero_noise():
     def datum(t, pts):
         return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
 
-    micro = run_dirichlet(dom, datum, quadratic(), src=None, record_stride=8)
+    micro = run_dirichlet(dom, datum, quadratic(), None, np.arange(1),
+                          record_stride=8)[:, 0]
     macro = solve_homogenized(EffectiveGradient.identity(), dom, datum,
                               dt_unit=stable_dt(quadratic(), 2), record_stride=8)
-    assert micro.values.shape == macro.values.shape
-    assert np.max(np.abs(micro.values - macro.values)) < 1e-10
+    assert micro.shape == macro.values.shape
+    assert np.max(np.abs(micro - macro.values)) < 1e-10
 
 
 def test_slope_from_config_forms():

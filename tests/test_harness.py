@@ -53,6 +53,14 @@ def test_boundary_datum_library():
         boundary_datum({"name": "nope"})
 
 
+def test_boundary_datum_affine_coefficients():
+    f = boundary_datum({"name": "affine", "coefficients": [1.0, -2.0]})
+    pts = np.array([[0.5, 0.25], [0.0, 1.0]])
+    assert np.array_equal(f(0.0, pts), pts @ np.array([1.0, -2.0]))
+    with pytest.raises(ConfigError):
+        boundary_datum({"name": "affine", "coefficient": [1.0, -2.0]})
+
+
 def test_load_config_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -135,6 +143,21 @@ def test_cli_missing_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, cfg", [
+    ("corrector", {"potential": {"kind": "cubic"}, "sizes": [2, 3, 4]}),
+    ("linearize", {"potential": {"kind": "kinked"}, "L": 4}),
+    ("occupation", {"replica": 5, "thresholds": [0.05, 0.1, 0.2], "seed": 1}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.25], "f": {"name": "zero"},
+               "gradient_diagnostic": {"epsilon": [0.25], "replicas": 1}}),
+])
+def test_cli_malformed_config_exits_2(tmp_path, name, cfg):
+    # an unknown potential, a missing potential parameter, a misspelled
+    # top-level key and a misspelled key of a nested block
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    assert run_cli([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_occupation_round_trip(tmp_path, capsys):
     cfg = tmp_path / "occ.json"
     cfg.write_text(json.dumps(_occupation_cfg()))
@@ -188,7 +211,7 @@ def test_hydro_zero_noise_consistency():
         "f": {"name": "sine_product"},
         "zero_noise": True,
     }
-    res = hydro_limit_experiment(cfg, seed=0)
+    res = hydro_limit_experiment(seed=0, **cfg)
     errs = np.asarray(res.summary["mean_error"])
     assert np.all(errs <= 1e-10)
     assert errs[1] <= errs[0] + 1e-10
@@ -205,7 +228,7 @@ def test_hydro_gradient_two_scale_diagnostic():
         "f": {"name": "sine_product"},
         "gradient_diagnostic": {"epsilons": [0.125], "replicas": 3},
     }
-    res = hydro_limit_experiment(cfg, seed=31)
+    res = hydro_limit_experiment(seed=31, **cfg)
     diag = res.summary["gradient_two_scale"]
     assert len(diag) == 3
     assert all(np.isfinite(row["error"]) and row["error"] > 0 for row in diag)

@@ -36,6 +36,18 @@ def test_tau_zero_tilt_symmetric():
     assert np.all(np.abs(est.mean) <= 3 * est.stderr + 1e-12)
 
 
+def test_tau_replica_offset_draws_later_replicas():
+    # with_replica(3) runs replicas 3..5: the second half of a six-replica
+    # run, not a copy of replicas 0..2
+    V = quadratic()
+    six = estimate_tau((0.2, 0.0), 4, V, 6, NoiseSource(seed=41), keep_samples=True)
+    late = estimate_tau((0.2, 0.0), 4, V, 3, NoiseSource(seed=41).with_replica(3),
+                        keep_samples=True)
+    early = estimate_tau((0.2, 0.0), 4, V, 3, NoiseSource(seed=41))
+    assert not np.array_equal(late.mean, early.mean)
+    assert np.array_equal(late.samples, six.samples[3:])
+
+
 def test_tau_requires_replicas():
     with pytest.raises(ValueError):
         estimate_tau((0.0, 0.0), 4, quadratic(), 1, NoiseSource(seed=1))

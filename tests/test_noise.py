@@ -55,7 +55,7 @@ def test_moments_match_standard_normal():
 def test_mean_subtracted_sums_to_zero_and_is_idempotent():
     grid = make_torus(2, 4)
     src = NoiseSource(seed=3)
-    g = MeanSubtractedNoise(src, grid.site_keys)(0)
+    g = MeanSubtractedNoise(src, grid.site_keys, np.arange(1), 2)(0)[0]
     assert abs(g.sum()) < 1e-12 * grid.nsites
     g2 = g - g.mean()
     assert np.allclose(g, g2, atol=1e-15)
@@ -64,7 +64,7 @@ def test_mean_subtracted_sums_to_zero_and_is_idempotent():
 def test_mean_subtraction_rejects_single_site():
     src = NoiseSource(seed=3)
     with pytest.raises(ValueError):
-        MeanSubtractedNoise(src, np.array([np.uint64(1)]))
+        MeanSubtractedNoise(src, np.array([np.uint64(1)]), np.arange(2), 1)
 
 
 def test_replica_batch_matches_individual_sources():
@@ -74,3 +74,15 @@ def test_replica_batch_matches_individual_sources():
     for r in range(4):
         solo = src.with_replica(r).raw_normals(grid.site_keys, step=5)
         assert np.array_equal(batch[r], solo)
+
+
+def test_batched_replica_ids_count_from_the_source_replica():
+    # id r of a batched draw is replica src.replica + r, on both time
+    # channels
+    grid = make_torus(2, 3)
+    src = NoiseSource(seed=17).with_replica(5)
+    for step in (0, 9, -3):
+        batch = src.raw_normals(grid.site_keys, step, replicas=np.arange(2))
+        for r in range(2):
+            solo = src.with_replica(5 + r).raw_normals(grid.site_keys, step)
+            assert np.array_equal(batch[r], solo)
