@@ -67,11 +67,15 @@ class SlopePath:
     def dim(self) -> int:
         return self.slopes.shape[1]
 
-    def at(self, t: float) -> np.ndarray:
+    def piece(self, t: float) -> int:
+        """Index i of the value holding at t."""
         i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         if i < 0:
             raise ValueError(f"slope path does not cover time {t}")
-        return self.slopes[i]
+        return i
+
+    def at(self, t: float) -> np.ndarray:
+        return self.slopes[self.piece(t)]
 
     def covers(self, t_lo: float, t_hi: float) -> bool:
         return self.breakpoints[0] <= t_lo and t_lo <= t_hi
@@ -102,13 +106,25 @@ def slope_from_config(spec, d: int) -> SlopePath:
 # ---------------------------------------------------------------------------
 
 class MultiSlope:
-    """Batch of slope paths evaluated together: at(t) -> (B, d)."""
+    """Batch of slope paths evaluated together: at(t) -> (B, d).
+
+    The stacked tilts are rebuilt only when t leaves the interval on which
+    every path keeps its value, so a batch of constant tilts is stacked
+    once; callers must not write to the returned array.
+    """
 
     def __init__(self, paths):
         self.paths = list(paths)
+        self._lo, self._hi, self._values = np.inf, -np.inf, None
 
     def at(self, t: float) -> np.ndarray:
-        return np.stack([p.at(t) for p in self.paths])
+        if not self._lo <= t < self._hi:
+            pieces = [(p, p.piece(t)) for p in self.paths]
+            self._values = np.stack([p.slopes[i] for p, i in pieces])
+            self._lo = max(p.breakpoints[i] for p, i in pieces)
+            self._hi = min(p.breakpoints[i + 1] if i + 1 < len(p.breakpoints) else np.inf
+                           for p, i in pieces)
+        return self._values
 
 
 def evolve_torus(
@@ -128,10 +144,12 @@ def evolve_torus(
     """Advance the periodic Langevin dynamic by n_steps explicit steps.
 
     Exactly one of `replicas` and `batch_keys` gives the batch axis.
-    `replicas` holds B replica ids, counted from `src.replica`; `batch_keys`
-    of shape (B, *grid.shape) runs B windows of the stream `src.replica` in
-    parallel, each addressed by its own absolute site coordinates, and the
-    slope may then be a MultiSlope with one path per window.  init has shape
+    `replicas` holds B replica ids, counted from `src.replica`; an id may
+    repeat, and members with the same id share one noise draw (coupled
+    trajectories).  `batch_keys` of shape (B, *grid.shape) runs B windows of
+    the stream `src.replica` in parallel, each addressed by its own absolute
+    site coordinates.  `slope` is one SlopePath for every member, a
+    MultiSlope with one path per member, or None.  init has shape
     grid.shape (the same start for every member) or (B, *grid.shape).
     Returns (final_state, recorded), both with the batch axis, where
     recorded stacks every record_stride-th slice (including the initial one)
@@ -267,6 +285,38 @@ def run_gff_dynamic(
     return rec
 
 
+def stationary_start(
+    grid: TorusGrid,
+    p,
+    V: Potential,
+    src: NoiseSource,
+    replicas: np.ndarray,
+    horizon: float,
+    burn_in: float | None = None,
+) -> tuple[np.ndarray, SlopePath, float, int, float]:
+    """Equilibrated start of a stationary run of the tilted dynamic that
+    lasts `horizon` and ends at t = 0, one member per replica id.
+
+    The quadratic potential starts from an exact free-field sample and needs
+    no burn-in; other potentials start from zero and discard a burn-in of
+    L^2 by default.  Returns (state, path, t_start, n_steps, dt), where state
+    has shape (B, *grid.shape) and holds at time t_start.
+    """
+    dt = stable_dt(V, grid.dim)
+    if V.name == "quadratic":
+        state, n_burn = sample_gff(grid, src, replicas), 0
+    else:
+        state = np.zeros((len(replicas),) + grid.shape)
+        n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
+    n_keep = int(round(horizon / dt))
+    t0 = -(n_burn + n_keep) * dt
+    path = as_slope_path(p, grid.dim, t_start=t0)
+    if n_burn:
+        state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state,
+                                replicas=replicas)
+    return state, path, t0 + n_burn * dt, n_keep, dt
+
+
 def run_stationary_periodic(
     grid: TorusGrid,
     p,
@@ -276,26 +326,11 @@ def run_stationary_periodic(
     burn_in: float | None = None,
     record_stride: int = 1,
 ) -> SpaceTimeField:
-    """Trajectory of the tilted dynamic after equilibration, ending at t = 0.
-
-    The quadratic potential starts from an exact free-field sample and needs
-    no burn-in; other potentials start from zero and discard a burn-in of
-    L^2 by default.
-    """
-    dt = stable_dt(V, grid.dim)
+    """Trajectory of the tilted dynamic after equilibration (see
+    `stationary_start`), ending at t = 0."""
     one = np.arange(1)
-    if V.name == "quadratic":
-        state, n_burn = sample_gff(grid, src, one), 0
-    else:
-        state = np.zeros(grid.shape)
-        n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
-    n_keep = int(round(horizon / dt))
-    t0 = -(n_burn + n_keep) * dt
-    path = as_slope_path(p, grid.dim, t_start=t0)
-    if n_burn:
-        state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state,
-                                replicas=one)
-    t_keep = t0 + n_burn * dt
+    state, path, t_keep, n_keep, dt = stationary_start(grid, p, V, src, one, horizon,
+                                                       burn_in=burn_in)
     _, rec = evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
                           replicas=one, record_stride=record_stride)
     return SpaceTimeField(grid, t_keep, dt * record_stride, rec[:, 0])
@@ -339,7 +374,9 @@ def smoothed_boundary_datum(f, dom: DirichletDomain):
 
     The datum is averaged over the cube of half-width one mesh around each
     site with a fixed 8-point tensor Gauss-Legendre rule, normalized so
-    constants are reproduced exactly.
+    constants are reproduced exactly.  The quadrature points of a mask are
+    built on its first evaluation and reused, so `f` must not write to its
+    points argument.
     """
     eps = dom.mesh
     nodes = 8
@@ -353,10 +390,14 @@ def smoothed_boundary_datum(f, dom: DirichletDomain):
             np.repeat(w1, nodes ** (dom.dim - ax - 1)), nodes**ax
         )
 
+    clouds = {}  # mask bytes -> quadrature points (M, nodes^d, d)
+
     def g(t: float, mask: np.ndarray) -> np.ndarray:
-        pts = dom.points(mask)  # (M, d)
-        vals = f(t, pts[:, None, :] + offsets[None, :, :])
-        return vals @ weights
+        key = mask.tobytes()
+        cloud = clouds.get(key)
+        if cloud is None:
+            cloud = clouds[key] = dom.points(mask)[:, None, :] + offsets[None, :, :]
+        return f(t, cloud) @ weights
 
     return g
 

@@ -23,10 +23,9 @@ from .dynamics import (
     SlopePath,
     as_slope_path,
     evolve_torus,
-    run_corrector,
-    run_stationary_periodic,
     sample_gff,
     stable_dt,
+    stationary_start,
 )
 from .lattice import (
     DirichletDomain,
@@ -42,7 +41,7 @@ from .lattice import (
 )
 from .noise import NoiseSource
 from .norms import hminus1_par_multiscale, lp_norm
-from .parabolic import EffectiveGradient, solve_linearized_corrector
+from .parabolic import EffectiveGradient, linearized_corrector_step
 from .potential import Potential
 
 
@@ -277,31 +276,49 @@ def estimate_hessian(
     Entry (i, j) averages V''(tilted gradient) (e_i + grad w_i) over the
     edges in direction j of the trailing half-size window, where w_i is the
     linearized response to tilt direction e_i; replica means with SEs.
+    The replicas run as one batch of the stationary dynamic, and the d
+    responses step along with it.
     """
     grid = make_torus(d, L)
     pv = np.asarray(p, dtype=float)
     r = L // 2
     window = float(r * r)
-    box = grid.box_slices(r)
+    box = (slice(None),) + grid.box_slices(r)
+    eye = np.eye(d)
 
-    entries = np.zeros((replicas, d, d))
-    for rep in range(replicas):
-        src_r = src.with_replica(src.replica + rep)
-        traj = run_stationary_periodic(grid, pv, V, src_r, horizon=float(L * L))
-        j0 = traj.slice_index(-window)
+    state, path, t_keep, n_keep, dt = stationary_start(
+        grid, pv, V, src, np.arange(replicas), horizon=float(L * L))
+    j0 = int(round((-window - t_keep) / dt))  # first slice of the window
+    env = np.empty((replicas, d) + grid.shape)
+    w = np.zeros((d, replicas) + grid.shape)
+    bufs = tuple(np.empty_like(w) for _ in range(3))
+    acc = np.zeros((replicas, d, d))
+    count = 0
+
+    def measure(j, phi):
+        # env <- V''(p + grad phi) of slice j, then the window sums of slice j
+        nonlocal count
+        for ax in range(d):
+            env[:, ax] = V.vpp(forward_difference(phi, 1 + ax) + pv[ax])
+        if j < j0:
+            return
         for i in range(d):
-            w = solve_linearized_corrector(traj, pv, np.eye(d)[i], V)
-            acc = np.zeros(d)
-            count = 0
-            for j in range(j0, traj.nslices):
-                phi_s = traj.values[j]
-                w_s = w.values[j]
-                for ax in range(d):
-                    gphi = forward_difference(phi_s, ax) + pv[ax]
-                    gw = forward_difference(w_s, ax) + (1.0 if ax == i else 0.0)
-                    acc[ax] += (V.vpp(gphi)[box] * gw[box]).mean()
-                count += 1
-            entries[rep, i] = acc / count
+            for ax in range(d):
+                gw = forward_difference(w[i], 1 + ax) + (1.0 if ax == i else 0.0)
+                prod = env[:, ax][box] * gw[box]
+                for b in range(replicas):  # per-replica means keep their order
+                    acc[b, i, ax] += prod[b].mean()
+        count += 1
+
+    def on_step(k, t, phi):
+        nonlocal w
+        w = linearized_corrector_step(w, env, eye, dt, bufs)
+        measure(k + 1, phi)
+
+    measure(0, state)
+    evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
+                 replicas=np.arange(replicas), on_step=on_step)
+    entries = acc / count
     mean = entries.mean(axis=0)
     se = entries.std(axis=0, ddof=1) / np.sqrt(replicas)
     return HessianEstimate(pv, mean, se)
@@ -505,17 +522,21 @@ def slope_stability_check(q1, q2, L: int, V: Potential, src: NoiseSource,
                           d: int = 2) -> SlopeStabilityReport:
     """Coupled-trajectory gradient distance against the tilt-gap bound.
 
-    Both dynamics run on the same torus with identical Brownian increments;
-    the report compares || grad phi_1 - grad phi_2 || over the trailing
-    half-window with C |q1 - q2| + (1/L)(||phi_1|| + ||phi_2||) and returns
-    the fitted constant.
+    Both dynamics run on the same torus as one batch that shares each
+    Brownian increment; the report compares || grad phi_1 - grad phi_2 ||
+    over the trailing half-window with C |q1 - q2| + (1/L)(||phi_1|| +
+    ||phi_2||) and returns the fitted constant.
     """
     grid = make_torus(d, L)
     horizon = float(L * L)
     path1 = as_slope_path(q1, d, t_start=-horizon)
     path2 = as_slope_path(q2, d, t_start=-horizon)
-    f1 = run_corrector(grid, horizon, path1, V, src)
-    f2 = run_corrector(grid, horizon, path2, V, src)
+    dt = stable_dt(V, d)
+    t0, n_steps = horizon_steps(horizon, dt)
+    _, rec = evolve_torus(grid, V, MultiSlope([path1, path2]), src, t0, n_steps, dt,
+                          np.zeros(grid.shape), replicas=np.zeros(2, dtype=int),
+                          record_stride=1)
+    f1, f2 = (SpaceTimeField(grid, t0, dt, rec[:, i].copy()) for i in range(2))
     r = L // 2
     window = ParabolicCylinder(-float(r * r), 0.0, radius=r)
 
@@ -552,38 +573,61 @@ def linearization_modulus(
 ) -> ModulusEstimate:
     """Residual of the first-order tilt expansion, per tilt gap.
 
-    For each probe tilt q, couples the dynamics at p and q through the same
-    noise, solves the linearized equation along the p-trajectory, and
-    measures || grad phi_q - grad phi_p - grad w || over the cylinder.
-    Replicas run in batches of 16.
+    Couples the dynamics at p and at every probe tilt q through the same
+    noise, solves the linearized equation along the p-trajectory in the
+    direction q - p, and measures || grad phi_q - grad phi_p - grad w ||
+    over the cylinder.  Replicas run in batches of 16; within a batch p,
+    every q and every linearized corrector advance in one time loop, with
+    one noise draw per replica and step.
     """
     grid = make_torus(d, L)
     dt = stable_dt(V, d)
     chunk = 16
     pv = np.asarray(p, dtype=float)
     qs = [np.asarray(q, dtype=float) for q in qs]
+    m = len(qs)
+    xi = np.array([q - pv for q in qs]).reshape(m, d)
     t0, n_steps = horizon_steps(float(L * L), dt)
 
-    res = np.zeros((replicas, len(qs)))
+    res = np.zeros((replicas, m))
     for lo in range(0, replicas, chunk):
         ids = np.arange(lo, min(lo + chunk, replicas))
-        _, rec_p = evolve_torus(grid, V, as_slope_path(pv, d, t_start=t0), src,
-                                t0, n_steps, dt, np.zeros(grid.shape),
-                                replicas=ids, record_stride=1)
-        recs_q = []
-        for q in qs:
-            _, rq = evolve_torus(grid, V, as_slope_path(q, d, t_start=t0), src,
-                                 t0, n_steps, dt, np.zeros(grid.shape),
-                                 replicas=ids, record_stride=1)
-            recs_q.append(rq)
-        for b, rep in enumerate(ids):
-            traj_p = SpaceTimeField(grid, t0, dt, rec_p[:, b])
-            for iq, q in enumerate(qs):
-                w = solve_linearized_corrector(traj_p, pv, q - pv, V)
-                diff = recs_q[iq][:, b] - traj_p.values - w.values
+        b = len(ids)
+        # members: p for every replica, then each q for every replica
+        tilts = MultiSlope([as_slope_path(v, d, t_start=t0)
+                            for v in [pv] + qs for _ in ids])
+        env = np.empty((b, d) + grid.shape)
+        w = np.zeros((m, b) + grid.shape)
+        bufs = tuple(np.empty_like(w) for _ in range(3))
+        # (q - p) - w per probe, replica and slice; each (probe, replica)
+        # record is contiguous, so its mean sums in the same order as a
+        # stand-alone (slices, *shape) array
+        diff = np.empty((m, b, n_steps + 1) + grid.shape)
+        diff[:, :, 0] = 0.0
+
+        def set_env(phi_p):
+            for ax in range(d):
+                env[:, ax] = V.vpp(forward_difference(phi_p, 1 + ax) + pv[ax])
+
+        def on_step(k, t, state):
+            # the corrector step k uses the environment of slice k, i.e.
+            # before the update that produced `state`
+            nonlocal w
+            members = state.reshape((1 + m, b) + grid.shape)
+            w = linearized_corrector_step(w, env, xi, dt, bufs)
+            out = diff[:, :, k + 1]
+            np.subtract(members[1:], members[0], out=out)
+            out -= w
+            set_env(members[0])
+
+        set_env(np.zeros((b,) + grid.shape))
+        evolve_torus(grid, V, tilts, src, t0, n_steps, dt, np.zeros(grid.shape),
+                     replicas=np.tile(ids, 1 + m), on_step=on_step)
+        for iq in range(m):
+            for k, rep in enumerate(ids):
                 acc = 0.0
                 for ax in range(d):
-                    g = forward_difference(diff, 1 + ax)
+                    g = forward_difference(diff[iq, k], 1 + ax)
                     acc += (g**2).mean()
                 res[rep, iq] = np.sqrt(acc)
     gaps = np.array([np.linalg.norm(q - pv) for q in qs])

@@ -150,16 +150,24 @@ class MeanSubtractedNoise:
     `replicas`.  `keys` may carry a leading window axis (stacked windows
     with distinct absolute coordinates); the spatial mean is always taken
     over the trailing `spatial_ndim` axes.
+
+    Repeated replica ids (coupled trajectories driven by the same noise)
+    share one draw: each step draws every distinct id once and gathers the
+    rows.  With distinct ids the draw is returned as is.
     """
 
     def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
                  spatial_ndim: int):
         self.src = src
         self.keys = keys
-        self.replicas = replicas
         if np.prod(keys.shape[keys.ndim - spatial_ndim:]) < 2:
             raise ValueError("mean subtraction needs at least two sites")
-        shape = (len(replicas),) + keys.shape
+        ids, rows = np.unique(replicas, return_inverse=True)
+        if len(ids) == len(replicas):
+            self.replicas, self._rows = replicas, None
+        else:
+            self.replicas, self._rows = ids, rows
+        shape = (len(self.replicas),) + keys.shape
         self._axes = tuple(range(len(shape) - spatial_ndim, len(shape)))
         self._bits = (np.empty(shape, dtype=np.uint64),
                       np.empty(shape, dtype=np.uint64))
@@ -168,4 +176,4 @@ class MeanSubtractedNoise:
         g = self.src.raw_normals(self.keys, step, replicas=self.replicas,
                                  out_bits=self._bits)
         g -= g.mean(axis=self._axes, keepdims=True)
-        return g
+        return g if self._rows is None else g[self._rows]

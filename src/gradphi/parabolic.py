@@ -188,6 +188,34 @@ def solve_linear_parabolic(
     return SpaceTimeField(grid, t0, dt * record_stride, out)
 
 
+def linearized_corrector_step(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
+                              dt: float, bufs) -> np.ndarray:
+    """One explicit step of dw/dt = div(a grad w) + div(a xi), batched.
+
+    w has shape (m, B, *shape): m tilt directions xi (shape (m, d)) times B
+    environments.  env, shape (B, d, *shape), holds a(t, e) at the start of
+    the step and is shared by the m directions.  `bufs` holds three scratch
+    arrays of w's shape.  Returns the new w; mean-zero w stays mean-zero.
+    """
+    flux, shifted, du = bufs
+    lead = (-1,) + (1,) * (w.ndim - 1)
+    # evolve_torus's accumulation order, `+= f; -= shift(f)`, written into
+    # preallocated buffers because per-call cost dominates on small arrays.
+    du.fill(0.0)
+    for ax in range(xi.shape[1]):
+        a = 2 + ax
+        shift(w, a, -1, out=flux)
+        flux -= w
+        if np.any(xi[:, ax] != 0.0):
+            # exact for the directions with xi[ax] == 0 too: flux is never
+            # -0.0 (w starts at +0.0), so adding 0.0 changes no bit
+            flux += xi[:, ax].reshape(lead)
+        flux *= env[:, ax]
+        du += flux
+        du -= shift(flux, a, 1, out=shifted)
+    return w + dt * du
+
+
 def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> SpaceTimeField:
     """Response of the tilted dynamic to an infinitesimal tilt shift.
 
@@ -208,28 +236,13 @@ def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> Spac
     env = np.empty((n - 1, d) + grid.shape)
     for ax in range(d):
         env[:, ax] = V.vpp(forward_difference(phi.values[:-1], 1 + ax) + pv[ax])
-    w = np.zeros(grid.shape)
+    w = np.zeros((1, 1) + grid.shape)
+    bufs = tuple(np.empty_like(w) for _ in range(3))
     out = np.empty_like(phi.values)
-    out[0] = w
-    flux = np.empty(grid.shape)
-    shifted = np.empty(grid.shape)
-    du = np.empty(grid.shape)
-    # evolve_torus's accumulation order, `+= f; -= shift(f)`, written into
-    # preallocated buffers because per-call cost dominates on small arrays.
-    # The loop stays apart from evolve_torus, which would otherwise have to
-    # branch on its caller.
+    out[0] = w[0, 0]
     for j in range(n - 1):
-        du.fill(0.0)
-        for ax in range(d):
-            shift(w, ax, -1, out=flux)
-            flux -= w
-            if xi[ax] != 0.0:
-                flux += xi[ax]
-            flux *= env[j, ax]
-            du += flux
-            du -= shift(flux, ax, 1, out=shifted)
-        w = w + dt * du
-        out[j + 1] = w
+        w = linearized_corrector_step(w, env[j:j + 1], xi[None], dt, bufs)
+        out[j + 1] = w[0, 0]
     return SpaceTimeField(grid, phi.t0, dt, out)
 
 

@@ -19,6 +19,7 @@ from gradphi.dynamics import (
     run_gff_dynamic,
     run_stationary_periodic,
     sample_gff,
+    smoothed_boundary_datum,
     stable_dt,
 )
 from gradphi.noise import NoiseSource
@@ -459,3 +460,32 @@ def test_slope_from_config_forms():
     assert np.allclose(path.at(-1.0), [1.0, 0.0])
     zero = slope_from_config(None, 2)
     assert np.allclose(zero.at(0.0), [0.0, 0.0])
+
+
+def test_boundary_datum_builds_each_point_cloud_once(monkeypatch):
+    # the cached quadrature points give the uncached average bit for bit,
+    # and each mask's points are built on its first evaluation only
+    dom = DirichletDomain(2, 4)
+
+    def f(t, pts):
+        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.cos(pts[..., 1])
+
+    x1, w1 = np.polynomial.legendre.leggauss(8)
+    x1, w1 = x1 * dom.mesh, w1 / w1.sum()
+    offsets = np.stack(np.meshgrid(x1, x1, indexing="ij"), axis=-1).reshape(-1, 2)
+    weights = np.repeat(w1, 8) * np.tile(w1, 8)
+
+    def uncached(t, mask):
+        return f(t, dom.points(mask)[:, None, :] + offsets[None, :, :]) @ weights
+
+    masks = (dom.boundary_mask, dom.interior_mask | dom.boundary_mask)
+    expected = [uncached(t, m) for t in (-0.5, -0.25, 0.0) for m in masks]
+    calls = []
+    points = DirichletDomain.points
+    monkeypatch.setattr(DirichletDomain, "points",
+                        lambda self, mask: calls.append(1) or points(self, mask))
+    g = smoothed_boundary_datum(f, dom)
+    got = [g(t, m.copy()) for t in (-0.5, -0.25, 0.0) for m in masks]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    assert len(calls) == len(masks)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gradphi.dynamics import SlopePath, stable_dt
+from gradphi.dynamics import (
+    SlopePath,
+    evolve_torus,
+    run_corrector,
+    run_stationary_periodic,
+    stable_dt,
+)
 from gradphi.homogenize import (
     build_two_scale,
     error_terms,
@@ -18,10 +24,20 @@ from gradphi.homogenize import (
     variance_with_jackknife,
     _edge_average,
 )
-from gradphi.lattice import DirichletDomain, SpaceTimeField, make_torus
+from gradphi.lattice import (
+    DirichletDomain,
+    SpaceTimeField,
+    forward_difference,
+    horizon_steps,
+    make_torus,
+)
 from gradphi.noise import NoiseSource
-from gradphi.parabolic import EffectiveGradient, solve_homogenized
-from gradphi.potential import quadratic, soft_quartic
+from gradphi.parabolic import (
+    EffectiveGradient,
+    solve_homogenized,
+    solve_linearized_corrector,
+)
+from gradphi.potential import kinked, quadratic, soft_quartic
 
 
 def test_tau_quadratic_centered_on_tilt():
@@ -140,6 +156,92 @@ def test_linearization_modulus_zero_gap():
     mod = linearization_modulus((0.2, 0.1), [(0.2, 0.1)], 6, soft_quartic(0.5),
                                 NoiseSource(seed=13), replicas=3)
     assert mod.residuals[0] <= 1e-14
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Record (step, number of replica streams) of every normal draw."""
+    seen = []
+    raw = NoiseSource.raw_normals
+
+    def counting(self, keys, step, channel=None, replicas=None, out_bits=None):
+        seen.append((step, 1 if replicas is None else len(replicas)))
+        return raw(self, keys, step, channel, replicas, out_bits)
+
+    monkeypatch.setattr(NoiseSource, "raw_normals", counting)
+    return seen
+
+
+def _linearization_reference(p, qs, L, V, src, replicas, d=2):
+    # one run per tilt and chunk of 16 replicas, then one corrector per
+    # replica and probe along the recorded p-trajectory
+    grid = make_torus(d, L)
+    dt = stable_dt(V, d)
+    t0, n_steps = horizon_steps(float(L * L), dt)
+    pv = np.asarray(p, dtype=float)
+    res = np.zeros((replicas, len(qs)))
+    for lo in range(0, replicas, 16):
+        ids = np.arange(lo, min(lo + 16, replicas))
+
+        def run(v):
+            return evolve_torus(grid, V, SlopePath.constant(v, t0), src, t0, n_steps,
+                                dt, np.zeros(grid.shape), replicas=ids,
+                                record_stride=1)[1]
+
+        rec_p = run(pv)
+        for iq, q in enumerate(np.asarray(qs, dtype=float)):
+            rec_q = run(q)
+            for b, rep in enumerate(ids):
+                traj = SpaceTimeField(grid, t0, dt, rec_p[:, b])
+                w = solve_linearized_corrector(traj, pv, q - pv, V)
+                diff = rec_q[:, b] - traj.values - w.values
+                acc = 0.0
+                for ax in range(d):
+                    acc += (forward_difference(diff, 1 + ax) ** 2).mean()
+                res[rep, iq] = np.sqrt(acc)
+    return res.mean(axis=0), res.std(axis=0, ddof=1) / np.sqrt(replicas)
+
+
+@pytest.mark.parametrize("V, p, qs, replicas, seed", [
+    (kinked(0.5), (0.3, 0.0), [(0.7, 0.0), (0.5, 0.0), (0.4, 0.0)], 18, 901),
+    (soft_quartic(0.5), (0.1, 0.0), [(0.2, 0.3), (0.6, 0.0)], 5, 31),
+])
+def test_linearization_modulus_one_pass_matches_per_probe_runs(draws, V, p, qs,
+                                                               replicas, seed):
+    # one time loop per chunk of replicas: bitwise the per-probe runs and
+    # per-replica correctors, with each increment drawn once
+    src = NoiseSource(seed=seed, replica=2)
+    mod = linearization_modulus(p, qs, 3, V, src, replicas)
+    n_steps = horizon_steps(9.0, stable_dt(V, 2))[1]
+    assert len(draws) == n_steps * -(-replicas // 16)
+    assert sum(n for _, n in draws) == n_steps * replicas
+    draws.clear()
+    residuals, stderr = _linearization_reference(p, qs, 3, V, src, replicas)
+    assert np.array_equal(mod.residuals, residuals)
+    assert np.array_equal(mod.stderr, stderr)
+    assert np.all(mod.residuals > 0)
+
+
+def test_slope_stability_shares_one_draw(draws):
+    # the two tilts step as one batch: one draw per step, and the same
+    # coupled distance as two separate runs on the same source
+    V = soft_quartic(0.5)
+    q1, q2 = (0.4, -0.2), (0.1, 0.3)
+    rep = slope_stability_check(q1, q2, 3, V, NoiseSource(seed=27))
+    n_steps = horizon_steps(9.0, stable_dt(V, 2))[1]
+    assert draws == [(k, 1) for k in range(-n_steps, 0)]
+    grid = make_torus(2, 3)
+    f1 = run_corrector(grid, 9.0, q1, V, NoiseSource(seed=27))
+    f2 = run_corrector(grid, 9.0, q2, V, NoiseSource(seed=27))
+    j0, j1 = f1.time_window(-1.0, 0.0)
+    box = grid.box_slices(1)
+    acc = 0.0
+    for j in range(j0, j1 + 1):
+        diff = f1.values[j] - f2.values[j]
+        for ax in range(2):
+            acc += (forward_difference(diff, ax)[box] ** 2).mean()
+    assert rep.lhs == np.sqrt(acc / (j1 - j0 + 1))
+    assert rep.lhs > 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +496,42 @@ def test_tabulate_effective_gradient_runs_in_the_given_dimension():
                            src.with_replica((i + 1) * 3), d=3)
         means.append(float(est.mean[0]))
     assert np.array_equal(Ds.table, np.maximum.accumulate(means))
+
+
+def _hessian_reference(p, L, V, replicas, src, d=2):
+    # one stationary run and d linearized correctors per replica
+    grid = make_torus(d, L)
+    pv = np.asarray(p, dtype=float)
+    r = L // 2
+    box = grid.box_slices(r)
+    entries = np.zeros((replicas, d, d))
+    for rep in range(replicas):
+        traj = run_stationary_periodic(grid, pv, V, src.with_replica(src.replica + rep),
+                                       horizon=float(L * L))
+        j0 = traj.slice_index(-float(r * r))
+        for i in range(d):
+            w = solve_linearized_corrector(traj, pv, np.eye(d)[i], V)
+            acc = np.zeros(d)
+            for j in range(j0, traj.nslices):
+                for ax in range(d):
+                    gphi = forward_difference(traj.values[j], ax) + pv[ax]
+                    gw = forward_difference(w.values[j], ax) + (1.0 if ax == i else 0.0)
+                    acc[ax] += (V.vpp(gphi)[box] * gw[box]).mean()
+            entries[rep, i] = acc / (traj.nslices - j0)
+    return entries.mean(axis=0), entries.std(axis=0, ddof=1) / np.sqrt(replicas)
+
+
+@pytest.mark.parametrize("V, p", [(soft_quartic(0.5), (0.2, -0.1)),
+                                  (kinked(0.5), (0.9, 0.0)),
+                                  (quadratic(), (0.0, 0.0))])
+def test_estimate_hessian_batch_matches_per_replica_runs(draws, V, p):
+    # the replicas run as one batch with the responses stepping along:
+    # bitwise the per-replica trajectories and correctors, one draw per step
+    src = NoiseSource(seed=43, replica=1)
+    est = estimate_hessian(p, 3, V, 4, src)
+    assert all(n == 4 for _, n in draws)
+    assert len(draws) == len({s for s, _ in draws})
+    draws.clear()
+    mean, se = _hessian_reference(p, 3, V, 4, src)
+    assert np.array_equal(est.matrix, mean)
+    assert np.array_equal(est.stderr, se)

@@ -86,3 +86,31 @@ def test_batched_replica_ids_count_from_the_source_replica():
         for r in range(2):
             solo = src.with_replica(5 + r).raw_normals(grid.site_keys, step)
             assert np.array_equal(batch[r], solo)
+
+
+def test_repeated_replica_ids_share_one_draw(monkeypatch):
+    # coupled members with the same replica id get the rows of the
+    # distinct-id draw, and each distinct id is drawn once per step
+    grid = make_torus(2, 3)
+    src = NoiseSource(seed=19).with_replica(4)
+    distinct = np.array([2, 0, 5])
+    ref = MeanSubtractedNoise(src, grid.site_keys, distinct, 2)
+    expected = {step: ref(step).copy() for step in (0, 3, -2)}
+
+    drawn = []
+    raw = NoiseSource.raw_normals
+
+    def counting(self, keys, step, channel=None, replicas=None, out_bits=None):
+        drawn.append((step, tuple(replicas)))
+        return raw(self, keys, step, channel, replicas, out_bits)
+
+    monkeypatch.setattr(NoiseSource, "raw_normals", counting)
+    ids = np.tile(distinct, 3)
+    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    for step, g_ref in expected.items():
+        g = noise(step)
+        assert g.shape == (len(ids),) + grid.shape
+        for b, rep in enumerate(ids):
+            assert np.array_equal(g[b], g_ref[list(distinct).index(rep)])
+    assert [s for s, _ in drawn] == list(expected)
+    assert all(sorted(reps) == sorted(distinct) for _, reps in drawn)
