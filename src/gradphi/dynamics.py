@@ -1,11 +1,13 @@
 """Stochastic integrators for the lattice Langevin dynamics.
 
-Two explicit Euler-Maruyama steppers, both built on the stencil of
-`lattice`: `evolve_torus` drives the periodic interface dynamic with
-(possibly time-dependent) tilt and the Gaussian free-field dynamic, and
-`run_dirichlet` drives the Dirichlet dynamic for the rescaled
-boundary-value problem.  The step is dt = 1/(8 d c+), at which the drift is
-contractive and the explicit scheme preserves the maximum principle.
+Two drift kernels on the stencil of `lattice`, both stepped by the
+explicit Euler-Maruyama loop `lattice.time_loop`: `evolve_torus` drives the
+periodic interface dynamic with (possibly time-dependent) tilt and the
+Gaussian free-field dynamic, and `run_dirichlet` drives the Dirichlet
+dynamic for the rescaled boundary-value problem.  The step is
+dt = 1/(8 d c+), at which the drift is contractive and the explicit scheme
+preserves the maximum principle; `_check_dt` enforces it for every solver
+that takes a step from its caller.
 
 Noise is addressed by absolute step index and absolute site coordinates, so
 trajectories driven by the same NoiseSource are coupled pathwise whether or
@@ -21,7 +23,6 @@ import numpy as np
 
 from .lattice import (
     DirichletDomain,
-    EdgeTrajectory,
     SpaceTimeField,
     TorusGrid,
     dirichlet_divergence,
@@ -29,6 +30,7 @@ from .lattice import (
     forward_difference,
     horizon_steps,
     shift,
+    time_loop,
 )
 from .noise import MeanSubtractedNoise, NoiseSource
 from .potential import Potential, quadratic
@@ -40,6 +42,12 @@ def stable_dt(V: Potential | float, d: int) -> float:
     a bound c+ on the coefficients of a linear equation."""
     c_plus = V.c_plus if isinstance(V, Potential) else V
     return 1.0 / (8.0 * d * c_plus)
+
+
+def _check_dt(dt: float, d: int, c_plus: float):
+    cap = stable_dt(c_plus, d)
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt={dt} violates the stability bound {cap}")
 
 
 @dataclass(frozen=True)
@@ -169,28 +177,21 @@ def evolve_torus(
     keys, ids = (grid.site_keys, replicas) if batch_keys is None else (batch_keys, np.arange(1))
     noise = MeanSubtractedNoise(src, keys, ids, d) if src is not None else None
 
-    k0 = int(round(t0 / dt))
-    sq = np.sqrt(2.0 * dt)
     drift = np.empty_like(state)
     gbuf = np.empty_like(state)
 
-    recorded = None
-    if record_stride is not None:
-        n_rec = n_steps // record_stride + 1
-        recorded = np.empty((n_rec,) + state.shape, dtype=np.float64)
-        recorded[0] = state
-
     # The drift accumulates `+= f; -= shift(f)`, not `+= f - shift(f)` as the
     # Dirichlet and deterministic solvers do: the two orders round
-    # differently, so merging the steppers would change every trajectory.
+    # differently, so merging the kernels would change every trajectory.
     # shift() allocates a fresh array each step on purpose: writing into
     # preallocated buffers gives the same bits but costs far more page faults.
-    for k in range(n_steps):
-        q = slope.at(t0 + k * dt) if slope is not None else None
+    def torus_drift(k, t, phi):
+        nonlocal drift, gbuf
+        q = slope.at(t) if slope is not None else None
         drift.fill(0.0)
         for ax in range(d):
             a = 1 + ax
-            forward_difference(state, a, out=gbuf)
+            forward_difference(phi, a, out=gbuf)
             if q is not None:
                 if q.ndim == 2:  # per-window slopes, broadcast over space
                     gbuf += q[:, ax].reshape((-1,) + (1,) * d)
@@ -199,13 +200,10 @@ def evolve_torus(
             f = V.vp(gbuf)
             drift += f
             drift -= shift(f, a, 1)
-        state += dt * drift
-        if noise is not None:
-            state += sq * noise(k0 + k).reshape(state.shape)
-        if on_step is not None:
-            on_step(k, t0 + (k + 1) * dt, state)
-        if recorded is not None and (k + 1) % record_stride == 0:
-            recorded[(k + 1) // record_stride] = state
+        return drift
+
+    recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
+                         on_step=on_step, record_stride=record_stride)
     return state, recorded
 
 
@@ -230,8 +228,7 @@ def run_corrector(
     spatial sum for symmetric potentials.
     """
     dt = stable_dt(V, grid.dim) if dt is None else dt
-    if dt > stable_dt(V, grid.dim) * (1 + 1e-12):
-        raise ValueError("time step violates the stability rule")
+    _check_dt(dt, grid.dim, V.c_plus)
     t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, grid.dim, t_start=t0)
     if not path.covers(t0, 0.0):
@@ -268,10 +265,11 @@ def run_gff_dynamic(
     horizon: float,
     src: NoiseSource,
     replicas: np.ndarray,
-    record_stride: int = 1,
-) -> np.ndarray:
+    record_stride: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Stationary free-field dynamic on (-horizon, 0): GFF initial data plus
-    quadratic drift; the stacked trajectories, shape (slices, B, *shape).
+    quadratic drift.  Returns (final, recorded) as `evolve_torus` does: the
+    states at t = 0, shape (B, *shape), and every record_stride-th slice.
 
     The initial slice comes from tag 1 of the initial-condition noise
     channel, so it is independent of the driving increments.
@@ -280,9 +278,8 @@ def run_gff_dynamic(
     dt = stable_dt(V, grid.dim)
     t0, n_steps = horizon_steps(horizon, dt)
     init = sample_gff(grid, src, replicas, tag=1)
-    _, rec = evolve_torus(grid, V, None, src, t0, n_steps, dt, init,
-                          replicas=replicas, record_stride=record_stride)
-    return rec
+    return evolve_torus(grid, V, None, src, t0, n_steps, dt, init,
+                        replicas=replicas, record_stride=record_stride)
 
 
 def stationary_start(
@@ -334,35 +331,6 @@ def run_stationary_periodic(
     _, rec = evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
                           replicas=one, record_stride=record_stride)
     return SpaceTimeField(grid, t_keep, dt * record_stride, rec[:, 0])
-
-
-# 8-point Gauss-Legendre on [0, 1]
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL8_X = 0.5 * (_GL8_X + 1.0)
-_GL8_W = 0.5 * _GL8_W
-
-
-def difference_environment(u: SpaceTimeField, v: SpaceTimeField, V: Potential) -> EdgeTrajectory:
-    """Coefficient field a(t,e) = int_0^1 V''(s grad v + (1-s) grad u) ds.
-
-    Values are clamped into [c-, c+], which only removes quadrature
-    roundoff.
-    """
-    if u.values.shape != v.values.shape or abs(u.t0 - v.t0) > 1e-12 or abs(u.dt - v.dt) > 1e-12:
-        raise ValueError("fields must share cylinder and time grid")
-    grid: TorusGrid = u.grid
-    d = grid.dim
-    n = u.nslices
-    out = np.empty((n,) + (d,) + grid.shape)
-    for j in range(n):
-        for ax in range(d):
-            gu = forward_difference(u.values[j], ax)
-            gv = forward_difference(v.values[j], ax)
-            acc = np.zeros(grid.shape)
-            for s, w in zip(_GL8_X, _GL8_W):
-                acc += w * V.vpp(s * gv + (1.0 - s) * gu)
-            out[j, ax] = np.clip(acc, V.c_minus, V.c_plus)
-    return EdgeTrajectory(grid, u.t0, u.dt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +399,6 @@ def run_dirichlet(
     d = dom.dim
     dt_unit = stable_dt(V, d) if dt_unit is None else dt_unit
     t0_unit, n_steps = horizon_steps(1.0 / (eps * eps), dt_unit)
-    k0 = int(round(t0_unit / dt_unit))
 
     datum = smoothed_boundary_datum(f, dom)
     interior = dom.interior_mask
@@ -440,32 +407,27 @@ def run_dirichlet(
 
     # initial slice: averaged datum everywhere (interior + boundary), in
     # unit-lattice amplitude
-    shape = (len(replicas),) + dom.shape
-    state = np.zeros(shape)
+    state = np.zeros((len(replicas),) + dom.shape)
     state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
     noise = MeanSubtractedNoise(src, dom.site_keys, replicas, d) if src is not None else None
-    sq = np.sqrt(2.0 * dt_unit)
+    drift = np.zeros_like(state)
 
-    if record_stride is None:
-        record_stride = max(n_steps // 256, 1)
-    n_rec = n_steps // record_stride + 1
-    recorded = np.empty((n_rec,) + shape)
-    recorded[0] = state * eps
-
-    drift = np.zeros(shape)
-    for k in range(n_steps):
+    def dirichlet_drift(k, t, u):
+        nonlocal drift
         drift.fill(0.0)
         for ax in range(1, 1 + d):
-            flux = V.vp(dirichlet_forward_difference(state, ax))
+            flux = V.vp(dirichlet_forward_difference(u, ax))
             drift += dirichlet_divergence(flux, ax)
-        state[:, interior] += dt_unit * drift[:, interior]
-        if noise is not None:
-            state[:, interior] += sq * noise(k0 + k)[:, interior]
-        t_next = (t0_unit + (k + 1) * dt_unit) * eps * eps
-        state[:, boundary] = datum(t_next, boundary) / eps
-        if on_step is not None:
-            on_step(k, t_next, state)
-        if (k + 1) % record_stride == 0:
-            recorded[(k + 1) // record_stride] = state * eps
+        return drift
+
+    # the loop runs in unit time; the datum and on_step see macroscopic time
+    pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
+    step = None if on_step is None else (lambda k, t, u: on_step(k, t * eps * eps, u))
+    if record_stride is None:
+        record_stride = max(n_steps // 256, 1)
+    recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
+                         mask=interior, noise=noise, pin=pin, on_step=step,
+                         record_stride=record_stride)
+    recorded *= eps
     return recorded

@@ -484,9 +484,7 @@ def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentRe
     grid = make_torus(d, L)
     src = NoiseSource(seed=seed)
     T = float(L * L) / 2.0
-    rec = run_gff_dynamic(grid, T, src, replicas=np.arange(replicas),
-                          record_stride=10**9)
-    final = rec[-1]
+    final, _ = run_gff_dynamic(grid, T, src, replicas=np.arange(replicas))
     center = final[(slice(None),) + (grid.radius,) * d]
     rows, criteria = [], {}
     offsets = [[0] * d, [1] + [0] * (d - 1), [1, 1] + [0] * (d - 2)]

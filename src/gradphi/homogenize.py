@@ -41,7 +41,7 @@ from .lattice import (
 )
 from .noise import NoiseSource
 from .norms import hminus1_par_multiscale, lp_norm
-from .parabolic import EffectiveGradient, linearized_corrector_step
+from .parabolic import EffectiveGradient, linearized_corrector_drift
 from .potential import Potential
 
 
@@ -312,7 +312,7 @@ def estimate_hessian(
 
     def on_step(k, t, phi):
         nonlocal w
-        w = linearized_corrector_step(w, env, eye, dt, bufs)
+        w += dt * linearized_corrector_drift(w, env, eye, bufs)
         measure(k + 1, phi)
 
     measure(0, state)
@@ -614,7 +614,7 @@ def linearization_modulus(
             # before the update that produced `state`
             nonlocal w
             members = state.reshape((1 + m, b) + grid.shape)
-            w = linearized_corrector_step(w, env, xi, dt, bufs)
+            w += dt * linearized_corrector_drift(w, env, xi, bufs)
             out = diff[:, :, k + 1]
             np.subtract(members[1:], members[0], out=out)
             out -= w

@@ -9,7 +9,8 @@ grid (`TimeGrid`) and snap query times to the nearest slice.
 Every lattice difference and divergence of the package is one of the
 stencil functions below: the periodic shift, forward difference and
 backward divergence, and their Dirichlet forms, which read zero across the
-far face.
+far face.  Every solver steps through the one explicit time loop,
+`time_loop`, and supplies only its drift.
 
 Site indexing is row-major over {-L..L}^d.  Edge fields store the value on
 the positively oriented edge (x, x+e_i) at index [i, x]; antisymmetry is
@@ -396,6 +397,57 @@ def nonlinear_div(V, q, u: np.ndarray, x) -> float:
     """Pointwise value of the uniformly convex elliptic operator at site x."""
     return float(nonlinear_div_field(V, np.asarray(q, dtype=float), u)[
         tuple((np.asarray(x) + (u.shape[0] - 1) // 2) % u.shape[0])])
+
+
+# ---------------------------------------------------------------------------
+# explicit time loop
+# ---------------------------------------------------------------------------
+
+def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
+              mask: np.ndarray | None = None, noise=None, pin=None, on_step=None,
+              record_stride: int | None = None) -> np.ndarray | None:
+    """Explicit Euler(-Maruyama) loop shared by every solver; advances
+    `state` in place.
+
+    Step k starts at t = t0 + k dt and, with t' = t0 + (k + 1) dt and the
+    absolute step index k0 = round(t0 / dt), does
+
+        state += dt * drift(k, t, state)          (masked sites only)
+        state += sqrt(2 dt) * noise(k0 + k)       (masked sites only)
+        state[..., pin_mask] = pin_values(t')     with pin = (pin_mask, pin_values)
+        on_step(k, t', state)
+
+    `mask` and `pin_mask` cover the trailing spatial axes; leading batch
+    axes are shared.  The noise draw is reshaped to the state's shape.
+    Returns every record_stride-th state (the initial one first), stacked,
+    or None without a stride.
+    """
+    recorded = None
+    if record_stride is not None:
+        recorded = np.empty((n_steps // record_stride + 1,) + state.shape)
+        recorded[0] = state
+    k0 = int(round(t0 / dt))
+    sq = np.sqrt(2.0 * dt)
+    for k in range(n_steps):
+        du = drift(k, t0 + k * dt, state)
+        if mask is None:
+            state += dt * du
+        else:
+            state[..., mask] += dt * du[..., mask]
+        # the draw is not bound to a name: holding it into the next step
+        # changes the allocation pattern and costs page faults
+        if noise is not None and mask is None:
+            state += sq * noise(k0 + k).reshape(state.shape)
+        elif noise is not None:
+            state[..., mask] += sq * noise(k0 + k).reshape(state.shape)[..., mask]
+        t_next = t0 + (k + 1) * dt
+        if pin is not None:
+            state[..., pin[0]] = pin[1](t_next)
+        if on_step is not None:
+            on_step(k, t_next, state)
+        if recorded is not None and (k + 1) % record_stride == 0:
+            recorded[(k + 1) // record_stride] = state
+    return recorded
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Deterministic discrete parabolic solvers.
 
-All solvers step explicitly in time with the same stability rule as the
-stochastic integrators (dt <= 1/(8 d c+)), so deterministic and stochastic
+Each solver supplies a drift kernel to the explicit loop
+`lattice.time_loop` that also steps the stochastic integrators, under the
+same stability rule (dt <= 1/(8 d c+)), so deterministic and stochastic
 trajectories can be coupled exactly.  The periodic heat kernel is started
 from a mean-zero point mass; superposing kernel tables realizes the
 representation formula for forced equations, and the same stepping solves
-the linearized equation along a recorded trajectory.
+the linearized equation along a recorded trajectory
+(`linearized_corrector_drift`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import smoothed_boundary_datum, stable_dt
+from .dynamics import _check_dt, smoothed_boundary_datum, stable_dt
 from .lattice import (
     DirichletDomain,
     EdgeTrajectory,
@@ -27,6 +29,7 @@ from .lattice import (
     forward_difference,
     forward_gradients,
     shift,
+    time_loop,
 )
 from .potential import Potential
 
@@ -45,12 +48,6 @@ def _static_env(a, grid: TorusGrid) -> np.ndarray:
     if a.shape != shape:
         raise ValueError("static environment must have shape (dim, *grid.shape)")
     return a
-
-
-def _check_dt(dt: float, d: int, c_plus: float):
-    cap = stable_dt(c_plus, d)
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={dt} violates the stability bound {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +161,13 @@ def solve_linear_parabolic(
     _check_dt(dt, grid.dim, c_plus)
     d = grid.dim
     u = np.zeros(grid.shape) if init is None else np.array(init, dtype=float, copy=True)
-    out = np.empty((n_steps // record_stride + 1,) + grid.shape)
-    out[0] = u
-
     a = _static_env(a, grid)
     F = edge_forcing
     if F is not None and not isinstance(F, EdgeTrajectory):
         F = np.broadcast_to(np.asarray(F, dtype=float).reshape((d,) + (1,) * d),
                             (d,) + grid.shape)
 
-    for k in range(n_steps):
-        t = t0 + k * dt
+    def linear_drift(k, t, u):
         du = divergence_field(a * forward_gradients(u))
         if isinstance(F, EdgeTrajectory):
             du += divergence_field(F.at_clamped(t))
@@ -182,20 +175,21 @@ def solve_linear_parabolic(
             du += divergence_field(F)
         if site_forcing is not None:
             du += site_forcing.at(t)
-        u = u + dt * du
-        if (k + 1) % record_stride == 0:
-            out[(k + 1) // record_stride] = u
+        return du
+
+    out = time_loop(u, linear_drift, t0, dt, n_steps, record_stride=record_stride)
     return SpaceTimeField(grid, t0, dt * record_stride, out)
 
 
-def linearized_corrector_step(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
-                              dt: float, bufs) -> np.ndarray:
-    """One explicit step of dw/dt = div(a grad w) + div(a xi), batched.
+def linearized_corrector_drift(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
+                               bufs) -> np.ndarray:
+    """The drift div(a grad w) + div(a xi) of the linearized equation, batched.
 
     w has shape (m, B, *shape): m tilt directions xi (shape (m, d)) times B
     environments.  env, shape (B, d, *shape), holds a(t, e) at the start of
     the step and is shared by the m directions.  `bufs` holds three scratch
-    arrays of w's shape.  Returns the new w; mean-zero w stays mean-zero.
+    arrays of w's shape; the drift is returned in the last one.  An explicit
+    step is `w += dt * drift`; mean-zero w stays mean-zero.
     """
     flux, shifted, du = bufs
     lead = (-1,) + (1,) * (w.ndim - 1)
@@ -213,7 +207,7 @@ def linearized_corrector_step(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
         flux *= env[:, ax]
         du += flux
         du -= shift(flux, a, 1, out=shifted)
-    return w + dt * du
+    return du
 
 
 def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> SpaceTimeField:
@@ -238,12 +232,9 @@ def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> Spac
         env[:, ax] = V.vpp(forward_difference(phi.values[:-1], 1 + ax) + pv[ax])
     w = np.zeros((1, 1) + grid.shape)
     bufs = tuple(np.empty_like(w) for _ in range(3))
-    out = np.empty_like(phi.values)
-    out[0] = w[0, 0]
-    for j in range(n - 1):
-        w = linearized_corrector_step(w, env[j:j + 1], xi[None], dt, bufs)
-        out[j + 1] = w[0, 0]
-    return SpaceTimeField(grid, phi.t0, dt, out)
+    out = time_loop(w, lambda k, t, w: linearized_corrector_drift(w, env[k:k + 1], xi[None], bufs),
+                    phi.t0, dt, n - 1, record_stride=1)
+    return SpaceTimeField(grid, phi.t0, dt, out[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +321,9 @@ def solve_homogenized(
 
     if record_stride is None:
         record_stride = max(n_steps // 256, 1)
-    out = np.empty((n_steps // record_stride + 1,) + dom.shape)
-    out[0] = u
-
-    for k in range(n_steps):
-        du = homogenized_operator(Dsigma, u, eps)
-        u[interior] += dt * du[interior]
-        t_next = -1.0 + (k + 1) * dt
-        u[boundary] = datum(t_next, boundary)
-        if (k + 1) % record_stride == 0:
-            out[(k + 1) // record_stride] = u
+    out = time_loop(u, lambda k, t, u: homogenized_operator(Dsigma, u, eps), -1.0, dt,
+                    n_steps, mask=interior, pin=(boundary, lambda t: datum(t, boundary)),
+                    record_stride=record_stride)
     return SpaceTimeField(dom, -1.0, dt * record_stride, out)
 
 

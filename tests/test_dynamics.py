@@ -7,12 +7,12 @@ from gradphi.lattice import (
     ParabolicCylinder,
     cylinder_average,
     forward_difference,
+    horizon_steps,
     make_torus,
     shift,
 )
 from gradphi.dynamics import (
     SlopePath,
-    difference_environment,
     evolve_torus,
     run_corrector,
     run_dirichlet,
@@ -23,7 +23,7 @@ from gradphi.dynamics import (
     stable_dt,
 )
 from gradphi.noise import NoiseSource
-from gradphi.potential import kinked, quadratic, soft_quartic
+from gradphi.potential import quadratic, soft_quartic
 
 
 def test_zero_horizon_gives_zero_field():
@@ -229,9 +229,7 @@ def test_gff_dynamic_stays_mean_zero_and_stationary():
     grid = make_torus(2, 4)
     reps = np.arange(2000)
     T = 8.0  # L^2 / 2
-    rec = run_gff_dynamic(grid, T, NoiseSource(seed=8), replicas=reps,
-                          record_stride=10**9)
-    final = rec[-1]
+    final, _ = run_gff_dynamic(grid, T, NoiseSource(seed=8), replicas=reps)
     means = final.mean(axis=(1, 2))
     assert np.max(np.abs(means)) < 1e-9
     # stationarity: covariance at T matches the free-field covariance
@@ -244,14 +242,31 @@ def test_gff_dynamic_stays_mean_zero_and_stationary():
         assert abs(emp - oracle) <= 4 * se
 
 
+def test_gff_dynamic_returns_the_state_at_time_zero():
+    # the final state is the free-field dynamic run from the tag-1 sample,
+    # not the sample itself
+    grid = make_torus(2, 3)
+    reps = np.arange(5)
+    src = NoiseSource(seed=8)
+    final, rec = run_gff_dynamic(grid, 4.0, src, replicas=reps)
+    assert rec is None
+    V = quadratic()
+    dt = stable_dt(V, 2)
+    t0, n_steps = horizon_steps(4.0, dt)
+    init = sample_gff(grid, src, reps, tag=1)
+    ref, _ = evolve_torus(grid, V, None, src, t0, n_steps, dt, init, replicas=reps)
+    assert np.array_equal(final, ref)
+    assert not np.allclose(final, init)
+
+
 def test_gff_mode_autocorrelation_decays_at_spectral_rate():
     # fitted per-mode decay rate within 10% of the step-corrected rate
     grid = make_torus(2, 4)
     reps = np.arange(2000)
     dt = stable_dt(quadratic(), 2)
     T = 12.0
-    rec = run_gff_dynamic(grid, T, NoiseSource(seed=9), replicas=reps,
-                          record_stride=8)
+    _, rec = run_gff_dynamic(grid, T, NoiseSource(seed=9), replicas=reps,
+                             record_stride=8)
     # rec: (nrec, B, N, N); modes via FFT over space
     modes = np.fft.fftn(rec, axes=(2, 3))
     lam = spectral.laplacian_eigenvalues(grid)
@@ -316,38 +331,6 @@ def test_stationary_windows_agree():
     gap = abs(a_vals.mean() - b_vals.mean())
     se = np.sqrt(a_vals.var(ddof=1) / reps + b_vals.var(ddof=1) / reps)
     assert gap <= 4 * se
-
-
-def test_difference_environment_quadratic_is_one():
-    grid = make_torus(2, 3)
-    V = quadratic()
-    u = run_corrector(grid, 2.0, None, V, NoiseSource(seed=30))
-    v = run_corrector(grid, 2.0, (0.4, 0.0), V, NoiseSource(seed=31))
-    env = difference_environment(u, v, V)
-    assert np.allclose(env.values, 1.0, atol=1e-14)
-
-
-def test_difference_environment_collapses_when_equal():
-    grid = make_torus(2, 3)
-    V = soft_quartic(0.5)
-    u = run_corrector(grid, 2.0, None, V, NoiseSource(seed=32))
-    env = difference_environment(u, u, V)
-    # degenerate integral: a(t, e) = V''(grad u(t, e))
-    j = u.nslices - 1
-    g0 = np.roll(u.values[j], -1, axis=0) - u.values[j]
-    assert np.allclose(env.values[j, 0], V.vpp(g0), atol=1e-12)
-    assert env.values.min() >= V.c_minus - 1e-12
-    assert env.values.max() <= V.c_plus + 1e-12
-
-
-def test_difference_environment_kinked_bounds():
-    grid = make_torus(2, 3)
-    V = kinked(0.5)
-    u = run_corrector(grid, 2.0, None, V, NoiseSource(seed=33))
-    v = run_corrector(grid, 2.0, (0.3, 0.3), V, NoiseSource(seed=34))
-    env = difference_environment(u, v, V)
-    assert env.values.min() >= V.c_minus - 1e-12
-    assert env.values.max() <= V.c_plus + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from gradphi.lattice import (
     partition_cells,
     shift,
     standard_cylinder,
+    time_loop,
 )
 from gradphi.potential import quadratic, soft_quartic
 
@@ -280,3 +281,77 @@ def test_dirichlet_stencil_equals_diff_and_pad():
             grad_a[tuple(face)] = np.nan
             assert np.array_equal(dirichlet_divergence(grad_a, ax),
                                   np.pad(diff, far) - np.pad(diff, near))
+
+
+# ---------------------------------------------------------------------------
+# explicit time loop
+# ---------------------------------------------------------------------------
+
+def _loop_state():
+    return np.random.default_rng(7).normal(size=(2, 5, 5))
+
+
+def test_time_loop_records_what_on_step_saw():
+    seen, times = {}, []
+    stride = 3
+
+    def drift(k, t, u):
+        times.append(t)
+        return np.sin(u) + k
+
+    def on_step(k, t, u):
+        seen[k] = (t, u.copy())
+
+    u = _loop_state()
+    init = u.copy()
+    t0, dt = -1.0, 0.1
+    rec = time_loop(u, drift, t0, dt, 10, on_step=on_step, record_stride=stride)
+    assert rec.shape == (10 // stride + 1,) + u.shape
+    assert np.array_equal(rec[0], init)
+    for j in range(1, len(rec)):
+        assert np.array_equal(rec[j], seen[j * stride - 1][1])
+    assert np.array_equal(u, seen[9][1])
+    assert times == [t0 + k * dt for k in range(10)]
+    assert [seen[k][0] for k in range(10)] == [t0 + (k + 1) * dt for k in range(10)]
+
+
+def test_time_loop_masked_sites_change_only_through_the_pin():
+    rng = np.random.default_rng(8)
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    pin_mask = np.zeros((5, 5), dtype=bool)
+    pin_mask[0, 1:-1] = True
+    pin_values = np.arange(3.0)
+    u = _loop_state()
+    init = u.copy()
+    time_loop(u, lambda k, t, u: rng.normal(size=u.shape), 0.0, 0.01, 6, mask=mask,
+              noise=lambda step: rng.normal(size=u.shape),
+              pin=(pin_mask, lambda t: pin_values * t), record_stride=None)
+    rest = ~(mask | pin_mask)
+    assert np.array_equal(u[:, rest], init[:, rest])
+    assert np.array_equal(u[:, pin_mask], np.broadcast_to(pin_values * (6 * 0.01), (2, 3)))
+    assert np.all(u[:, mask] != init[:, mask])
+
+
+def test_time_loop_draws_noise_at_the_absolute_step():
+    steps = []
+
+    def noise(step):
+        steps.append(step)
+        return np.full(25, float(step))  # reshaped to the state's shape
+
+    u = np.zeros((1, 5, 5))
+    dt = 0.02
+    # the absolute step index counts from round(t0 / dt)
+    time_loop(u, lambda k, t, u: np.zeros_like(u), -5 * dt, dt, 5, noise=noise)
+    assert steps == [-5, -4, -3, -2, -1]
+    expected = 0.0
+    for step in steps:
+        expected += np.sqrt(2.0 * dt) * step
+    assert np.array_equal(u, np.full(u.shape, expected))
+
+
+def test_time_loop_without_stride_records_nothing():
+    u = _loop_state()
+    assert time_loop(u, lambda k, t, u: -u, 0.0, 0.1, 4, record_stride=None) is None
+    assert np.allclose(u, _loop_state() * 0.9**4, rtol=1e-14, atol=0.0)
