@@ -20,8 +20,10 @@ from gradphi.parabolic import EffectiveGradient, solve_homogenized
 from gradphi.potential import quadratic
 
 
-def datum(t, pts):
-    return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+def datum(pts):
+    """exp(t) sin(pi x) sin(pi y), with the spatial factors bound once."""
+    s0, s1 = np.sin(np.pi * pts[..., 0]), np.sin(np.pi * pts[..., 1])
+    return lambda t: np.exp(t) * s0 * s1
 
 
 V = quadratic()

@@ -42,6 +42,11 @@ CASES = [
                     "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}),
     ("hydro", "zero", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2, "f": {"name": "affine"},
                        "zero_noise": True, "seed": 9}),
+    ("hydro", "zero-datum", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2, "f": {"name": "zero"},
+                             "seed": 16}),
+    ("hydro", "affine", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2,
+                         "f": {"name": "affine", "coefficients": [0.5, 0.25]},
+                         "gradient_diagnostic": {"epsilons": [0.25], "replicas": 1}, "seed": 17}),
     ("hydro", "table", {"potential": SQ, "epsilons": [0.25, 0.125, 0.0625], "replicas": 2, "f": {"name": "sine_product"},
                         "effective_table": {"knots": [0.0, 0.5, 1.0, 1.5], "values": [0.0, 0.6, 1.3, 2.2]},
                         "gradient_diagnostic": {"epsilons": [0.25], "replicas": 1}, "seed": 10}),

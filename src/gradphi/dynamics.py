@@ -340,11 +340,13 @@ def run_stationary_periodic(
 def smoothed_boundary_datum(f, dom: DirichletDomain):
     """Return g(t, mask) evaluating the local average of f at masked sites.
 
-    The datum is averaged over the cube of half-width one mesh around each
-    site with a fixed 8-point tensor Gauss-Legendre rule, normalized so
-    constants are reproduced exactly.  The quadrature points of a mask are
-    built on its first evaluation and reused, so `f` must not write to its
-    points argument.
+    A boundary datum is bound to its points once: `f(points)` takes points
+    of shape (..., d) in the unit cube and returns `t -> values` of shape
+    points.shape[:-1], so the spatial work is done at binding time.  The
+    datum is averaged over the cube of half-width one mesh around each site
+    with a fixed 8-point tensor Gauss-Legendre rule, normalized so
+    constants are reproduced exactly.  Each mask binds `f` to its quadrature
+    points on its first evaluation; later evaluations reuse the binding.
     """
     eps = dom.mesh
     nodes = 8
@@ -358,14 +360,14 @@ def smoothed_boundary_datum(f, dom: DirichletDomain):
             np.repeat(w1, nodes ** (dom.dim - ax - 1)), nodes**ax
         )
 
-    clouds = {}  # mask bytes -> quadrature points (M, nodes^d, d)
+    bound = {}  # mask bytes -> f bound to the quadrature points (M, nodes^d, d)
 
     def g(t: float, mask: np.ndarray) -> np.ndarray:
         key = mask.tobytes()
-        cloud = clouds.get(key)
-        if cloud is None:
-            cloud = clouds[key] = dom.points(mask)[:, None, :] + offsets[None, :, :]
-        return f(t, cloud) @ weights
+        at = bound.get(key)
+        if at is None:
+            at = bound[key] = f(dom.points(mask)[:, None, :] + offsets[None, :, :])
+        return at(t) @ weights
 
     return g
 
@@ -386,8 +388,8 @@ def run_dirichlet(
     (-1/eps^2, 0) and returns u(t, x) = eps U(t/eps^2, x/eps), which solves
     the mesh-eps system with noise amplitude sqrt(2) eps; macroscopic times
     live in (-1, 0).  Boundary sites (and the initial slice) are pinned to
-    the locally averaged datum f at every step.  `f(t, points)` must accept
-    points of shape (..., d) in the unit cube.
+    the locally averaged datum f at every step; `f` is a boundary datum as
+    `smoothed_boundary_datum` takes it, `f(points) -> (t -> values)`.
 
     The B replica streams of `replicas` (ids counted from `src.replica`)
     advance together; the recorded array has shape (slices, B, *dom.shape)
@@ -401,9 +403,8 @@ def run_dirichlet(
     t0_unit, n_steps = horizon_steps(1.0 / (eps * eps), dt_unit)
 
     datum = smoothed_boundary_datum(f, dom)
-    interior = dom.interior_mask
     boundary = dom.boundary_mask
-    all_mask = interior | boundary
+    all_mask = dom.interior_mask | boundary
 
     # initial slice: averaged datum everywhere (interior + boundary), in
     # unit-lattice amplitude
@@ -427,7 +428,7 @@ def run_dirichlet(
     if record_stride is None:
         record_stride = max(n_steps // 256, 1)
     recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
-                         mask=interior, noise=noise, pin=pin, on_step=step,
+                         mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
                          record_stride=record_stride)
     recorded *= eps
     return recorded

@@ -178,16 +178,31 @@ def _jsonable(obj):
 # boundary data library
 # ---------------------------------------------------------------------------
 
+# A boundary datum binds its points once: f(points) -> (t -> values), with
+# points of shape (..., d) in the unit cube and values of shape
+# points.shape[:-1].  The spatial factors are computed at binding time.
+
 def _zero_datum():
-    return lambda t, pts: np.zeros(pts.shape[:-1])
+    def f(pts):
+        zeros = np.zeros(pts.shape[:-1])
+        return lambda t: zeros
+
+    return f
 
 
 def _sine_product():
-    def f(t, pts):
-        out = np.exp(t)
-        for ax in range(pts.shape[-1]):
-            out = out * np.sin(np.pi * pts[..., ax])
-        return out
+    def f(pts):
+        factors = [np.sin(np.pi * pts[..., ax]) for ax in range(pts.shape[-1])]
+
+        def at(t):
+            # exp(t) first, then the factors in axis order: the rounding of
+            # exp(t) * sin(pi x_1) * ... * sin(pi x_d) evaluated left to right
+            out = np.exp(t)
+            for s in factors:
+                out = out * s
+            return out
+
+        return at
 
     return f
 
@@ -195,18 +210,20 @@ def _sine_product():
 def _affine(coefficients=(0.3, -0.2)):
     coeffs = np.asarray(coefficients, dtype=float)
 
-    def g(t, pts):
-        return pts @ coeffs[: pts.shape[-1]]
+    def f(pts):
+        values = pts @ coeffs[: pts.shape[-1]]
+        return lambda t: values
 
-    return g
+    return f
 
 
 BOUNDARY_DATA = {"zero": _zero_datum, "sine_product": _sine_product, "affine": _affine}
 
 
 def boundary_datum(spec: dict):
-    """f(t, points) from a block like {"name": "affine", "coefficients": [...]}:
-    the other keys are bound to the parameters of BOUNDARY_DATA[name]."""
+    """The datum f(points) -> (t -> values) of a block like {"name": "affine",
+    "coefficients": [...]}: the other keys are bound to the parameters of
+    BOUNDARY_DATA[name]."""
     params = dict(spec) if isinstance(spec, dict) else {}
     name = params.pop("name", None)
     if name not in BOUNDARY_DATA:

@@ -790,8 +790,12 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float,
     remainder = np.zeros((n_slices, d) + dom.shape)
     times = ubar.times
 
-    for i, (traj, z_y) in enumerate(zip(correctors, origins)):
-        overlap = _box_overlap(traj.grid, z_y, dom)
+    # the geometry does not depend on the slice: one overlap per corrector,
+    # one edge average per corrector and axis
+    overlaps = [_box_overlap(traj.grid, z_y, dom) for traj, z_y in zip(correctors, origins)]
+    chi_edges = [[_edge_average(chi_i, ax) for ax in range(d)] for chi_i in chi]
+
+    for i, (traj, overlap) in enumerate(zip(correctors, overlaps)):
         if overlap is None:
             continue
         dom_sel, box_sel = overlap
@@ -805,11 +809,11 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float,
         t = times[j]
         for ax in range(d):
             total = dirichlet_forward_difference(w[j], ax) / eps
-            for i, (path, traj, z_y) in enumerate(zip(xi, correctors, origins)):
-                chi_edge = _edge_average(chi[i], ax)
+            for i, (path, traj, overlap) in enumerate(zip(xi, correctors, overlaps)):
+                chi_edge = chi_edges[i][ax]
                 if not np.any(chi_edge):
                     continue
-                gv = _corrector_edge_gradient(traj, z_y, dom, t, eps, ax)
+                gv = _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
                 total -= chi_edge * (path.at(t)[ax] + gv)
             remainder[j, ax] = total
     return TwoScaleExpansion(ubar, kappa, centers, chi, xi, correctors,
@@ -837,10 +841,10 @@ def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
     return dom_sel, box_sel
 
 
-def _corrector_edge_gradient(traj, z_y, dom, t_macro, eps, ax):
-    """Unit-lattice forward gradient of the corrector on domain edges."""
+def _corrector_edge_gradient(traj, overlap, dom, t_macro, eps, ax):
+    """Unit-lattice forward gradient of the corrector on domain edges; the
+    overlap is `_box_overlap` of the corrector's box."""
     out = np.zeros(dom.shape)
-    overlap = _box_overlap(traj.grid, z_y, dom)
     if overlap is not None:
         g_box = forward_difference(traj.at_clamped(t_macro / (eps * eps)), ax)
         out[overlap[0]] = g_box[overlap[1]]
@@ -961,12 +965,13 @@ def flux_weak_norm(expansion: TwoScaleExpansion, Dsigma: EffectiveGradient,
             has_support = has_support or np.any(g)
         if not has_support:
             continue
+        overlap = _box_overlap(traj.grid, z_y, dom)
         for j in range(n_slices):
             t = ubar.times[j]
             xi_t = path.at(np.clip(t, path.breakpoints[0], 0.0))
             target = Dsigma(xi_t)
             for ax in range(d):
-                gv = xi_t[ax] + _corrector_edge_gradient(traj, z_y, dom, t, eps, ax)
+                gv = xi_t[ax] + _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
                 h[j] += grad_chi[ax] * (V.vp(gv) - target[ax])
     # rescale to the unit lattice and extend by zero to a triadic cylinder
     side = dom.shape[0]

@@ -142,6 +142,12 @@ class DirichletDomain:
         c = self.coordinates
         return np.all((c >= 1) & (c <= self.resolution - 1), axis=-1)
 
+    @property
+    def interior_box(self) -> tuple[slice, ...]:
+        """The interior as a basic index, selecting the same sites as
+        `interior_mask` as a view."""
+        return (slice(1, -1),) * self.dim
+
     @cached_property
     def boundary_mask(self) -> np.ndarray:
         c = self.coordinates
@@ -404,7 +410,7 @@ def nonlinear_div(V, q, u: np.ndarray, x) -> float:
 # ---------------------------------------------------------------------------
 
 def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
-              mask: np.ndarray | None = None, noise=None, pin=None, on_step=None,
+              mask: tuple[slice, ...] | None = None, noise=None, pin=None, on_step=None,
               record_stride: int | None = None) -> np.ndarray | None:
     """Explicit Euler(-Maruyama) loop shared by every solver; advances
     `state` in place.
@@ -412,16 +418,22 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     Step k starts at t = t0 + k dt and, with t' = t0 + (k + 1) dt and the
     absolute step index k0 = round(t0 / dt), does
 
-        state += dt * drift(k, t, state)          (masked sites only)
-        state += sqrt(2 dt) * noise(k0 + k)       (masked sites only)
+        state[..., mask] += dt * drift(k, t, state)[..., mask]
+        state[..., mask] += sqrt(2 dt) * noise(k0 + k)[..., mask]
         state[..., pin_mask] = pin_values(t')     with pin = (pin_mask, pin_values)
         on_step(k, t', state)
 
-    `mask` and `pin_mask` cover the trailing spatial axes; leading batch
-    axes are shared.  The noise draw is reshaped to the state's shape.
-    Returns every record_stride-th state (the initial one first), stacked,
-    or None without a stride.
+    `mask` is a basic index (a tuple of slices) of the trailing spatial
+    axes, such as the Dirichlet interior `DirichletDomain.interior_box`, so
+    the updates act on a view; None updates every site.  `pin_mask` is a
+    boolean mask of those axes.  Leading batch axes are shared.  The noise
+    draw is reshaped to the state's shape.  Returns every record_stride-th
+    state (the initial one first), stacked, or None without a stride.
     """
+    idx = (Ellipsis,) + (() if mask is None else tuple(mask))
+    inner = state[idx]
+    if not np.may_share_memory(inner, state):
+        raise TypeError("mask must be a basic index of the state, such as a tuple of slices")
     recorded = None
     if record_stride is not None:
         recorded = np.empty((n_steps // record_stride + 1,) + state.shape)
@@ -429,17 +441,11 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     k0 = int(round(t0 / dt))
     sq = np.sqrt(2.0 * dt)
     for k in range(n_steps):
-        du = drift(k, t0 + k * dt, state)
-        if mask is None:
-            state += dt * du
-        else:
-            state[..., mask] += dt * du[..., mask]
+        inner += dt * drift(k, t0 + k * dt, state)[idx]
         # the draw is not bound to a name: holding it into the next step
         # changes the allocation pattern and costs page faults
-        if noise is not None and mask is None:
-            state += sq * noise(k0 + k).reshape(state.shape)
-        elif noise is not None:
-            state[..., mask] += sq * noise(k0 + k).reshape(state.shape)[..., mask]
+        if noise is not None:
+            inner += sq * noise(k0 + k).reshape(state.shape)[idx]
         t_next = t0 + (k + 1) * dt
         if pin is not None:
             state[..., pin[0]] = pin[1](t_next)

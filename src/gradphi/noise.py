@@ -82,6 +82,17 @@ def site_keys(coords: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _channel_step(step: int) -> tuple[int, int]:
+    """(channel, step within the channel) of an absolute step index:
+    negative steps draw from the backward channel."""
+    return (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
+
+
+def _step_keys(prefix: np.ndarray, step: int) -> np.ndarray:
+    """Stream keys at one step from their `NoiseSource.stream_prefix`."""
+    return _mix_array(np.bitwise_xor(prefix, _U64((step * _MIX2) & _MASK)))
+
+
 @dataclass(frozen=True)
 class NoiseSource:
     """Deterministic counter-based source of standard normals.
@@ -97,13 +108,14 @@ class NoiseSource:
     def with_replica(self, replica: int) -> "NoiseSource":
         return replace(self, replica=replica)
 
-    def _stream_keys(self, channel: int, step: int, replicas: np.ndarray) -> np.ndarray:
-        """Stream keys of the replica ids `self.replica + replicas`."""
+    def stream_prefix(self, channel: int, replicas: np.ndarray) -> np.ndarray:
+        """The step-independent part of the stream keys of the replica ids
+        `self.replica + replicas` on a channel: the seed, replica and channel
+        rounds, which every step of the stream shares."""
         base = _mix_int(self.seed & _MASK)
         ids = np.asarray(replicas, dtype=np.uint64) + _U64(self.replica)
         k = _mix_array(np.bitwise_xor(_U64(base), ids * _U64(_GOLDEN)))
-        k = _mix_array(np.bitwise_xor(k, _U64((channel * _MIX1) & _MASK)))
-        return _mix_array(np.bitwise_xor(k, _U64((step * _MIX2) & _MASK)))
+        return _mix_array(np.bitwise_xor(k, _U64((channel * _MIX1) & _MASK)))
 
     def raw_normals(
         self,
@@ -112,17 +124,21 @@ class NoiseSource:
         channel: int | None = None,
         replicas: np.ndarray | None = None,
         out_bits: tuple[np.ndarray, np.ndarray] | None = None,
+        prefix: np.ndarray | None = None,
     ) -> np.ndarray:
         """Normals for every site key at one step, shape (B, *keys.shape).
 
         `replicas` (shape (B,)) holds replica ids counted from
         `self.replica`, one independent stream each.  Without it the draw is
-        the single stream `self.replica`, of shape keys.shape.
+        the single stream `self.replica`, of shape keys.shape.  `prefix`, the
+        `stream_prefix` of these ids on this channel, spares rehashing it.
         """
-        if channel is None:  # negative steps draw from the backward channel
-            channel, step = (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
+        if channel is None:
+            channel, step = _channel_step(step)
         ids = np.zeros(1, dtype=np.uint64) if replicas is None else replicas
-        bases = self._stream_keys(channel, step, ids).reshape((-1,) + (1,) * keys.ndim)
+        if prefix is None:
+            prefix = self.stream_prefix(channel, ids)
+        bases = _step_keys(prefix, step).reshape((-1,) + (1,) * keys.ndim)
         bits, tmp = (None, None) if out_bits is None else out_bits
         z = np.bitwise_xor(keys[None, ...], bases, out=bits)
         z = _mix_array(z, out=z, tmp=tmp)
@@ -153,7 +169,8 @@ class MeanSubtractedNoise:
 
     Repeated replica ids (coupled trajectories driven by the same noise)
     share one draw: each step draws every distinct id once and gathers the
-    rows.  With distinct ids the draw is returned as is.
+    rows.  With distinct ids the draw is returned as is.  The stream prefix
+    of the ids is hashed once per channel, on its first draw, and held here.
     """
 
     def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
@@ -171,9 +188,14 @@ class MeanSubtractedNoise:
         self._axes = tuple(range(len(shape) - spatial_ndim, len(shape)))
         self._bits = (np.empty(shape, dtype=np.uint64),
                       np.empty(shape, dtype=np.uint64))
+        self._prefixes = {}  # channel -> stream prefix of self.replicas
 
     def __call__(self, step: int) -> np.ndarray:
-        g = self.src.raw_normals(self.keys, step, replicas=self.replicas,
-                                 out_bits=self._bits)
+        channel, step = _channel_step(step)
+        prefix = self._prefixes.get(channel)
+        if prefix is None:
+            prefix = self._prefixes[channel] = self.src.stream_prefix(channel, self.replicas)
+        g = self.src.raw_normals(self.keys, step, channel, self.replicas,
+                                 out_bits=self._bits, prefix=prefix)
         g -= g.mean(axis=self._axes, keepdims=True)
         return g if self._rows is None else g[self._rows]

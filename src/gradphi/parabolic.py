@@ -322,7 +322,7 @@ def solve_homogenized(
     if record_stride is None:
         record_stride = max(n_steps // 256, 1)
     out = time_loop(u, lambda k, t, u: homogenized_operator(Dsigma, u, eps), -1.0, dt,
-                    n_steps, mask=interior, pin=(boundary, lambda t: datum(t, boundary)),
+                    n_steps, mask=dom.interior_box, pin=(boundary, lambda t: datum(t, boundary)),
                     record_stride=record_stride)
     return SpaceTimeField(dom, -1.0, dt * record_stride, out)
 

@@ -31,18 +31,44 @@ def gff_variance(grid: TorusGrid) -> float:
     return float(np.sum(1.0 / lam[1:]) / grid.nsites)
 
 
-def gff_covariance(grid: TorusGrid, x) -> float:
-    """Stationary covariance E[psi(0) psi(x)] of the mean-zero free field."""
-    lam = laplacian_eigenvalues(grid)
+def _mode_cosines(grid: TorusGrid, x) -> np.ndarray:
+    """cos(k.x) over the mode lattice, flattened; entry 0 at k=0."""
     N = grid.side
     phase = np.zeros(grid.shape)
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = N
         phase = phase + (2.0 * np.pi * x[ax] / N) * np.arange(N).reshape(shape)
-    lam_flat = lam.ravel()
-    cos_flat = np.cos(phase).ravel()
+    return np.cos(phase).ravel()
+
+
+def gff_covariance(grid: TorusGrid, x) -> float:
+    """Stationary covariance E[psi(0) psi(x)] of the mean-zero free field."""
+    lam_flat = laplacian_eigenvalues(grid).ravel()
+    cos_flat = _mode_cosines(grid, x)
     return float(np.sum(cos_flat[1:] / lam_flat[1:]) / grid.nsites)
+
+
+def gff_dynamic_covariance(grid: TorusGrid, x, T: float, dt: float) -> float:
+    """Covariance E[psi(0) psi(x)] of the state at time T of the free-field
+    dynamic stepped by the explicit scheme from an exact free-field sample
+    (`dynamics.run_gff_dynamic`).
+
+    Mode k != 0 starts at variance 1/lambda_k, is damped by r_k = (1 - dt
+    lambda_k)^2 per step and gains 2 dt from the mean-subtracted noise, so
+    after n = round(T/dt) steps
+
+        (1/N^d) sum_{k != 0} cos(k.x) [r_k^n / lambda_k + 2 dt (1 - r_k^n) / (1 - r_k)].
+
+    The scheme does not leave the free field invariant: its stationary
+    variance of mode k is 1 / (lambda_k (1 - dt lambda_k / 2)).
+    """
+    lam = laplacian_eigenvalues(grid).ravel()[1:]
+    n = int(round(T / dt))
+    r = (1.0 - dt * lam) ** 2
+    rn = r**n
+    modes = rn / lam + 2.0 * dt * (1.0 - rn) / (1.0 - r)
+    return float(np.sum(_mode_cosines(grid, x)[1:] * modes) / grid.nsites)
 
 
 def relaxation_variance(grid: TorusGrid, T: float) -> float:

@@ -126,10 +126,7 @@ def test_batched_replicas_match_single_replica_runs():
                           replicas=np.arange(B), record_stride=5)
     dom = DirichletDomain(2, 4)
 
-    def datum(t, pts):
-        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-
-    dirichlet = run_dirichlet(dom, datum, V, src, replicas=np.arange(B),
+    dirichlet = run_dirichlet(dom, _sine_datum, V, src, replicas=np.arange(B),
                               record_stride=16)
     for r in range(B):
         solo = src.with_replica(2 + r)
@@ -139,7 +136,7 @@ def test_batched_replicas_match_single_replica_runs():
         _, rec_r = evolve_torus(grid, V, path, solo, -1.0, 20, dt, init_r,
                                 replicas=one, record_stride=5)
         assert np.array_equal(rec[:, r], rec_r[:, 0])
-        dirichlet_r = run_dirichlet(dom, datum, V, solo, replicas=one, record_stride=16)
+        dirichlet_r = run_dirichlet(dom, _sine_datum, V, solo, replicas=one, record_stride=16)
         assert np.array_equal(dirichlet[:, r], dirichlet_r[:, 0])
 
 
@@ -242,6 +239,58 @@ def test_gff_dynamic_stays_mean_zero_and_stationary():
         assert abs(emp - oracle) <= 4 * se
 
 
+def _torus_laplacian(grid):
+    """The periodic lattice Laplacian as a dense (nsites, nsites) matrix."""
+    n = grid.nsites
+    lap = -2.0 * grid.dim * np.eye(n)
+    for a in range(n):
+        x = np.unravel_index(a, grid.shape)
+        for ax in range(grid.dim):
+            for s in (1, -1):
+                y = list(x)
+                y[ax] = (y[ax] + s) % grid.side
+                lap[a, np.ravel_multi_index(y, grid.shape)] += 1.0
+    return lap
+
+
+@pytest.mark.parametrize("d,L,T,dt", [(2, 1, 2.0, 1.0 / 16), (2, 2, 3.0, 1.0 / 16),
+                                      (3, 1, 1.5, 1.0 / 24), (2, 2, 0.0, 1.0 / 16)])
+def test_gff_dynamic_covariance_matches_the_covariance_recursion(d, L, T, dt):
+    # the mode sum equals the covariance recursion of the scheme on a tiny
+    # torus: C_0 = (-Laplacian)^+ (the free field), then
+    # C <- A C A^T + 2 dt (I - 11^T/n) with A = I + dt Laplacian
+    grid = make_torus(d, L)
+    lap = _torus_laplacian(grid)
+    n = grid.nsites
+    A = np.eye(n) + dt * lap
+    C = np.linalg.pinv(-lap)
+    for _ in range(int(round(T / dt))):
+        C = A @ C @ A.T + 2.0 * dt * (np.eye(n) - 1.0 / n)
+    for x in np.ndindex(*grid.shape):
+        oracle = spectral.gff_dynamic_covariance(grid, x, T, dt)
+        assert abs(oracle - C[0, np.ravel_multi_index(x, grid.shape)]) <= 1e-12
+    if T == 0.0:
+        assert spectral.gff_dynamic_covariance(grid, (0,) * d, T, dt) == pytest.approx(
+            spectral.gff_variance(grid), abs=1e-14)
+
+
+def test_gff_dynamic_covariance_oracle_matches_the_stepper():
+    # fixed seed: the stepped dynamic's translation-averaged covariance at T
+    # lies within 4 standard errors of the scheme's oracle, and the
+    # continuous free-field value lies outside that band at x = 0
+    grid = make_torus(2, 4)
+    T, dt = 8.0, stable_dt(quadratic(), 2)
+    reps = np.arange(1000)
+    final, _ = run_gff_dynamic(grid, T, NoiseSource(seed=8), replicas=reps)
+    for x in [(0, 0), (1, 0), (2, 1)]:
+        per_rep = (final * np.roll(final, (-x[0], -x[1]), axis=(1, 2))).mean(axis=(1, 2))
+        emp = float(per_rep.mean())
+        se = float(per_rep.std(ddof=1)) / np.sqrt(len(reps))
+        assert abs(emp - spectral.gff_dynamic_covariance(grid, x, T, dt)) <= 4 * se
+        if x == (0, 0):
+            assert abs(emp - spectral.gff_covariance(grid, x)) > 4 * se
+
+
 def test_gff_dynamic_returns_the_state_at_time_zero():
     # the final state is the free-field dynamic run from the tag-1 sample,
     # not the sample itself
@@ -337,8 +386,14 @@ def test_stationary_windows_agree():
 # Dirichlet dynamic
 # ---------------------------------------------------------------------------
 
-def _zero_datum(t, pts):
-    return np.zeros(pts.shape[:-1])
+def _zero_datum(pts):
+    zeros = np.zeros(pts.shape[:-1])
+    return lambda t: zeros
+
+
+def _sine_datum(pts):
+    s0, s1 = np.sin(np.pi * pts[..., 0]), np.sin(np.pi * pts[..., 1])
+    return lambda t: np.exp(t) * s0 * s1
 
 
 def test_dirichlet_zero_data_zero_noise_stays_zero():
@@ -350,12 +405,9 @@ def test_dirichlet_zero_data_zero_noise_stays_zero():
 def test_dirichlet_boundary_pinned_every_step():
     dom = DirichletDomain(2, 4)
 
-    def datum(t, pts):
-        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-
     from gradphi.dynamics import smoothed_boundary_datum
 
-    smooth = smoothed_boundary_datum(datum, dom)
+    smooth = smoothed_boundary_datum(_sine_datum, dom)
     checked = []
 
     def on_step(k, t, state):
@@ -363,7 +415,7 @@ def test_dirichlet_boundary_pinned_every_step():
             expect = smooth(t, dom.boundary_mask) / dom.mesh
             checked.append(np.max(np.abs(state[:, dom.boundary_mask] - expect)))
 
-    run_dirichlet(dom, datum, quadratic(), NoiseSource(seed=44), np.arange(1),
+    run_dirichlet(dom, _sine_datum, quadratic(), NoiseSource(seed=44), np.arange(1),
                   on_step=on_step)
     assert checked and max(checked) < 1e-12
 
@@ -421,12 +473,9 @@ def test_dirichlet_matches_homogenized_identity_zero_noise():
 
     dom = DirichletDomain(2, 4)
 
-    def datum(t, pts):
-        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
-
-    micro = run_dirichlet(dom, datum, quadratic(), None, np.arange(1),
+    micro = run_dirichlet(dom, _sine_datum, quadratic(), None, np.arange(1),
                           record_stride=8)[:, 0]
-    macro = solve_homogenized(EffectiveGradient.identity(), dom, datum,
+    macro = solve_homogenized(EffectiveGradient.identity(), dom, _sine_datum,
                               dt_unit=stable_dt(quadratic(), 2), record_stride=8)
     assert micro.shape == macro.values.shape
     assert np.max(np.abs(micro - macro.values)) < 1e-10
@@ -445,24 +494,38 @@ def test_slope_from_config_forms():
     assert np.allclose(zero.at(0.0), [0.0, 0.0])
 
 
-def test_boundary_datum_builds_each_point_cloud_once(monkeypatch):
-    # the cached quadrature points give the uncached average bit for bit,
-    # and each mask's points are built on its first evaluation only
-    dom = DirichletDomain(2, 4)
-
-    def f(t, pts):
-        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.cos(pts[..., 1])
-
+def _quadrature(dom):
+    """The 8^d-node Gauss-Legendre offsets and weights of the smoothed datum."""
     x1, w1 = np.polynomial.legendre.leggauss(8)
     x1, w1 = x1 * dom.mesh, w1 / w1.sum()
-    offsets = np.stack(np.meshgrid(x1, x1, indexing="ij"), axis=-1).reshape(-1, 2)
-    weights = np.repeat(w1, 8) * np.tile(w1, 8)
+    offsets = np.stack(np.meshgrid(*[x1] * dom.dim, indexing="ij"),
+                       axis=-1).reshape(-1, dom.dim)
+    weights = w1
+    for _ in range(dom.dim - 1):
+        weights = np.multiply.outer(weights, w1)
+    return offsets, weights.ravel()
 
-    def uncached(t, mask):
-        return f(t, dom.points(mask)[:, None, :] + offsets[None, :, :]) @ weights
+
+def _cloud(dom, mask, offsets):
+    return dom.points(mask)[:, None, :] + offsets[None, :, :]
+
+
+def test_boundary_datum_builds_each_point_cloud_once(monkeypatch):
+    # the bound datum gives the unbound average bit for bit, and each
+    # mask's points are built and bound on its first evaluation only
+    dom = DirichletDomain(2, 4)
+
+    def f(pts):
+        s, c = np.sin(np.pi * pts[..., 0]), np.cos(pts[..., 1])
+        return lambda t: np.exp(t) * s * c
+
+    offsets, weights = _quadrature(dom)
+
+    def unbound(t, mask):
+        return f(_cloud(dom, mask, offsets))(t) @ weights
 
     masks = (dom.boundary_mask, dom.interior_mask | dom.boundary_mask)
-    expected = [uncached(t, m) for t in (-0.5, -0.25, 0.0) for m in masks]
+    expected = [unbound(t, m) for t in (-0.5, -0.25, 0.0) for m in masks]
     calls = []
     points = DirichletDomain.points
     monkeypatch.setattr(DirichletDomain, "points",
@@ -472,3 +535,45 @@ def test_boundary_datum_builds_each_point_cloud_once(monkeypatch):
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
     assert len(calls) == len(masks)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", ["zero", "sine_product", "affine"])
+def test_bound_boundary_data_equal_the_direct_quadrature(monkeypatch, name, d):
+    # every datum of the config library, bound once per point cloud, gives
+    # the quadrature of its direct formula f(t, cloud) bit for bit, and its
+    # spatial factors are computed once per cloud, not once per step
+    from gradphi.harness import boundary_datum
+
+    coeffs = np.array([0.3, -0.2, 0.7][:d])
+    spec = {"name": name, "coefficients": list(coeffs)} if name == "affine" else {"name": name}
+
+    def sine_product(t, pts):  # exp(t) sin(pi x_1) ... sin(pi x_d), left to right
+        out = np.exp(t)
+        for ax in range(d):
+            out = out * np.sin(np.pi * pts[..., ax])
+        return out
+
+    direct = {
+        "zero": lambda t, pts: np.zeros(pts.shape[:-1]),
+        "sine_product": sine_product,
+        "affine": lambda t, pts: pts @ coeffs,
+    }[name]
+    dom = DirichletDomain(d, 4)
+    offsets, weights = _quadrature(dom)
+    masks = (dom.boundary_mask, dom.interior_mask | dom.boundary_mask)
+    times = (-1.0, -0.375, -0.0625, 0.0)
+    expected = [direct(t, _cloud(dom, m, offsets)) @ weights for t in times for m in masks]
+
+    f = boundary_datum(spec)
+    bindings = []
+    g = smoothed_boundary_datum(lambda pts: bindings.append(pts.shape) or f(pts), dom)
+    sin = np.sin
+    sines = []
+    monkeypatch.setattr(np, "sin", lambda x: sines.append(1) or sin(x))
+    got = [g(t, m) for t in times for m in masks]
+    monkeypatch.undo()
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    assert len(bindings) == len(masks)
+    assert len(sines) == (d * len(masks) if name == "sine_product" else 0)

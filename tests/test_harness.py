@@ -46,7 +46,7 @@ def test_fit_power_law_rejects_bad_input():
 def test_boundary_datum_library():
     f = boundary_datum({"name": "sine_product"})
     pts = np.array([[0.5, 0.5], [0.0, 0.3]])
-    vals = f(0.0, pts)
+    vals = f(pts)(0.0)
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ConfigError):
@@ -56,7 +56,7 @@ def test_boundary_datum_library():
 def test_boundary_datum_affine_coefficients():
     f = boundary_datum({"name": "affine", "coefficients": [1.0, -2.0]})
     pts = np.array([[0.5, 0.25], [0.0, 1.0]])
-    assert np.array_equal(f(0.0, pts), pts @ np.array([1.0, -2.0]))
+    assert np.array_equal(f(pts)(0.0), pts @ np.array([1.0, -2.0]))
     with pytest.raises(ConfigError):
         boundary_datum({"name": "affine", "coefficient": [1.0, -2.0]})
 

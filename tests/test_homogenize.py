@@ -31,7 +31,7 @@ from gradphi.lattice import (
     horizon_steps,
     make_torus,
 )
-from gradphi.noise import NoiseSource
+from gradphi.noise import CHANNEL_BACKWARD, NoiseSource
 from gradphi.parabolic import (
     EffectiveGradient,
     solve_homogenized,
@@ -164,9 +164,10 @@ def draws(monkeypatch):
     seen = []
     raw = NoiseSource.raw_normals
 
-    def counting(self, keys, step, channel=None, replicas=None, out_bits=None):
-        seen.append((step, 1 if replicas is None else len(replicas)))
-        return raw(self, keys, step, channel, replicas, out_bits)
+    def counting(self, keys, step, channel=None, replicas=None, **kwargs):
+        absolute = -1 - step if channel == CHANNEL_BACKWARD else step
+        seen.append((absolute, 1 if replicas is None else len(replicas)))
+        return raw(self, keys, step, channel, replicas, **kwargs)
 
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)
     return seen
@@ -248,8 +249,9 @@ def test_slope_stability_shares_one_draw(draws):
 # two-scale expansion
 # ---------------------------------------------------------------------------
 
-def _sine_datum(t, pts):
-    return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+def _sine_datum(pts):
+    s0, s1 = np.sin(np.pi * pts[..., 0]), np.sin(np.pi * pts[..., 1])
+    return lambda t: np.exp(t) * s0 * s1
 
 
 @pytest.fixture(scope="module")

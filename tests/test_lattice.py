@@ -317,20 +317,70 @@ def test_time_loop_records_what_on_step_saw():
 
 def test_time_loop_masked_sites_change_only_through_the_pin():
     rng = np.random.default_rng(8)
+    box = (slice(1, -1), slice(1, -1))
     mask = np.zeros((5, 5), dtype=bool)
-    mask[1:-1, 1:-1] = True
+    mask[box] = True
     pin_mask = np.zeros((5, 5), dtype=bool)
     pin_mask[0, 1:-1] = True
     pin_values = np.arange(3.0)
     u = _loop_state()
     init = u.copy()
-    time_loop(u, lambda k, t, u: rng.normal(size=u.shape), 0.0, 0.01, 6, mask=mask,
+    time_loop(u, lambda k, t, u: rng.normal(size=u.shape), 0.0, 0.01, 6, mask=box,
               noise=lambda step: rng.normal(size=u.shape),
               pin=(pin_mask, lambda t: pin_values * t), record_stride=None)
     rest = ~(mask | pin_mask)
     assert np.array_equal(u[:, rest], init[:, rest])
     assert np.array_equal(u[:, pin_mask], np.broadcast_to(pin_values * (6 * 0.01), (2, 3)))
     assert np.all(u[:, mask] != init[:, mask])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_time_loop_interior_box_matches_the_boolean_mask(d):
+    # stepping the interior as a box (views) gives the bits of the boolean
+    # gather and scatter of interior_mask, pin, noise and records included
+    dom = DirichletDomain(d, 5)
+    mask, box = dom.interior_mask, dom.interior_box
+    boxed = np.zeros(dom.shape, dtype=bool)
+    boxed[box] = True
+    assert np.array_equal(boxed, mask)
+    pin_mask = dom.boundary_mask
+    B, dt, n_steps, stride = 3, 0.01, 12, 4
+    rng = np.random.default_rng(11 + d)
+    init = rng.normal(size=(B,) + dom.shape)
+    draws = rng.normal(size=(n_steps, B * mask.size))
+    pins = rng.normal(size=(n_steps, int(pin_mask.sum())))
+
+    def drift(k, t, u):
+        out = np.cos(u) * (1.0 + t)
+        for ax in range(1, d + 1):
+            out -= np.roll(u, 1, axis=ax)
+        return out
+
+    def noise(step):
+        return draws[step + 3]
+
+    def pin(t):
+        return pins[int(round(t / dt)) - 1 + 3]
+
+    u = init.copy()
+    rec = time_loop(u, drift, -3 * dt, dt, n_steps, mask=box, noise=noise,
+                    pin=(pin_mask, pin), record_stride=stride)
+
+    # the same loop written with the boolean gather and scatter
+    ref = init.copy()
+    ref_rec = [ref.copy()]
+    sq = np.sqrt(2.0 * dt)
+    for k in range(n_steps):
+        du = drift(k, -3 * dt + k * dt, ref)
+        ref[..., mask] += dt * du[..., mask]
+        ref[..., mask] += sq * noise(k - 3).reshape(ref.shape)[..., mask]
+        ref[..., pin_mask] = pin(-3 * dt + (k + 1) * dt)
+        if (k + 1) % stride == 0:
+            ref_rec.append(ref.copy())
+    assert np.array_equal(u, ref)
+    assert np.array_equal(rec, np.stack(ref_rec))
+    with pytest.raises(TypeError):
+        time_loop(init.copy(), drift, 0.0, dt, 1, mask=(mask,))
 
 
 def test_time_loop_draws_noise_at_the_absolute_step():

@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 
 from gradphi.lattice import make_torus
-from gradphi.noise import MeanSubtractedNoise, NoiseSource, site_keys
+from scipy.special import ndtri
+
+from gradphi.noise import (
+    _GOLDEN,
+    _MASK,
+    _MIX1,
+    _MIX2,
+    CHANNEL_BACKWARD,
+    CHANNEL_FORWARD,
+    MeanSubtractedNoise,
+    NoiseSource,
+    _bits_to_uniform,
+    _mix_array,
+    _mix_int,
+    site_keys,
+)
 
 
 def test_same_key_is_bitwise_identical():
@@ -100,9 +115,9 @@ def test_repeated_replica_ids_share_one_draw(monkeypatch):
     drawn = []
     raw = NoiseSource.raw_normals
 
-    def counting(self, keys, step, channel=None, replicas=None, out_bits=None):
-        drawn.append((step, tuple(replicas)))
-        return raw(self, keys, step, channel, replicas, out_bits)
+    def counting(self, keys, step, channel=None, replicas=None, **kwargs):
+        drawn.append((-1 - step if channel == CHANNEL_BACKWARD else step, tuple(replicas)))
+        return raw(self, keys, step, channel, replicas, **kwargs)
 
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)
     ids = np.tile(distinct, 3)
@@ -114,3 +129,39 @@ def test_repeated_replica_ids_share_one_draw(monkeypatch):
             assert np.array_equal(g[b], g_ref[list(distinct).index(rep)])
     assert [s for s, _ in drawn] == list(expected)
     assert all(sorted(reps) == sorted(distinct) for _, reps in drawn)
+
+
+def test_held_stream_prefix_matches_stream_keys_from_scratch(monkeypatch):
+    # the prefix MeanSubtractedNoise holds gives, at every step of both
+    # channels, the draw of stream keys hashed from scratch, with a replica
+    # offset and repeated ids; it is hashed once per channel and object
+    grid = make_torus(2, 3)
+    src = NoiseSource(seed=23).with_replica(6)
+    ids = np.array([4, 0, 4, 9, 0])
+    steps = (0, 1, -1, 7, -8, 2, -2)
+
+    def from_scratch(step):
+        # the three SplitMix64 rounds of a stream key: seed and replica id,
+        # channel, step
+        channel, s = (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
+        u64 = np.uint64
+        k = (ids + 6).astype(u64) * u64(_GOLDEN) ^ u64(_mix_int(23))
+        k = _mix_array(_mix_array(k) ^ u64((channel * _MIX1) & _MASK))
+        bases = _mix_array(k ^ u64((s * _MIX2) & _MASK)).reshape(-1, 1, 1)
+        g = ndtri(_bits_to_uniform(_mix_array(grid.site_keys[None] ^ bases)))
+        return g - g.mean(axis=(1, 2), keepdims=True)
+
+    expected = {step: from_scratch(step) for step in steps + (-3,)}
+    hashed = []
+    prefix = NoiseSource.stream_prefix
+    monkeypatch.setattr(NoiseSource, "stream_prefix",
+                        lambda self, channel, reps: hashed.append(channel)
+                        or prefix(self, channel, reps))
+    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    for step in steps + steps:
+        assert np.array_equal(noise(step), expected[step])
+    assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD]
+    # a second object hashes its own prefixes
+    other = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    assert np.array_equal(other(-3), expected[-3])
+    assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD, CHANNEL_BACKWARD]

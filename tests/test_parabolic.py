@@ -255,7 +255,7 @@ def test_effective_gradient_cyclic_monotonicity():
 def test_homogenized_identity_zero_datum():
     dom = DirichletDomain(2, 4)
     out = solve_homogenized(EffectiveGradient.identity(), dom,
-                            lambda t, p: np.zeros(p.shape[:-1]))
+                            lambda p: lambda t: np.zeros(p.shape[:-1]))
     assert np.all(out.values == 0.0)
 
 
@@ -265,8 +265,9 @@ def test_homogenized_matches_dense_eigensolve():
     N = 8
     dom = DirichletDomain(2, N)
 
-    def datum(t, pts):
-        return np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+    def datum(pts):
+        values = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+        return lambda t: values
 
     dt_unit = 1.0 / 16
     out = solve_homogenized(EffectiveGradient.identity(), dom, datum,
@@ -316,8 +317,9 @@ def test_homogenized_dissipativity():
     # distance between the two solutions is non-increasing
     dom = DirichletDomain(2, 6)
 
-    def datum(t, pts):
-        return np.exp(t) * np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+    def datum(pts):
+        s0, s1 = np.sin(np.pi * pts[..., 0]), np.sin(np.pi * pts[..., 1])
+        return lambda t: np.exp(t) * s0 * s1
 
     rng = np.random.default_rng(10)
     base = solve_homogenized(EffectiveGradient.identity(), dom, datum,
