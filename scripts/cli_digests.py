@@ -38,6 +38,7 @@ CASES = [
     ("hessian", "sq", {"potential": SQ, "L": 4, "replicas": 3, "slope": [0.2, 0.0], "seed": 7}),
     ("hessian", "q", {"potential": Q, "L": 3, "replicas": 3, "seed": 7}),
     ("linearize", "k", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}),
+    ("linearize", "k3", {"potential": K, "d": 3, "L": 2, "base_slope": [0.3, 0.0, -0.1], "replicas": 3, "seed": 19}),
     ("hydro", "q", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
                     "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}),
     ("hydro", "zero", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2, "f": {"name": "affine"},
@@ -57,6 +58,7 @@ CASES = [
     ("excess", "t2", {"L": 8, "scales": [4, 8], "replicas": 3, "seed": 13}, 2),
     ("excess", "t3", {"L": 8, "scales": [4, 8], "replicas": 3, "seed": 13}, 3),
     ("heatkernel", "a", {"L": 4, "environments": 2, "contrast": 2.0, "seed": 14}),
+    ("heatkernel", "d3", {"d": 3, "L": 2, "environments": 1, "contrast": 2.0, "seed": 18}),
     ("gff", "a", {"L": 3, "replicas": 50, "seed": 15}),
 ]
 

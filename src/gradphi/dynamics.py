@@ -52,28 +52,33 @@ def _check_dt(dt: float, d: int, c_plus: float):
 
 @dataclass(frozen=True)
 class SlopePath:
-    """Piecewise-constant tilt q(t): value i holds on [breakpoints[i], breakpoints[i+1])."""
+    """Piecewise-constant tilt q(t): value i holds on [breakpoints[i], breakpoints[i+1]).
+
+    The values are (n, d) slopes shared by every member of a batch, or
+    (n, B, d) slopes with one tilt per member; `at` returns (d,) or (B, d).
+    """
 
     breakpoints: np.ndarray  # (n,), strictly increasing
-    slopes: np.ndarray  # (n, d)
+    slopes: np.ndarray  # (n, d) or (n, B, d)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=np.float64)
-        sl = np.atleast_2d(np.asarray(self.slopes, dtype=np.float64))
-        if bp.ndim != 1 or len(bp) != len(sl):
-            raise ValueError("breakpoints and slopes must have matching lengths")
+        sl = np.asarray(self.slopes, dtype=np.float64)
+        if bp.ndim != 1 or sl.ndim not in (2, 3) or len(bp) != len(sl):
+            raise ValueError("slopes must have shape (n, d) or (n, B, d) for n breakpoints")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
 
     @classmethod
-    def constant(cls, q, t_start: float = -np.inf) -> "SlopePath":
-        return cls(np.array([t_start]), np.atleast_2d(np.asarray(q, dtype=np.float64)))
+    def constant(cls, q) -> "SlopePath":
+        """The tilt q at all times: a (d,) vector, or (B, d) with one tilt per member."""
+        return cls(np.array([-np.inf]), np.asarray(q, dtype=np.float64)[None])
 
     @property
     def dim(self) -> int:
-        return self.slopes.shape[1]
+        return self.slopes.shape[-1]
 
     def piece(self, t: float) -> int:
         """Index i of the value holding at t."""
@@ -85,55 +90,33 @@ class SlopePath:
     def at(self, t: float) -> np.ndarray:
         return self.slopes[self.piece(t)]
 
-    def covers(self, t_lo: float, t_hi: float) -> bool:
-        return self.breakpoints[0] <= t_lo and t_lo <= t_hi
 
-
-def as_slope_path(q, d: int, t_start: float = -np.inf) -> SlopePath:
+def as_slope_path(q, d: int) -> SlopePath:
     if isinstance(q, SlopePath):
         return q
-    if q is None:
-        return SlopePath.constant(np.zeros(d), t_start)
-    return SlopePath.constant(np.asarray(q, dtype=np.float64), t_start)
+    return SlopePath.constant(np.zeros(d) if q is None else q)
 
 
 def slope_from_config(spec, d: int) -> SlopePath:
     """Tilt from a config value: a constant vector or a breakpoint list
-    [{"t": t0, "q": [...]}, ...]."""
+    [{"t": t0, "q": [...]}, ...]; a tilt of other than d components is a
+    ValueError."""
     if spec is None:
         return SlopePath.constant(np.zeros(d))
     if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], dict):
         bps = np.array([float(item["t"]) for item in spec])
         vals = np.array([[float(v) for v in item["q"]] for item in spec])
-        return SlopePath(bps, vals)
-    return SlopePath.constant(np.asarray(spec, dtype=np.float64))
+        path = SlopePath(bps, vals)
+    else:
+        path = SlopePath.constant(spec)
+    if path.slopes.shape[1:] != (d,):
+        raise ValueError(f"a tilt needs {d} components, got {spec!r}")
+    return path
 
 
 # ---------------------------------------------------------------------------
 # core torus engine
 # ---------------------------------------------------------------------------
-
-class MultiSlope:
-    """Batch of slope paths evaluated together: at(t) -> (B, d).
-
-    The stacked tilts are rebuilt only when t leaves the interval on which
-    every path keeps its value, so a batch of constant tilts is stacked
-    once; callers must not write to the returned array.
-    """
-
-    def __init__(self, paths):
-        self.paths = list(paths)
-        self._lo, self._hi, self._values = np.inf, -np.inf, None
-
-    def at(self, t: float) -> np.ndarray:
-        if not self._lo <= t < self._hi:
-            pieces = [(p, p.piece(t)) for p in self.paths]
-            self._values = np.stack([p.slopes[i] for p, i in pieces])
-            self._lo = max(p.breakpoints[i] for p, i in pieces)
-            self._hi = min(p.breakpoints[i + 1] if i + 1 < len(p.breakpoints) else np.inf
-                           for p, i in pieces)
-        return self._values
-
 
 def evolve_torus(
     grid: TorusGrid,
@@ -156,9 +139,10 @@ def evolve_torus(
     repeat, and members with the same id share one noise draw (coupled
     trajectories).  `batch_keys` of shape (B, *grid.shape) runs B windows of
     the stream `src.replica` in parallel, each addressed by its own absolute
-    site coordinates.  `slope` is one SlopePath for every member, a
-    MultiSlope with one path per member, or None.  init has shape
-    grid.shape (the same start for every member) or (B, *grid.shape).
+    site coordinates.  `slope` is None (no tilt) or a SlopePath: with (n, d)
+    slopes every member feels the same tilt, with (n, B, d) slopes member b
+    feels its own.  init has shape grid.shape (the same start for every
+    member) or (B, *grid.shape).
     Returns (final_state, recorded), both with the batch axis, where
     recorded stacks every record_stride-th slice (including the initial one)
     if requested.  `on_step(k, t_next, state)` is invoked after each update.
@@ -193,7 +177,7 @@ def evolve_torus(
             a = 1 + ax
             forward_difference(phi, a, out=gbuf)
             if q is not None:
-                if q.ndim == 2:  # per-window slopes, broadcast over space
+                if q.ndim == 2:  # one tilt per member, broadcast over space
                     gbuf += q[:, ax].reshape((-1,) + (1,) * d)
                 elif q[ax] != 0.0:
                     gbuf += q[ax]
@@ -230,11 +214,9 @@ def run_corrector(
     dt = stable_dt(V, grid.dim) if dt is None else dt
     _check_dt(dt, grid.dim, V.c_plus)
     t0, n_steps = horizon_steps(horizon, dt)
-    path = as_slope_path(slope, grid.dim, t_start=t0)
-    if not path.covers(t0, 0.0):
-        raise ValueError("slope path does not cover the simulation window")
-    _, rec = evolve_torus(grid, V, path, src, t0, n_steps, dt, np.zeros(grid.shape),
-                          replicas=np.arange(1), record_stride=record_stride)
+    _, rec = evolve_torus(grid, V, as_slope_path(slope, grid.dim), src, t0, n_steps, dt,
+                          np.zeros(grid.shape), replicas=np.arange(1),
+                          record_stride=record_stride)
     return SpaceTimeField(grid, t0, dt * record_stride, rec[:, 0])
 
 
@@ -307,7 +289,7 @@ def stationary_start(
         n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
     n_keep = int(round(horizon / dt))
     t0 = -(n_burn + n_keep) * dt
-    path = as_slope_path(p, grid.dim, t_start=t0)
+    path = as_slope_path(p, grid.dim)
     if n_burn:
         state, _ = evolve_torus(grid, V, path, src, t0, n_burn, dt, state,
                                 replicas=replicas)
@@ -381,7 +363,7 @@ def run_dirichlet(
     dt_unit: float | None = None,
     record_stride: int | None = None,
     on_step=None,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Langevin dynamic on the mesh-eps domain driven by diffusively rescaled noise.
 
     Internally runs the unit-lattice dynamic U on the time interval
@@ -393,9 +375,9 @@ def run_dirichlet(
 
     The B replica streams of `replicas` (ids counted from `src.replica`)
     advance together; the recorded array has shape (slices, B, *dom.shape)
-    and holds every record_stride-th step (about 256 slices by default),
-    starting at macroscopic time -1.  With src=None the noise is switched
-    off (deterministic diagnostic mode).
+    and holds every record_stride-th step, starting at macroscopic time -1;
+    without a stride nothing is recorded and None is returned.  With
+    src=None the noise is switched off (deterministic diagnostic mode).
     """
     eps = dom.mesh
     d = dom.dim
@@ -425,10 +407,9 @@ def run_dirichlet(
     # the loop runs in unit time; the datum and on_step see macroscopic time
     pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
     step = None if on_step is None else (lambda k, t, u: on_step(k, t * eps * eps, u))
-    if record_stride is None:
-        record_stride = max(n_steps // 256, 1)
     recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
                          mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
                          record_stride=record_stride)
-    recorded *= eps
+    if recorded is not None:
+        recorded *= eps
     return recorded

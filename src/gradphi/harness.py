@@ -55,8 +55,8 @@ from .occupation import (
     occupation_experiment,
 )
 from .parabolic import EffectiveGradient, heat_kernel, nash_aronson_fit, solve_homogenized
-from .potential import Potential, from_config as potential_from_config
-from .spectral import gff_covariance
+from .potential import Potential, from_config as potential_from_config, quadratic
+from .spectral import gff_dynamic_covariance
 
 SCHEMA_VERSION = 1
 
@@ -110,6 +110,18 @@ def _bind(fn, block, what: str, *args):
     except TypeError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     return functools.partial(fn, *bound.args, **bound.kwargs)
+
+
+def _tilt(spec, d: int, what: str) -> np.ndarray:
+    """The constant tilt of a config value, zero for None; anything but d
+    numbers is a ConfigError."""
+    try:
+        p = np.zeros(d) if spec is None else np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    if p.shape != (d,):
+        raise ConfigError(f"{what} needs {d} numbers, got {spec!r}")
+    return p
 
 
 def _potential(spec) -> Potential:
@@ -211,7 +223,10 @@ def _affine(coefficients=(0.3, -0.2)):
     coeffs = np.asarray(coefficients, dtype=float)
 
     def f(pts):
-        values = pts @ coeffs[: pts.shape[-1]]
+        if coeffs.shape != pts.shape[-1:]:
+            raise ConfigError(f"affine boundary datum: {coeffs.size} coefficients "
+                              f"for {pts.shape[-1]}-d points")
+        values = pts @ coeffs
         return lambda t: values
 
     return f
@@ -346,7 +361,7 @@ def run_hessian(seed: int, threads=None, *, potential, L, d=2, slope=None,
     V = _potential(potential)
     d = int(d)
     L = int(L)
-    p = np.asarray([0.0] * d if slope is None else slope, dtype=float)
+    p = _tilt(slope, d, "slope")
     replicas = int(replicas)
     src = NoiseSource(seed=seed)
     est = estimate_hessian(p, L, V, replicas, src, d=d)
@@ -370,7 +385,7 @@ def run_linearize(seed: int, threads=None, *, potential, L, d=2, base_slope=None
     V = _potential(potential)
     d = int(d)
     L = int(L)
-    p = np.asarray([0.0] * d if base_slope is None else base_slope, dtype=float)
+    p = _tilt(base_slope, d, "base_slope")
     gaps = [float(g) for g in gaps]
     qs = [p + np.eye(d)[0] * g for g in gaps]
     replicas = int(replicas)
@@ -477,7 +492,7 @@ def run_heatkernel(seed: int, threads=None, *, d=2, L=8, environments=3,
         dt = stable_dt(c_plus, d)
         tab = heat_kernel(env, grid, 0.0, (0,) * d, float(L * L), dt,
                           c_plus=c_plus)
-        fit = nash_aronson_fit(tab)
+        fit = nash_aronson_fit(tab, (0,) * d)
         mass = float(np.max(np.abs(tab.values.sum(axis=tuple(range(1, d + 1))))))
         neg = float((tab.values + 1.0 / grid.nsites).min())
         worst_mass = max(worst_mass, mass)
@@ -501,6 +516,7 @@ def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentRe
     grid = make_torus(d, L)
     src = NoiseSource(seed=seed)
     T = float(L * L) / 2.0
+    dt = stable_dt(quadratic(), d)
     final, _ = run_gff_dynamic(grid, T, src, replicas=np.arange(replicas))
     center = final[(slice(None),) + (grid.radius,) * d]
     rows, criteria = [], {}
@@ -508,7 +524,7 @@ def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentRe
     ok_all = True
     for off in offsets:
         off = tuple(int(v) for v in off)
-        oracle = gff_covariance(grid, off)
+        oracle = gff_dynamic_covariance(grid, off, T, dt)
         idx = tuple((grid.radius + off[ax]) % grid.side for ax in range(d))
         other = final[(slice(None),) + idx]
         emp = float((center * other).mean())
@@ -622,7 +638,7 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
                 acc[:] += (diff**2).sum(axis=1) * dt_rec
 
         run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), dt_unit=dt_unit,
-                      record_stride=10**9, on_step=on_step)
+                      on_step=on_step)
         errs = np.sqrt(eps**d * acc)
         for rep, e in enumerate(errs):
             rows.append((eps, rep, float(e)))

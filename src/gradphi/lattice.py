@@ -3,8 +3,9 @@
 Two site sets are supported: the periodic box (torus) of side 2L+1 used by
 the interface dynamics, and the Dirichlet discretization of the unit cube
 at mesh 1/N used by the rescaled boundary-value problems.  Fields are plain
-numpy arrays over the grid shape; space-time fields share one uniform time
-grid (`TimeGrid`) and snap query times to the nearest slice.
+numpy arrays over the grid shape.  A space-time field (`SpaceTimeField`)
+holds site or edge values on one uniform time grid and snaps query times
+to the nearest slice.
 
 Every lattice difference and divergence of the package is one of the
 stencil functions below: the periodic shift, forward difference and
@@ -128,6 +129,10 @@ class DirichletDomain:
     def shape(self) -> tuple[int, ...]:
         return (self.resolution + 1,) * self.dim
 
+    @property
+    def nsites(self) -> int:
+        return (self.resolution + 1) ** self.dim
+
     @cached_property
     def coordinates(self) -> np.ndarray:
         axes = [np.arange(self.resolution + 1)] * self.dim
@@ -193,13 +198,34 @@ def standard_cylinder(L: int) -> ParabolicCylinder:
     return ParabolicCylinder(t_lo=-float(L * L), t_hi=0.0, radius=L)
 
 
-class TimeGrid:
-    """Uniform time grid t0 + j dt over the leading axis of `values`.
+def horizon_steps(horizon: float, dt: float) -> tuple[float, int]:
+    """(t0, n_steps) of a run of round(horizon / dt) steps that ends at t = 0."""
+    n_steps = int(round(horizon / dt))
+    # 0.0 - x, not -x: a zero horizon starts at +0.0
+    return 0.0 - n_steps * dt, n_steps
 
-    Subclasses provide the attributes `t0`, `dt` and `values`.  `at` and
-    `time_window` snap to the nearest slice and reject times outside the
-    stored range; `at_clamped` snaps and then clamps into it.
+
+@dataclass
+class SpaceTimeField:
+    """Site or edge values on a uniform time grid t0 + j dt.
+
+    `values` has shape (nslices, *grid.shape) for a site field or
+    (nslices, d, *grid.shape) for an edge field, whose entry [j, i, x] is
+    the value on the edge (x, x+e_i).  `at` and `time_window` snap to the
+    nearest slice and reject times outside the stored range; `at_clamped`
+    snaps and then clamps into it.
     """
+
+    grid: TorusGrid | DirichletDomain
+    t0: float
+    dt: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape[1:] not in (self.grid.shape, (self.grid.dim,) + self.grid.shape):
+            raise ValueError("field shape must be (nslices, *grid.shape) or "
+                             "(nslices, dim, *grid.shape)")
 
     @property
     def nslices(self) -> int:
@@ -236,28 +262,6 @@ class TimeGrid:
         return j0, j1
 
 
-def horizon_steps(horizon: float, dt: float) -> tuple[float, int]:
-    """(t0, n_steps) of a run of round(horizon / dt) steps that ends at t = 0."""
-    n_steps = int(round(horizon / dt))
-    # 0.0 - x, not -x: a zero horizon starts at +0.0
-    return 0.0 - n_steps * dt, n_steps
-
-
-@dataclass
-class SpaceTimeField(TimeGrid):
-    """Site values on a uniform time grid; queries snap to the nearest slice."""
-
-    grid: TorusGrid | DirichletDomain
-    t0: float
-    dt: float
-    values: np.ndarray  # (nslices, *grid.shape)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape[1:] != self.grid.shape:
-            raise ValueError("field shape does not match the grid")
-
-
 @dataclass
 class EdgeField:
     """Antisymmetric values on directed edges at one time slice.
@@ -283,16 +287,6 @@ class EdgeField:
         if dx[ax] == 1:
             return float(self.data[(ax,) + self.grid.array_index(x)])
         return -float(self.data[(ax,) + self.grid.array_index(y)])
-
-
-@dataclass
-class EdgeTrajectory(TimeGrid):
-    """Time-indexed edge field: values (nslices, dim, *shape)."""
-
-    grid: TorusGrid
-    t0: float
-    dt: float
-    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +456,21 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def cylinder_average(f, Q: ParabolicCylinder):
+def cylinder_average(f: SpaceTimeField, Q: ParabolicCylinder):
     """Space-time average (f)_Q.
 
-    Scalar fields give a real; edge trajectories give the vector whose i-th
+    Site fields give a real; edge fields give the vector whose i-th
     component averages the values on the (x, x+e_i) edges of the box.
     """
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     w = _trapezoid_weights(j1 - j0 + 1)
     w = w / w.sum()
-    if not isinstance(f, (SpaceTimeField, EdgeTrajectory)):
-        raise TypeError(f"cannot average object of type {type(f)!r}")
-    lead = (slice(None),) * (1 if isinstance(f, SpaceTimeField) else 2)
+    lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
     vals = f.values[j0:j1 + 1]
     if Q.radius is not None:
-        vals = vals[lead + f.grid.box_slices(Q.radius)]
-    spatial = vals.mean(axis=tuple(range(len(lead), vals.ndim)))
-    if isinstance(f, SpaceTimeField):
-        return float(np.dot(w, spatial))
-    return w @ spatial
+        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
+    spatial = vals.mean(axis=tuple(range(lead, vals.ndim)))
+    return np.dot(w, spatial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Measurement instruments: Lp, Hoelder, and parabolic negative norms.
 
-Fields are SpaceTimeField/EdgeTrajectory objects (or raw slice stacks);
-time integrals use the trapezoid rule on the stored grid.  The parabolic
+The Lp and Hoelder norms take a SpaceTimeField of site values (and Lp
+also of edge values) and integrate in time by the trapezoid rule on its
+stored grid; the negative norms take raw slice stacks.  The parabolic
 negative norm comes in two forms: a multiscale estimator built from block
 averages over a triadic tiling, and an exact discrete dual norm computed by
 gradient ascent over the unit ball of parabolic test functions.
@@ -15,7 +16,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .lattice import (
-    EdgeTrajectory,
     ParabolicCylinder,
     SpaceTimeField,
     _trapezoid_weights,
@@ -35,19 +35,16 @@ def _windowed_values(f, Q: ParabolicCylinder | None):
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     vals = f.values[j0:j1 + 1]
     if Q.radius is not None:
-        box = f.grid.box_slices(Q.radius)
-        if isinstance(f, EdgeTrajectory):
-            vals = vals[(slice(None), slice(None)) + box]
-        else:
-            vals = vals[(slice(None),) + box]
+        lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
+        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
     return vals, f.dt, (j1 - j0) * f.dt
 
 
-def lp_norm(f, p: float = 2.0, normalized: bool = True) -> float:
+def lp_norm(f: SpaceTimeField, p: float = 2.0, normalized: bool = True) -> float:
     """Space-time L^p norm over the whole stored cylinder Q; `normalized`
     divides by |Q| before the p-th root.
 
-    For edge trajectories the sum runs over all directed-edge
+    For edge fields the sum runs over all directed-edge
     representatives (one per undirected edge), matching the convention that
     |Q| = |I| |Lambda| normalizes vector fields as well.
     """
@@ -56,14 +53,11 @@ def lp_norm(f, p: float = 2.0, normalized: bool = True) -> float:
     vals, dt, duration = _windowed_values(f, None)
     if p == np.inf:
         return float(np.max(np.abs(vals)))
-    nspace = vals[0].size
-    if isinstance(f, EdgeTrajectory):
-        nspace = vals[0][0].size  # sites, not edges: |Q| = |I| |Lambda|
     w = _trapezoid_weights(vals.shape[0]) * dt
     per_slice = np.abs(vals).__pow__(p).sum(axis=tuple(range(1, vals.ndim)))
     total = float(np.dot(w, per_slice))
     if normalized:
-        total /= duration * nspace
+        total /= duration * f.grid.nsites  # sites, not edges: |Q| = |I| |Lambda|
     return total ** (1.0 / p)
 
 

@@ -19,9 +19,7 @@ import numpy as np
 from .dynamics import _check_dt, smoothed_boundary_datum, stable_dt
 from .lattice import (
     DirichletDomain,
-    EdgeTrajectory,
     SpaceTimeField,
-    TimeGrid,
     TorusGrid,
     dirichlet_divergence,
     dirichlet_forward_difference,
@@ -54,36 +52,14 @@ def _static_env(a, grid: TorusGrid) -> np.ndarray:
 # heat kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HeatKernelTable(TimeGrid):
-    """Mean-zero periodic heat kernel from a point source at (s, y)."""
-
-    grid: TorusGrid
-    source_time: float
-    source_site: tuple[int, ...]
-    dt: float
-    values: np.ndarray  # (nslices, *shape), slice 0 at t = source_time
-
-    @property
-    def t0(self) -> float:
-        return self.source_time
-
-    def at(self, t: float) -> np.ndarray:
-        """The kernel at time t: zero before the source, the last slice
-        after the stored range."""
-        if t < self.source_time - 1e-12:
-            return np.zeros(self.grid.shape)
-        return self.at_clamped(t)
-
-
 def heat_kernel(a, grid: TorusGrid, s: float, y, t_end: float, dt: float,
-                c_plus: float = 1.0) -> HeatKernelTable:
-    """Explicit stepping of the periodic kernel started from delta_y - 1/|L|."""
+                c_plus: float = 1.0) -> SpaceTimeField:
+    """Explicit stepping of the periodic kernel started from delta_y - 1/|L|
+    at the source time s, which is the field's t0."""
     P = np.full(grid.shape, -1.0 / grid.nsites)
     P[grid.array_index(y)] += 1.0
     n_steps = int(round((t_end - s) / dt))
-    sol = solve_linear_parabolic(a, grid, s, n_steps, dt, init=P, c_plus=c_plus)
-    return HeatKernelTable(grid, s, tuple(y), dt, sol.values)
+    return solve_linear_parabolic(a, grid, s, n_steps, dt, init=P, c_plus=c_plus)
 
 
 def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
@@ -155,24 +131,26 @@ def solve_linear_parabolic(
     """Explicit stepping of du/dt = div(a grad u) + div(F) + f, periodic.
 
     The environment `a` is a scalar or a (d, *shape) array; `edge_forcing`
-    is a constant d-vector or an EdgeTrajectory; `site_forcing` is a
-    SpaceTimeField.  Mean-zero data stays mean-zero exactly.
+    is a constant d-vector or a SpaceTimeField of edge values, read at the
+    nearest slice; `site_forcing` is a SpaceTimeField of site values.
+    Mean-zero data stays mean-zero exactly.
     """
     _check_dt(dt, grid.dim, c_plus)
     d = grid.dim
     u = np.zeros(grid.shape) if init is None else np.array(init, dtype=float, copy=True)
     a = _static_env(a, grid)
     F = edge_forcing
-    if F is not None and not isinstance(F, EdgeTrajectory):
-        F = np.broadcast_to(np.asarray(F, dtype=float).reshape((d,) + (1,) * d),
-                            (d,) + grid.shape)
+    if F is not None and not isinstance(F, SpaceTimeField):
+        # a constant forcing is an edge field of one slice
+        F = SpaceTimeField(grid, t0, dt, np.broadcast_to(
+            np.asarray(F, dtype=float).reshape((1, d) + (1,) * d), (1, d) + grid.shape))
+    if F is not None and F.values.shape[1:] != (d,) + grid.shape:
+        raise ValueError("edge forcing must hold edge values (nslices, d, *grid.shape)")
 
     def linear_drift(k, t, u):
         du = divergence_field(a * forward_gradients(u))
-        if isinstance(F, EdgeTrajectory):
+        if F is not None:
             du += divergence_field(F.at_clamped(t))
-        elif F is not None:
-            du += divergence_field(F)
         if site_forcing is not None:
             du += site_forcing.at(t)
         return du
@@ -380,9 +358,10 @@ class NashAronsonFit:
     worst_ratio: float
 
 
-def nash_aronson_fit(P: HeatKernelTable) -> NashAronsonFit:
+def nash_aronson_fit(P: SpaceTimeField, y) -> NashAronsonFit:
     """Smallest constant C in 1, 2, 4, ..., 64 whose envelope dominates
-    P + 1/|L| up to time L^2.
+    P + 1/|L| up to time L^2, for the kernel P of `heat_kernel` from the
+    source site y at the source time s = P.t0.
 
     The envelope is checked at times 1 <= t - s <= L^2 (below one unit the
     comparison profile saturates).  Returns a flagged result if no grid
@@ -390,9 +369,9 @@ def nash_aronson_fit(P: HeatKernelTable) -> NashAronsonFit:
     """
     grid = P.grid
     L = grid.radius
-    shifted = grid.coordinates - np.asarray(P.source_site)
+    shifted = grid.coordinates - np.asarray(y)
     wrapped = (shifted + grid.radius) % grid.side - grid.radius
-    times = P.times - P.source_time
+    times = P.times - P.t0
     sel = (times >= 1.0 - 1e-9) & (times <= L * L + 1e-9)
     vals = P.values[sel] + 1.0 / grid.nsites
     tsel = times[sel]

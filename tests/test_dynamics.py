@@ -5,6 +5,7 @@ from gradphi import spectral
 from gradphi.lattice import (
     DirichletDomain,
     ParabolicCylinder,
+    SpaceTimeField,
     cylinder_average,
     forward_difference,
     horizon_steps,
@@ -348,9 +349,7 @@ def test_stationary_periodic_flux_centered_on_tilt():
         for j in range(traj.nslices):
             g = np.roll(traj.values[j], -1, axis=0) - traj.values[j]
             grads.append(V.vp(g + p[0]))
-        from gradphi.lattice import EdgeTrajectory
-
-        et = EdgeTrajectory(grid, traj.t0, traj.dt,
+        et = SpaceTimeField(grid, traj.t0, traj.dt,
                             np.stack([np.stack(grads),
                                       np.zeros((traj.nslices,) + grid.shape)], axis=1))
         means.append(cylinder_average(et, window)[0])
@@ -398,7 +397,7 @@ def _sine_datum(pts):
 
 def test_dirichlet_zero_data_zero_noise_stays_zero():
     dom = DirichletDomain(2, 4)
-    out = run_dirichlet(dom, _zero_datum, quadratic(), None, np.arange(1))
+    out = run_dirichlet(dom, _zero_datum, quadratic(), None, np.arange(1), record_stride=1)
     assert np.max(np.abs(out)) == 0.0
 
 

@@ -149,10 +149,21 @@ def test_cli_missing_config_key_exits_2(tmp_path):
     ("occupation", {"replica": 5, "thresholds": [0.05, 0.1, 0.2], "seed": 1}),
     ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.25], "f": {"name": "zero"},
                "gradient_diagnostic": {"epsilon": [0.25], "replicas": 1}}),
+    ("surface-tension", {"potential": {"kind": "quadratic"}, "L": 2, "replicas": 3,
+                         "slopes": [[0.1, 0.0], [0.2]]}),
+    ("hessian", {"potential": {"kind": "quadratic"}, "L": 2, "replicas": 3, "slope": [0.2]}),
+    ("linearize", {"potential": {"kind": "kinked", "b": 0.5}, "L": 2, "replicas": 3,
+                   "base_slope": [0.3, 0.0, 0.1]}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "d": 3, "epsilons": [0.5], "replicas": 1,
+               "f": {"name": "affine"}}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5], "replicas": 1,
+               "f": {"name": "affine", "coefficients": [1, 2, 3]}}),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, name, cfg):
     # an unknown potential, a missing potential parameter, a misspelled
-    # top-level key and a misspelled key of a nested block
+    # top-level key, a misspelled key of a nested block, tilts without d
+    # components, and an affine boundary datum without d coefficients (the
+    # 2-d default in 3-d, three in 2-d)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, **cfg}))
     assert run_cli([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -185,7 +185,7 @@ def _linearization_reference(p, qs, L, V, src, replicas, d=2):
         ids = np.arange(lo, min(lo + 16, replicas))
 
         def run(v):
-            return evolve_torus(grid, V, SlopePath.constant(v, t0), src, t0, n_steps,
+            return evolve_torus(grid, V, SlopePath.constant(v), src, t0, n_steps,
                                 dt, np.zeros(grid.shape), replicas=ids,
                                 record_stride=1)[1]
 

@@ -6,7 +6,6 @@ from gradphi.lattice import (
     EdgeField,
     ParabolicCylinder,
     SpaceTimeField,
-    EdgeTrajectory,
     cylinder_average,
     dirichlet_divergence,
     dirichlet_edges,
@@ -170,9 +169,21 @@ def test_cylinder_average_edge_field_vector():
     vals = np.empty((nsl, 2) + grid.shape)
     vals[:, 0] = 1.5
     vals[:, 1] = -0.5
-    g = EdgeTrajectory(grid, -1.0, 0.25, vals)
+    g = SpaceTimeField(grid, -1.0, 0.25, vals)
     out = cylinder_average(g, ParabolicCylinder(-1.0, 0.0))
     assert np.allclose(out, [1.5, -0.5])
+
+
+def test_space_time_field_holds_site_or_edge_stacks():
+    # (n, *shape) site values and (n, d, *shape) edge values are fields;
+    # a stack with any other component count is not
+    for grid in (make_torus(2, 2), make_torus(3, 1), DirichletDomain(2, 4)):
+        d = grid.dim
+        assert SpaceTimeField(grid, 0.0, 0.5, np.zeros((3,) + grid.shape)).nslices == 3
+        assert SpaceTimeField(grid, 0.0, 0.5, np.zeros((3, d) + grid.shape)).nslices == 3
+        for bad in ((3, d + 1) + grid.shape, (3, 1) + grid.shape, (3,) + grid.shape[1:]):
+            with pytest.raises(ValueError):
+                SpaceTimeField(grid, 0.0, 0.5, np.zeros(bad))
 
 
 def test_partition_cell_counts():

@@ -4,7 +4,6 @@ import pytest
 from gradphi import spectral
 from gradphi.lattice import (
     DirichletDomain,
-    EdgeTrajectory,
     SpaceTimeField,
     make_torus,
 )
@@ -63,12 +62,6 @@ def test_heat_kernel_rejects_unstable_step():
         heat_kernel(1.0, grid, 0.0, (0, 0), 1.0, dt=0.2)
 
 
-def test_kernel_vanishes_before_source():
-    grid = make_torus(2, 3)
-    tab = heat_kernel(1.0, grid, -2.0, (0, 0), 0.0, dt=1.0 / 16)
-    assert np.all(tab.at(-3.0) == 0.0)
-
-
 def test_gaussian_envelope_closed_form():
     for L in (4, 8, 32):
         got = gaussian_envelope(2.0, L, 1.0, np.zeros(2))
@@ -79,7 +72,7 @@ def test_nash_aronson_fit_exists_for_unit_environment():
     grid = make_torus(2, 8)
     dt = stable_dt(quadratic(), 2)
     tab = heat_kernel(1.0, grid, 0.0, (0, 0), 64.0, dt=dt)
-    fit = nash_aronson_fit(tab)
+    fit = nash_aronson_fit(tab, (0, 0))
     assert fit.ok and fit.c_hat <= 64
 
 
@@ -93,7 +86,7 @@ def test_nash_aronson_constant_shrinks_with_contrast():
         c_plus = float(np.exp(theta))
         tab = heat_kernel(env, grid, 0.0, (0, 0), 36.0, dt=1.0 / (8 * 2 * 2.0),
                           c_plus=c_plus)
-        fits.append(nash_aronson_fit(tab).c_hat)
+        fits.append(nash_aronson_fit(tab, (0, 0)).c_hat)
     assert all(f is not None for f in fits)
     assert fits[0] >= fits[1] >= fits[2]
 
@@ -188,18 +181,26 @@ def test_linear_solver_energy_inequality():
         rng = np.random.default_rng(seed)
         env = _random_static_env(grid, 1.0, 1.5, seed + 50)
         F = rng.normal(size=(n + 1, 2) + grid.shape)
-        Ftraj = EdgeTrajectory(grid, 0.0, dt, F)
+        Ftraj = SpaceTimeField(grid, 0.0, dt, F)
         w = solve_linear_parabolic(env, grid, 0.0, n, dt, edge_forcing=Ftraj,
                                    c_plus=1.5)
         gw = np.stack(
             [np.stack([np.roll(w.values[j], -1, axis=ax) - w.values[j]
                        for ax in range(2)]) for j in range(w.nslices)]
         )
-        gtraj = EdgeTrajectory(grid, 0.0, dt, gw)
+        gtraj = SpaceTimeField(grid, 0.0, dt, gw)
         num = lp_norm(gtraj, p=2)
         den = lp_norm(Ftraj, p=2)
         worst = max(worst, num / den)
     assert worst <= 1.0 / 1.0 + 0.1
+
+
+def test_linear_solver_edge_forcing_must_hold_edge_values():
+    # a field of site values is no edge forcing
+    grid = make_torus(2, 3)
+    site = SpaceTimeField(grid, 0.0, 1.0 / 16, np.zeros((5,) + grid.shape))
+    with pytest.raises(ValueError):
+        solve_linear_parabolic(1.0, grid, 0.0, 4, 1.0 / 16, edge_forcing=site)
 
 
 def test_linearized_corrector_trivial_cases():
