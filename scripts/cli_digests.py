@@ -51,6 +51,11 @@ CASES = [
     ("hydro", "table", {"potential": SQ, "epsilons": [0.25, 0.125, 0.0625], "replicas": 2, "f": {"name": "sine_product"},
                         "effective_table": {"knots": [0.0, 0.5, 1.0, 1.5], "values": [0.0, 0.6, 1.3, 2.2]},
                         "gradient_diagnostic": {"epsilons": [0.25], "replicas": 1}, "seed": 10}),
+    ("hydro", "d3", {"potential": Q, "d": 3, "epsilons": [0.5, 0.25], "replicas": 2, "f": {"name": "sine_product"},
+                     "gradient_diagnostic": {"epsilons": [0.25], "replicas": 1}, "seed": 20}),
+    ("hydro", "table3", {"potential": SQ, "d": 3, "epsilons": [0.5, 0.25], "replicas": 2,
+                         "f": {"name": "affine", "coefficients": [0.5, 0.25, -0.5]},
+                         "effective_table": {"knots": [0.0, 0.5, 1.0], "values": [0.0, 0.6, 1.3]}, "seed": 21}),
     ("occupation", "b", {"thresholds": [0.05, 0.1, 0.2], "replicas": 50, "dt": 0.01, "seed": 11}),
     ("occupation", "e", {"process": "edge_gradient", "L": 3, "potential": SQ, "thresholds": [0.05, 0.1, 0.2],
                          "replicas": 6, "seed": 12}),

@@ -32,7 +32,6 @@ from .lattice import (
     SpaceTimeField,
     TorusGrid,
     dirichlet_edges,
-    dirichlet_forward_difference,
     forward_difference,
     horizon_steps,
     make_torus,
@@ -713,23 +712,20 @@ def local_slopes(ubar: SpaceTimeField, kappa: float, centers: np.ndarray):
 
 
 def _window_gradient_average(ubar, pts, y, half_width, t_lo, t_hi):
-    dom: DirichletDomain = ubar.grid
-    eps = dom.mesh
-    d = dom.dim
-    mask = np.ones(dom.shape, dtype=bool)
-    for ax in range(d):
-        mask &= np.abs(pts[..., ax] - y[ax]) <= half_width + 1e-12
-    # forward gradients exist where the shifted site stays on the grid
     j0, j1 = ubar.time_window(max(t_lo, ubar.t0), min(t_hi, ubar.t1))
-    out = np.zeros(d)
-    for ax in range(d):
-        sel = mask & _valid_edge_mask(dom, ax)
-        vals = 0.0
-        for j in range(j0, j1 + 1):
-            g = dirichlet_forward_difference(ubar.values[j], ax) / eps
-            vals += g[sel].mean()
-        out[ax] = vals / (j1 - j0 + 1)
-    return out
+    return np.array([sum(row.mean() for row in g) / (j1 - j0 + 1)
+                     for g in _box_gradients(ubar, pts, y, half_width, j0, j1)])
+
+
+def _box_gradients(ubar, pts, y, half_width, j0, j1):
+    """Per axis, the (j1 - j0 + 1, n) mesh-scaled gradients of the slices
+    j0..j1 on the n edges (x, x + e_ax) with x in the box of the given
+    half-width around y."""
+    dom: DirichletDomain = ubar.grid
+    mask = np.all(np.abs(pts - y) <= half_width + 1e-12, axis=-1)
+    vals = ubar.values[j0:j1 + 1]
+    return [np.diff(vals, axis=1 + ax)[:, mask[dirichlet_edges(dom.dim, ax)]] / dom.mesh
+            for ax in range(dom.dim)]
 
 
 def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
@@ -792,7 +788,8 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float,
     # the geometry does not depend on the slice: one overlap per corrector,
     # one edge average per corrector and axis
     overlaps = [_box_overlap(traj.grid, z_y, dom) for traj, z_y in zip(correctors, origins)]
-    chi_edges = [[_edge_average(chi_i, ax) for ax in range(d)] for chi_i in chi]
+    chi_edges = [[_edge_average(chi_i, ax)[dirichlet_edges(d, ax)] for ax in range(d)]
+                 for chi_i in chi]
 
     for i, (traj, overlap) in enumerate(zip(correctors, overlaps)):
         if overlap is None:
@@ -807,14 +804,14 @@ def build_two_scale(ubar: SpaceTimeField, kappa: float,
     for j in range(n_slices):
         t = times[j]
         for ax in range(d):
-            total = dirichlet_forward_difference(w[j], ax) / eps
+            total = np.diff(w[j], axis=ax) / eps
             for i, (path, traj, overlap) in enumerate(zip(xi, correctors, overlaps)):
                 chi_edge = chi_edges[i][ax]
                 if not np.any(chi_edge):
                     continue
                 gv = _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
                 total -= chi_edge * (path.at(t)[ax] + gv)
-            remainder[j, ax] = total
+            remainder[(j, ax) + dirichlet_edges(d, ax)] = total
     return TwoScaleExpansion(ubar, kappa, centers, chi, xi, correctors,
                              origins, w, remainder, L_micro)
 
@@ -841,13 +838,14 @@ def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
 
 
 def _corrector_edge_gradient(traj, overlap, dom, t_macro, eps, ax):
-    """Unit-lattice forward gradient of the corrector on domain edges; the
-    overlap is `_box_overlap` of the corrector's box."""
+    """Unit-lattice forward gradient of the corrector on the domain edges
+    along ax, in the layout of np.diff; the overlap is `_box_overlap` of
+    the corrector's box."""
     out = np.zeros(dom.shape)
     if overlap is not None:
         g_box = forward_difference(traj.at_clamped(t_macro / (eps * eps)), ax)
         out[overlap[0]] = g_box[overlap[1]]
-    return out
+    return out[dirichlet_edges(dom.dim, ax)]
 
 
 def error_terms(expansion: TwoScaleExpansion, cell) -> tuple[float, float, float]:
@@ -898,29 +896,14 @@ def error_terms(expansion: TwoScaleExpansion, cell) -> tuple[float, float, float
 
 
 def _gradient_mismatch(ubar, pts, y, kappa, t_lo, t_hi, xi):
-    dom: DirichletDomain = ubar.grid
-    eps = dom.mesh
-    d = dom.dim
-    mask = np.ones(dom.shape, dtype=bool)
-    for ax in range(d):
-        mask &= np.abs(pts[..., ax] - y[ax]) <= kappa + 1e-12
     j0, j1 = ubar.time_window(t_lo, t_hi)
+    grads = _box_gradients(ubar, pts, y, kappa, j0, j1)
     acc = 0.0
-    cnt = 0
-    for j in range(j0, j1 + 1):
-        for ax in range(d):
-            g = dirichlet_forward_difference(ubar.values[j], ax) / eps
-            sel = mask & _valid_edge_mask(dom, ax)
-            if np.any(sel):
-                acc += ((g[sel] - xi[ax]) ** 2).mean()
-        cnt += 1
-    return float(np.sqrt(acc / max(cnt, 1)))
-
-
-def _valid_edge_mask(dom, ax):
-    m = np.zeros(dom.shape, dtype=bool)
-    m[dirichlet_edges(dom.dim, ax)] = True
-    return m
+    for j in range(j1 - j0 + 1):
+        for ax, g in enumerate(grads):
+            if g.shape[1]:
+                acc += ((g[j] - xi[ax]) ** 2).mean()
+    return float(np.sqrt(acc / (j1 - j0 + 1)))
 
 
 def error_terms_aggregate(expansion: TwoScaleExpansion) -> float:
@@ -955,14 +938,8 @@ def flux_weak_norm(expansion: TwoScaleExpansion, Dsigma: EffectiveGradient,
     h = np.zeros((n_slices,) + dom.shape)
     for i, (path, traj, z_y) in enumerate(zip(expansion.xi, expansion.correctors,
                                               expansion.micro_origin)):
-        chi_i = expansion.chi[i]
-        grad_chi = []
-        has_support = False
-        for ax in range(d):
-            g = dirichlet_forward_difference(chi_i, ax) / eps
-            grad_chi.append(g)
-            has_support = has_support or np.any(g)
-        if not has_support:
+        grad_chi = [np.diff(expansion.chi[i], axis=ax) / eps for ax in range(d)]
+        if not any(np.any(g) for g in grad_chi):
             continue
         overlap = _box_overlap(traj.grid, z_y, dom)
         for j in range(n_slices):
@@ -971,7 +948,7 @@ def flux_weak_norm(expansion: TwoScaleExpansion, Dsigma: EffectiveGradient,
             target = Dsigma(xi_t)
             for ax in range(d):
                 gv = xi_t[ax] + _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
-                h[j] += grad_chi[ax] * (V.vp(gv) - target[ax])
+                h[(j,) + dirichlet_edges(d, ax)] += grad_chi[ax] * (V.vp(gv) - target[ax])
     # rescale to the unit lattice and extend by zero to a triadic cylinder
     side = dom.shape[0]
     m = 0

@@ -7,11 +7,14 @@ numpy arrays over the grid shape.  A space-time field (`SpaceTimeField`)
 holds site or edge values on one uniform time grid and snaps query times
 to the nearest slice.
 
-Every lattice difference and divergence of the package is one of the
-stencil functions below: the periodic shift, forward difference and
-backward divergence, and their Dirichlet forms, which read zero across the
-far face.  Every solver steps through the one explicit time loop,
-`time_loop`, and supplies only its drift.
+Every periodic difference and divergence of the package is one of the
+stencil functions below: the shift, forward difference and backward
+divergence.  A Dirichlet difference is `np.diff`, where nothing wraps
+around: along axis i the grid has N edges (x, x+e_i), one per site of
+`dirichlet_edges`, and no value on the far face.  The interior update of a
+conservative divergence reads only the edges of `interior_across`.  Every
+solver steps through the one explicit time loop, `time_loop`, and supplies
+only its drift.
 
 Site indexing is row-major over {-L..L}^d.  Edge fields store the value on
 the positively oriented edge (x, x+e_i) at index [i, x]; antisymmetry is
@@ -341,29 +344,17 @@ def divergence_field(g: np.ndarray) -> np.ndarray:
 
 def dirichlet_edges(ndim: int, ax: int) -> tuple[slice, ...]:
     """Index of the Dirichlet-grid sites x whose edge (x, x + e_ax) stays on
-    the grid: every site but the far face along ax."""
+    the grid: every site but the far face along ax.  Entry x of
+    np.diff(u, axis=ax) is the difference on the edge at x."""
     return _along(ndim, ax, slice(None, -1))
 
 
-def dirichlet_forward_difference(u: np.ndarray, ax: int) -> np.ndarray:
-    """u(x + e_ax) - u(x) on the full Dirichlet grid, zero on the far face
-    along ax, where the edge leaves the grid."""
-    out = np.zeros(u.shape, dtype=np.float64)
-    out[dirichlet_edges(u.ndim, ax)] = np.diff(u, axis=ax)
-    return out
-
-
-def dirichlet_divergence(F: np.ndarray, ax: int) -> np.ndarray:
-    """F(x) - F(x - e_ax) for an edge field on the Dirichlet grid.
-
-    F holds the edge (x, x + e_ax) at x.  Edges that leave the grid read
-    zero, so the far-face entries of F are never read.
-    """
-    edges = dirichlet_edges(F.ndim, ax)
-    out = np.zeros(F.shape, dtype=np.float64)
-    out[edges] = F[edges]
-    out[_along(F.ndim, ax, slice(1, None))] -= F[edges]
-    return out
+def interior_across(d: int, ax: int) -> tuple:
+    """Index of a Dirichlet field (with any leading batch axes) selecting
+    every site along spatial axis ax and the interior across it.  Its
+    np.diff along ax holds the N edges that the interior update of a
+    divergence along ax reads."""
+    return (Ellipsis,) + tuple(slice(None) if k == ax else slice(1, -1) for k in range(d))
 
 
 def grad(grid, u: np.ndarray, x, y) -> float:

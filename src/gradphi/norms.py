@@ -66,10 +66,12 @@ def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float
 
     Pairs are enumerated on the restriction to Q (the whole field for
     None), with the plain Euclidean distance on coordinates; intended as a
-    diagnostic on small cylinders.
+    diagnostic on small cylinders.  `f` must be a site field.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"exponent must lie in (0, 1], got {alpha}")
+    if f.values.ndim != 1 + f.grid.dim:
+        raise ValueError("the Hoelder seminorm takes a site field, not an edge field")
     vals, dt, _ = _windowed_values(f, Q)
     d = vals.ndim - 1
     shape = vals.shape[1:]

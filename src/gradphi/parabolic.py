@@ -21,8 +21,6 @@ from .lattice import (
     DirichletDomain,
     SpaceTimeField,
     TorusGrid,
-    dirichlet_divergence,
-    dirichlet_forward_difference,
     divergence_field,
     forward_difference,
     forward_gradients,
@@ -270,8 +268,8 @@ def solve_homogenized(
     Dsigma: EffectiveGradient,
     dom: DirichletDomain,
     f,
+    record_stride: int,
     dt_unit: float | None = None,
-    record_stride: int | None = None,
     init: np.ndarray | None = None,
 ) -> SpaceTimeField:
     """Explicit stepping of the effective equation on the mesh-eps domain.
@@ -280,6 +278,7 @@ def solve_homogenized(
     component i evaluated at x enters with opposite signs at x and x + eps
     e_i, so the discrete integration-by-parts identity holds exactly.
     Boundary sites are pinned to the locally averaged datum at every step.
+    Every record_stride-th step is recorded, the initial slice first.
     """
     eps = dom.mesh
     d = dom.dim
@@ -297,8 +296,6 @@ def solve_homogenized(
     if init is not None:
         u[interior] = np.asarray(init)[interior]
 
-    if record_stride is None:
-        record_stride = max(n_steps // 256, 1)
     out = time_loop(u, lambda k, t, u: homogenized_operator(Dsigma, u, eps), -1.0, dt,
                     n_steps, mask=dom.interior_box, pin=(boundary, lambda t: datum(t, boundary)),
                     record_stride=record_stride)
@@ -306,27 +303,29 @@ def solve_homogenized(
 
 
 def _inner_gradients(u: np.ndarray, eps: float) -> np.ndarray:
-    """Gradient vectors (..., d) at the sites off every far face, where all
-    d forward differences exist."""
+    """Gradient vectors (..., d) at the sites {0..N-1}^d off every far face,
+    where all d forward differences exist."""
     inner = tuple(slice(0, n - 1) for n in u.shape)
-    return np.stack([dirichlet_forward_difference(u, ax)[inner] / eps
-                     for ax in range(u.ndim)], axis=-1)
+    # inner keeps all N edges along ax of np.diff(u, axis=ax)
+    return np.stack([np.diff(u, axis=ax)[inner] / eps for ax in range(u.ndim)], axis=-1)
 
 
 def homogenized_operator(Dsigma: EffectiveGradient, u: np.ndarray, eps: float) -> np.ndarray:
-    """Conservative divergence of the effective flux on the mesh-eps grid.
+    """Conservative divergence of the effective flux at the interior sites
+    of the mesh-eps grid, and zero on the rest of it.
 
-    The vector map is evaluated on full gradient vectors; sites on the far
-    faces carry no forward gradient and get zero flux, which is harmless
-    because only interior sites are ever updated.
+    The vector map is evaluated on the full gradient vectors at the sites
+    {0..N-1}^d; the divergence along ax at an interior site x reads the
+    flux at x and at x - e_ax.
     """
-    inner = tuple(slice(0, n - 1) for n in u.shape)
+    d = u.ndim
     fvecs = Dsigma(_inner_gradients(u, eps))
     out = np.zeros_like(u)
-    for ax in range(u.ndim):
-        flux = np.zeros(u.shape)
-        flux[inner] = fvecs[..., ax]
-        out += dirichlet_divergence(flux, ax) / eps
+    interior = out[(slice(1, -1),) * d]
+    for ax in range(d):
+        # the sites {1..N-1} across ax are [1:] of fvecs
+        across = tuple(slice(None) if k == ax else slice(1, None) for k in range(d))
+        interior += np.diff(fvecs[..., ax], axis=ax)[across] / eps
     return out
 
 

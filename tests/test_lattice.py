@@ -7,14 +7,12 @@ from gradphi.lattice import (
     ParabolicCylinder,
     SpaceTimeField,
     cylinder_average,
-    dirichlet_divergence,
-    dirichlet_edges,
-    dirichlet_forward_difference,
     divergence,
     divergence_field,
     forward_difference,
     forward_gradients,
     grad,
+    horizon_steps,
     make_torus,
     nonlinear_div,
     nonlinear_div_field,
@@ -23,6 +21,9 @@ from gradphi.lattice import (
     standard_cylinder,
     time_loop,
 )
+from gradphi.dynamics import run_dirichlet, stable_dt
+from gradphi.noise import MeanSubtractedNoise, NoiseSource
+from gradphi.parabolic import EffectiveGradient, homogenized_operator
 from gradphi.potential import quadratic, soft_quartic
 
 
@@ -275,23 +276,66 @@ def test_gradient_and_divergence_fields_equal_roll():
         assert np.array_equal(nonlinear_div_field(V, q, u), drift)
 
 
-def test_dirichlet_stencil_equals_diff_and_pad():
-    for a in _stencil_fields():
-        for ax in range(a.ndim):
-            far = [(0, 0)] * a.ndim
-            near = [(0, 0)] * a.ndim
-            far[ax], near[ax] = (0, 1), (1, 0)
-            diff = np.diff(a, axis=ax)
-            assert np.array_equal(a[dirichlet_edges(a.ndim, ax)], a.take(
-                np.arange(a.shape[ax] - 1), axis=ax))
-            grad_a = dirichlet_forward_difference(a, ax)
-            assert np.array_equal(grad_a, np.pad(diff, far))
-            # far-face entries of the flux are never read
-            face = [slice(None)] * a.ndim
-            face[ax] = -1
-            grad_a[tuple(face)] = np.nan
-            assert np.array_equal(dirichlet_divergence(grad_a, ax),
-                                  np.pad(diff, far) - np.pad(diff, near))
+def _padded(a, ax, far):
+    """a padded by one zero row along ax, on the far or the near side."""
+    width = [(0, 0)] * a.ndim
+    width[ax] = (0, 1) if far else (1, 0)
+    return np.pad(a, width)
+
+
+def _padded_divergence(F, ax):
+    """F(x) - F(x - e_ax) of a full-grid edge field, zero at the near face."""
+    return _padded(np.diff(F, axis=ax), ax, far=False)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
+    # every step of a noisy batched run updates the interior bitwise as the
+    # zero-padded stencil does: V' of the forward difference on the full
+    # grid (zero past the far face), then its backward difference
+    V = soft_quartic(0.5)
+    dom = DirichletDomain(d, 4)  # eps = 1/4 scales exactly: records / eps are the states
+    eps = dom.mesh
+    src, reps = NoiseSource(seed=31), np.arange(2)
+    rec = run_dirichlet(dom, lambda p: lambda t: np.exp(t) * np.sin(3.0 * p.sum(axis=-1)),
+                        V, src, reps, record_stride=1)
+    dt = stable_dt(V, d)
+    t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
+    k0 = int(round(t0 / dt))
+    noise = MeanSubtractedNoise(src, dom.site_keys, reps, d)
+    inner = (Ellipsis,) + dom.interior_box
+    for k in range(n_steps):
+        u = rec[k] / eps
+        drift = np.zeros_like(u)
+        for ax in range(1, 1 + d):
+            drift += _padded_divergence(V.vp(_padded(np.diff(u, axis=ax), ax, far=True)), ax)
+        expect = u[inner] + dt * drift[inner]
+        expect += np.sqrt(2.0 * dt) * noise(k0 + k).reshape(u.shape)[inner]
+        assert np.array_equal(rec[k + 1][inner] / eps, expect)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_homogenized_operator_interior_equals_the_padded_stencil(d):
+    # the effective flux of the N^d full gradient vectors, zero-padded to
+    # the grid, and its backward difference; clamping counts the same
+    dom = DirichletDomain(d, 5)
+    eps = dom.mesh
+    u = np.random.default_rng(32).normal(size=dom.shape) * 4.0
+    inner = (slice(0, -1),) * d
+    for make in (EffectiveGradient.identity,
+                 lambda: EffectiveGradient.from_axis_table([0.0, 5.0, 10.0], [0.0, 6.0, 13.0])):
+        Ds, ref = make(), make()
+        fvecs = ref(np.stack([_padded(np.diff(u, axis=ax), ax, far=True)[inner] / eps
+                              for ax in range(d)], axis=-1))
+        expect = np.zeros_like(u)
+        for ax in range(d):
+            flux = np.zeros(dom.shape)
+            flux[inner] = fvecs[..., ax]
+            expect += _padded_divergence(flux, ax) / eps
+        got = homogenized_operator(Ds, u, eps)
+        assert np.array_equal(got[dom.interior_box], expect[dom.interior_box])
+        assert Ds.clamp_events == ref.clamp_events
+    assert ref.clamp_events > 0
 
 
 # ---------------------------------------------------------------------------

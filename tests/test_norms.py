@@ -75,6 +75,16 @@ def test_holder_seminorm_cases():
         holder_seminorm(const, None, 1.5)
 
 
+def test_holder_seminorm_rejects_edge_fields():
+    # 0 on every x-edge and 1 on every y-edge is constant per component: the
+    # component axis is no spatial axis to take differences across
+    grid = make_torus(2, 2)
+    vals = np.zeros((3, 2) + grid.shape)
+    vals[:, 1] = 1.0
+    with pytest.raises(ValueError, match="site field"):
+        holder_seminorm(_field(grid, vals), None, 1.0)
+
+
 def test_multiscale_constant_field_value():
     # f = 1, m = 1, d = 2: averaged L2 gives 1, scales contribute 1 + 3
     n_t = 18

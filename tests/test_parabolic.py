@@ -256,7 +256,8 @@ def test_effective_gradient_cyclic_monotonicity():
 def test_homogenized_identity_zero_datum():
     dom = DirichletDomain(2, 4)
     out = solve_homogenized(EffectiveGradient.identity(), dom,
-                            lambda p: lambda t: np.zeros(p.shape[:-1]))
+                            lambda p: lambda t: np.zeros(p.shape[:-1]), record_stride=16)
+    assert out.nslices == 17
     assert np.all(out.values == 0.0)
 
 
