@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 scripts/cli_digests.py [OUT.json] [--check BASELINE.json]
 
 Runs all ten experiments through `harness.run_experiment` on a few small
-configs each (flux-decay and excess at 1, 2 and 3 threads) and prints, per
+configs each (flux-decay, excess, hydro/q and linearize/k at 1, 2 and 3 threads) and prints, per
 config, the digest of the CSV and of the `results` block of summary.json.
 Two source trees give byte-identical outputs exactly when their digests
 agree; with OUT.json the digests are also written there.  With --check the
@@ -38,9 +38,15 @@ CASES = [
     ("hessian", "sq", {"potential": SQ, "L": 4, "replicas": 3, "slope": [0.2, 0.0], "seed": 7}),
     ("hessian", "q", {"potential": Q, "L": 3, "replicas": 3, "seed": 7}),
     ("linearize", "k", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}),
+    ("linearize", "k-t1", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 1),
+    ("linearize", "k-t3", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 3),
     ("linearize", "k3", {"potential": K, "d": 3, "L": 2, "base_slope": [0.3, 0.0, -0.1], "replicas": 3, "seed": 19}),
     ("hydro", "q", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
                     "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}),
+    ("hydro", "q-t1", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
+                       "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}, 1),
+    ("hydro", "q-t3", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
+                       "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}, 3),
     ("hydro", "zero", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2, "f": {"name": "affine"},
                        "zero_noise": True, "seed": 9}),
     ("hydro", "zero-datum", {"potential": Q, "epsilons": [0.25, 0.125], "replicas": 2, "f": {"name": "zero"},

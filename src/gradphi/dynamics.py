@@ -17,6 +17,8 @@ spatial average zero.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +115,14 @@ def slope_from_config(spec, d: int) -> SlopePath:
     return path
 
 
+def _noise_worker(src: NoiseSource | None, threads: int | None):
+    """The one-thread pool on which a run draws its noise a block ahead,
+    held for the run: with noise and `threads` >= 2, else no pool (None)."""
+    if src is None or threads is None or threads < 2:
+        return nullcontext()
+    return ThreadPoolExecutor(1)
+
+
 # ---------------------------------------------------------------------------
 # core torus engine
 # ---------------------------------------------------------------------------
@@ -130,6 +140,7 @@ def evolve_torus(
     on_step=None,
     record_stride: int | None = None,
     batch_keys: np.ndarray | None = None,
+    threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance the periodic Langevin dynamic by n_steps explicit steps.
 
@@ -145,6 +156,7 @@ def evolve_torus(
     Returns (final_state, recorded), both with the batch axis, where
     recorded stacks every record_stride-th slice (including the initial one)
     if requested.  `on_step(k, t_next, state)` is invoked after each update.
+    With `threads` >= 2 a worker thread draws the noise a block ahead.
 
     The absolute step index is round(t/dt): windows driven by the same
     NoiseSource share their Brownian increments.
@@ -158,7 +170,6 @@ def evolve_torus(
         state = np.broadcast_to(state, (b,) + grid.shape).copy()
 
     keys, ids = (grid.site_keys, replicas) if batch_keys is None else (batch_keys, np.arange(1))
-    noise = MeanSubtractedNoise(src, keys, ids, d) if src is not None else None
 
     drift = np.empty_like(state)
     gbuf = np.empty_like(state)
@@ -185,8 +196,10 @@ def evolve_torus(
             drift -= shift(f, a, 1)
         return drift
 
-    recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
-                         on_step=on_step, record_stride=record_stride)
+    with _noise_worker(src, threads) as pool:
+        noise = MeanSubtractedNoise(src, keys, ids, d, pool) if src is not None else None
+        recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
+                             on_step=on_step, record_stride=record_stride)
     return state, recorded
 
 
@@ -362,6 +375,7 @@ def run_dirichlet(
     dt_unit: float | None = None,
     record_stride: int | None = None,
     on_step=None,
+    threads: int | None = None,
 ) -> np.ndarray | None:
     """Langevin dynamic on the mesh-eps domain driven by diffusively rescaled noise.
 
@@ -377,6 +391,7 @@ def run_dirichlet(
     and holds every record_stride-th step, starting at macroscopic time -1;
     without a stride nothing is recorded and None is returned.  With
     src=None the noise is switched off (deterministic diagnostic mode).
+    With `threads` >= 2 a worker thread draws the noise a block ahead.
     """
     eps = dom.mesh
     d = dom.dim
@@ -392,7 +407,6 @@ def run_dirichlet(
     state = np.zeros((len(replicas),) + dom.shape)
     state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
-    noise = MeanSubtractedNoise(src, dom.site_keys, replicas, d) if src is not None else None
     # the loop reads the interior only: the rest of the buffer stays zero
     drift = np.zeros_like(state)
     drift_in = drift[(Ellipsis,) + dom.interior_box]
@@ -409,9 +423,12 @@ def run_dirichlet(
     # the loop runs in unit time; the datum and on_step see macroscopic time
     pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
     step = None if on_step is None else (lambda k, t, u: on_step(k, t * eps * eps, u))
-    recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
-                         mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
-                         record_stride=record_stride)
+    with _noise_worker(src, threads) as pool:
+        noise = (MeanSubtractedNoise(src, dom.site_keys, replicas, d, pool)
+                 if src is not None else None)
+        recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
+                             mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
+                             record_stride=record_stride)
     if recorded is not None:
         recorded *= eps
     return recorded

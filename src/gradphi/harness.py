@@ -388,7 +388,7 @@ def run_linearize(seed: int, threads=None, *, potential, L, d=2, base_slope=None
     qs = [p + np.eye(d)[0] * g for g in gaps]
     replicas = int(replicas)
     src = NoiseSource(seed=seed)
-    res = linearization_modulus(p, qs, L, V, src, replicas, d=d)
+    res = linearization_modulus(p, qs, L, V, src, replicas, d=d, threads=threads)
     rows = [(g, r, se, replicas) for g, r, se in zip(res.gaps, res.residuals,
                                                      res.stderr)]
     ratios = res.residuals / res.gaps
@@ -537,20 +537,21 @@ def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentRe
 
 
 def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
-                             ubar, kappa: float, dt_unit: float) -> float:
+                             ubar, kappa: float, dt_unit: float,
+                             threads: int | None) -> float:
     """L2 gap between the gradients of the noisy dynamic and the corrected
     effective solution, for one replica.
 
     The corrected solution's cell correctors are driven by the same noise
     stream as the dynamic itself (both address increments by absolute site
     coordinates and step indices), so this measures the pathwise gradient
-    coupling of the expansion.
+    coupling of the expansion.  `threads` goes to the Dirichlet run.
     """
     eps = dom.mesh
     d = dom.dim
     stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // (ubar.nslices - 1), 1)
     traj = run_dirichlet(dom, f, V, src, np.arange(1), dt_unit=dt_unit,
-                         record_stride=stride)[:, 0]
+                         record_stride=stride, threads=threads)[:, 0]
     pack = make_correctors(ubar, kappa, V, src)
     expansion = build_two_scale(ubar, kappa, pack)
     acc = 0.0
@@ -619,7 +620,7 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
             for rep in range(diag_reps):
                 gerr = gradient_two_scale_error(dom, f, V,
                                                 src.with_replica(rep), ubar,
-                                                kappa, dt_unit)
+                                                kappa, dt_unit, threads)
                 gradient_rows.append((eps, rep, gerr))
 
         # the deterministic diagnostic is the batched run with one replica
@@ -634,7 +635,7 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
                 acc[:] += (diff**2).sum(axis=1) * dt_rec
 
         run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), dt_unit=dt_unit,
-                      on_step=on_step)
+                      on_step=on_step, threads=threads)
         errs = np.sqrt(eps**d * acc)
         for rep, e in enumerate(errs):
             rows.append((eps, rep, float(e)))

@@ -388,6 +388,10 @@ def flux_decay_experiment(
     chunk_ids = [ids for ids in np.array_split(np.arange(replicas), n_chunks)
                  if len(ids)]
 
+    # the chunks take no noise worker (no `threads`): each draws
+    # replicas x (2L+1)^d normals a step, more than noise.BUDGET at the
+    # committed sizes, and the chunks already keep every core busy, so a
+    # worker would only compete with them
     def run_chunk(ids):
         acc = _WindowAccumulator(grid, V, None, ells, len(ids))
         evolve_torus(grid, V, None, src, t0, n_steps, dt, np.zeros(grid.shape),
@@ -567,6 +571,7 @@ def linearization_modulus(
     src: NoiseSource,
     replicas: int,
     d: int = 2,
+    threads: int | None = None,
 ) -> ModulusEstimate:
     """Residual of the first-order tilt expansion, per tilt gap.
 
@@ -575,7 +580,8 @@ def linearization_modulus(
     direction q - p, and measures || grad phi_q - grad phi_p - grad w ||
     over the cylinder.  Replicas run in batches of 16; within a batch p,
     every q and every linearized corrector advance in one time loop, with
-    one noise draw per replica and step.
+    one noise draw per replica and step.  With `threads` >= 2 a worker
+    thread draws the noise a block ahead.
     """
     grid = make_torus(d, L)
     dt = stable_dt(V, d)
@@ -618,7 +624,7 @@ def linearization_modulus(
 
         set_env(np.zeros((b,) + grid.shape))
         evolve_torus(grid, V, tilts, src, t0, n_steps, dt, np.zeros(grid.shape),
-                     replicas=np.tile(ids, 1 + m), on_step=on_step)
+                     replicas=np.tile(ids, 1 + m), on_step=on_step, threads=threads)
         for iq in range(m):
             for k, rep in enumerate(ids):
                 acc = 0.0

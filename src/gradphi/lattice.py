@@ -404,9 +404,13 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     absolute step index k0 = round(t0 / dt), does
 
         state[..., mask] += dt * drift(k, t, state)[..., mask]
-        state[..., mask] += sqrt(2 dt) * noise(k0 + k)[..., mask]
+        state[..., mask] += sqrt(2 dt) * xi_{k0 + k}[..., mask]
         state[..., pin_mask] = pin_values(t')     with pin = (pin_mask, pin_values)
         on_step(k, t', state)
+
+    where `noise(range(k0, k0 + n_steps))` iterates over the draws xi of
+    the run's absolute steps, one per step, each consumed before the next
+    is taken.
 
     `mask` is a basic index (a tuple of slices) of the trailing spatial
     axes, such as the Dirichlet interior `DirichletDomain.interior_box`, so
@@ -424,13 +428,14 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
         recorded = np.empty((n_steps // record_stride + 1,) + state.shape)
         recorded[0] = state
     k0 = int(round(t0 / dt))
+    draws = None if noise is None else iter(noise(range(k0, k0 + n_steps)))
     sq = np.sqrt(2.0 * dt)
     for k in range(n_steps):
         inner += dt * drift(k, t0 + k * dt, state)[idx]
         # the draw is not bound to a name: holding it into the next step
         # changes the allocation pattern and costs page faults
-        if noise is not None:
-            inner += sq * noise(k0 + k).reshape(state.shape)[idx]
+        if draws is not None:
+            inner += sq * next(draws).reshape(state.shape)[idx]
         t_next = t0 + (k + 1) * dt
         if pin is not None:
             state[..., pin[0]] = pin[1](t_next)

@@ -249,16 +249,25 @@ def test_hydro_gradient_two_scale_diagnostic():
     ("flux-decay", {"potential": {"kind": "soft_quartic", "a": 0.5}, "L": 8,
                     "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}),
     ("excess", {"L": 8, "scales": [4, 8], "replicas": 3, "seed": 13}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.25, 0.125, 0.0625],
+               "replicas": 3, "f": {"name": "sine_product"},
+               "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}),
+    ("linearize", {"potential": {"kind": "kinked", "b": 0.5}, "L": 4,
+                   "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}),
 ])
 def test_threaded_experiments_are_thread_independent(tmp_path, name, cfg):
-    # flux-decay and excess are the experiments that use --threads
-    csvs = []
+    # the experiments that use --threads: flux-decay and excess run replica
+    # chunks on threads, hydro and linearize draw their noise on one; the
+    # CSV and the results of summary.json (where hydro's gradient
+    # diagnostic lives) are the same at every thread count
+    outputs = []
     for threads in (1, 2, 3):
         out = tmp_path / f"threads{threads}"
         run_experiment(name, dict(cfg), str(out), threads=threads)
         (csv,) = out.glob("*.csv")
-        csvs.append(csv.read_bytes())
-    assert csvs[0] == csvs[1] == csvs[2]
+        results = json.loads((out / "summary.json").read_text())["results"]
+        outputs.append((csv.read_bytes(), results))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("potential", [{"kind": "quadratic"},

@@ -160,13 +160,15 @@ def test_linearization_modulus_zero_gap():
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Record (step, number of replica streams) of every normal draw."""
+    """Record (step, number of replica streams) of every normal draw, one
+    entry per step of a block draw."""
     seen = []
     raw = NoiseSource.raw_normals
 
     def counting(self, keys, step, channel=None, replicas=None, **kwargs):
-        absolute = -1 - step if channel == CHANNEL_BACKWARD else step
-        seen.append((absolute, 1 if replicas is None else len(replicas)))
+        for s in step if isinstance(step, range) else [step]:
+            absolute = -1 - s if channel == CHANNEL_BACKWARD else s
+            seen.append((absolute, 1 if replicas is None else len(replicas)))
         return raw(self, keys, step, channel, replicas, **kwargs)
 
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)

@@ -302,7 +302,7 @@ def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
     dt = stable_dt(V, d)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
     k0 = int(round(t0 / dt))
-    noise = MeanSubtractedNoise(src, dom.site_keys, reps, d)
+    draws = MeanSubtractedNoise(src, dom.site_keys, reps, d)(range(k0, k0 + n_steps))
     inner = (Ellipsis,) + dom.interior_box
     for k in range(n_steps):
         u = rec[k] / eps
@@ -310,7 +310,7 @@ def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
         for ax in range(1, 1 + d):
             drift += _padded_divergence(V.vp(_padded(np.diff(u, axis=ax), ax, far=True)), ax)
         expect = u[inner] + dt * drift[inner]
-        expect += np.sqrt(2.0 * dt) * noise(k0 + k).reshape(u.shape)[inner]
+        expect += np.sqrt(2.0 * dt) * next(draws).reshape(u.shape)[inner]
         assert np.array_equal(rec[k + 1][inner] / eps, expect)
 
 
@@ -381,7 +381,7 @@ def test_time_loop_masked_sites_change_only_through_the_pin():
     u = _loop_state()
     init = u.copy()
     time_loop(u, lambda k, t, u: rng.normal(size=u.shape), 0.0, 0.01, 6, mask=box,
-              noise=lambda step: rng.normal(size=u.shape),
+              noise=lambda steps: (rng.normal(size=u.shape) for _ in steps),
               pin=(pin_mask, lambda t: pin_values * t), record_stride=None)
     rest = ~(mask | pin_mask)
     assert np.array_equal(u[:, rest], init[:, rest])
@@ -411,8 +411,8 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
             out -= np.roll(u, 1, axis=ax)
         return out
 
-    def noise(step):
-        return draws[step + 3]
+    def noise(steps):
+        return (draws[step + 3] for step in steps)
 
     def pin(t):
         return pins[int(round(t / dt)) - 1 + 3]
@@ -428,7 +428,7 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
     for k in range(n_steps):
         du = drift(k, -3 * dt + k * dt, ref)
         ref[..., mask] += dt * du[..., mask]
-        ref[..., mask] += sq * noise(k - 3).reshape(ref.shape)[..., mask]
+        ref[..., mask] += sq * draws[k].reshape(ref.shape)[..., mask]
         ref[..., pin_mask] = pin(-3 * dt + (k + 1) * dt)
         if (k + 1) % stride == 0:
             ref_rec.append(ref.copy())
@@ -441,9 +441,10 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
 def test_time_loop_draws_noise_at_the_absolute_step():
     steps = []
 
-    def noise(step):
-        steps.append(step)
-        return np.full(25, float(step))  # reshaped to the state's shape
+    def noise(run):
+        for step in run:
+            steps.append(step)
+            yield np.full(25, float(step))  # reshaped to the state's shape
 
     u = np.zeros((1, 5, 5))
     dt = 0.02

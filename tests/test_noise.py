@@ -1,9 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
-
-from gradphi.lattice import make_torus
 from scipy.special import ndtri
 
+import gradphi.noise as noise_module
+from gradphi.lattice import TorusGrid, make_torus
 from gradphi.noise import (
     _GOLDEN,
     _MASK,
@@ -13,11 +16,32 @@ from gradphi.noise import (
     CHANNEL_FORWARD,
     MeanSubtractedNoise,
     NoiseSource,
-    _bits_to_uniform,
     _mix_array,
     _mix_int,
     site_keys,
 )
+
+
+def _per_step_draw(src, keys, ids, spatial_ndim, step):
+    """The mean-subtracted draw of one absolute step, hashed from scratch:
+    the three SplitMix64 rounds of a stream key (seed and replica id,
+    channel, step), the site round, 53 bits to a uniform, ndtri, minus the
+    spatial mean of each distinct id; repeated ids get its rows."""
+    channel, s = (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
+    u64 = np.uint64
+    distinct, rows = np.unique(ids, return_inverse=True)
+    k = (distinct + src.replica).astype(u64) * u64(_GOLDEN) ^ u64(_mix_int(src.seed))
+    k = _mix_array(_mix_array(k) ^ u64((channel * _MIX1) & _MASK))
+    bases = _mix_array(k ^ u64((s * _MIX2) & _MASK)).reshape((-1,) + (1,) * keys.ndim)
+    z = _mix_array(keys[None] ^ bases)
+    g = ndtri((z >> u64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54)
+    g -= g.mean(axis=tuple(range(g.ndim - spatial_ndim, g.ndim)), keepdims=True)
+    return g[rows]
+
+
+def _draw_at(noise, step):
+    """A copy of the draw of one step, from a run of that step alone."""
+    return next(noise(range(step, step + 1))).copy()
 
 
 def test_same_key_is_bitwise_identical():
@@ -70,7 +94,7 @@ def test_moments_match_standard_normal():
 def test_mean_subtracted_sums_to_zero_and_is_idempotent():
     grid = make_torus(2, 4)
     src = NoiseSource(seed=3)
-    g = MeanSubtractedNoise(src, grid.site_keys, np.arange(1), 2)(0)[0]
+    g = _draw_at(MeanSubtractedNoise(src, grid.site_keys, np.arange(1), 2), 0)[0]
     assert abs(g.sum()) < 1e-12 * grid.nsites
     g2 = g - g.mean()
     assert np.allclose(g, g2, atol=1e-15)
@@ -110,20 +134,21 @@ def test_repeated_replica_ids_share_one_draw(monkeypatch):
     src = NoiseSource(seed=19).with_replica(4)
     distinct = np.array([2, 0, 5])
     ref = MeanSubtractedNoise(src, grid.site_keys, distinct, 2)
-    expected = {step: ref(step).copy() for step in (0, 3, -2)}
+    expected = {step: _draw_at(ref, step) for step in (0, 3, -2)}
 
     drawn = []
     raw = NoiseSource.raw_normals
 
     def counting(self, keys, step, channel=None, replicas=None, **kwargs):
-        drawn.append((-1 - step if channel == CHANNEL_BACKWARD else step, tuple(replicas)))
+        for s in step:
+            drawn.append((-1 - s if channel == CHANNEL_BACKWARD else s, tuple(replicas)))
         return raw(self, keys, step, channel, replicas, **kwargs)
 
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)
     ids = np.tile(distinct, 3)
     noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
     for step, g_ref in expected.items():
-        g = noise(step)
+        g = _draw_at(noise, step)
         assert g.shape == (len(ids),) + grid.shape
         for b, rep in enumerate(ids):
             assert np.array_equal(g[b], g_ref[list(distinct).index(rep)])
@@ -140,18 +165,8 @@ def test_held_stream_prefix_matches_stream_keys_from_scratch(monkeypatch):
     ids = np.array([4, 0, 4, 9, 0])
     steps = (0, 1, -1, 7, -8, 2, -2)
 
-    def from_scratch(step):
-        # the three SplitMix64 rounds of a stream key: seed and replica id,
-        # channel, step
-        channel, s = (CHANNEL_FORWARD, step) if step >= 0 else (CHANNEL_BACKWARD, -1 - step)
-        u64 = np.uint64
-        k = (ids + 6).astype(u64) * u64(_GOLDEN) ^ u64(_mix_int(23))
-        k = _mix_array(_mix_array(k) ^ u64((channel * _MIX1) & _MASK))
-        bases = _mix_array(k ^ u64((s * _MIX2) & _MASK)).reshape(-1, 1, 1)
-        g = ndtri(_bits_to_uniform(_mix_array(grid.site_keys[None] ^ bases)))
-        return g - g.mean(axis=(1, 2), keepdims=True)
-
-    expected = {step: from_scratch(step) for step in steps + (-3,)}
+    expected = {step: _per_step_draw(src, grid.site_keys, ids, 2, step)
+                for step in steps + (-3,)}
     hashed = []
     prefix = NoiseSource.stream_prefix
     monkeypatch.setattr(NoiseSource, "stream_prefix",
@@ -159,9 +174,51 @@ def test_held_stream_prefix_matches_stream_keys_from_scratch(monkeypatch):
                         or prefix(self, channel, reps))
     noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
     for step in steps + steps:
-        assert np.array_equal(noise(step), expected[step])
+        assert np.array_equal(_draw_at(noise, step), expected[step])
     assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD]
     # a second object hashes its own prefixes
     other = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
-    assert np.array_equal(other(-3), expected[-3])
+    assert np.array_equal(_draw_at(other, -3), expected[-3])
     assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD, CHANNEL_BACKWARD]
+
+
+def _window_keys():
+    # three overlapping 4x4 windows of one lattice, stacked
+    return np.stack([TorusGrid(2, 2, origin=o).site_keys for o in ((0, 0), (1, 3), (-2, 1))])
+
+
+@pytest.mark.parametrize("keys, ids, spatial_ndim", [
+    (make_torus(2, 3).site_keys, np.array([3, 0, 1]), 2),
+    (make_torus(2, 3).site_keys, np.array([2, 0, 2, 5, 0]), 2),
+    (_window_keys(), np.arange(1), 2),
+    (make_torus(3, 1).site_keys, np.array([1, 4]), 3),
+], ids=["distinct", "repeated", "windows", "3d"])
+@pytest.mark.parametrize("worker, length", [(False, 1), (True, 1), (True, 7), (True, 64)])
+def test_block_draws_equal_the_per_step_draws(monkeypatch, keys, ids, spatial_ndim,
+                                              worker, length):
+    # every step of a run, drawn one at a time or with a worker thread
+    # drawing blocks of `length` steps ahead, is bitwise the draw of that
+    # step alone; the runs cross step 0, or stay on one side of it, and each
+    # distinct (id, step, site) is drawn exactly once
+    src = NoiseSource(seed=41).with_replica(3)
+    n_distinct = len(np.unique(ids))
+    monkeypatch.setattr(noise_module, "BUDGET", length * n_distinct * keys.size)
+    drawn = []
+    raw = NoiseSource.raw_normals
+
+    def counting(self, *args, **kwargs):
+        g = raw(self, *args, **kwargs)
+        drawn.append(g.size)
+        return g
+
+    monkeypatch.setattr(NoiseSource, "raw_normals", counting)
+    for run in (range(-9, 6), range(-20, -3), range(3, 80), range(-1, 1)):
+        drawn.clear()
+        with ThreadPoolExecutor(1) if worker else nullcontext() as pool:
+            noise = MeanSubtractedNoise(src, keys, ids, spatial_ndim, pool)
+            got = [g.copy() for g in noise(run)]
+        assert sum(drawn) == len(run) * n_distinct * keys.size
+        assert max(drawn) <= length * n_distinct * keys.size
+        assert len(got) == len(run)
+        for step, g in zip(run, got):
+            assert np.array_equal(g, _per_step_draw(src, keys, ids, spatial_ndim, step))
