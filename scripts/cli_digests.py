@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 scripts/cli_digests.py [OUT.json] [--check BASELINE.json]
 
 Runs all ten experiments through `harness.run_experiment` on a few small
-configs each (flux-decay, excess, hydro/q and linearize/k at 1, 2 and 3 threads) and prints, per
+configs each (flux-decay, excess, hydro/q and linearize/k at 1, 2 and 3
+threads, every other config without a thread count) and prints, per
 config, the digest of the CSV and of the `results` block of summary.json.
 Two source trees give byte-identical outputs exactly when their digests
 agree; with OUT.json the digests are also written there.  With --check the
@@ -37,12 +38,12 @@ CASES = [
     ("surface-tension", "sq", {"potential": SQ, "L": 4, "replicas": 3, "seed": 6, "slopes": [[0.3, 0.1]]}),
     ("hessian", "sq", {"potential": SQ, "L": 4, "replicas": 3, "slope": [0.2, 0.0], "seed": 7}),
     ("hessian", "q", {"potential": Q, "L": 3, "replicas": 3, "seed": 7}),
-    ("linearize", "k", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}),
+    ("linearize", "k", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 2),
     ("linearize", "k-t1", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 1),
     ("linearize", "k-t3", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 3),
     ("linearize", "k3", {"potential": K, "d": 3, "L": 2, "base_slope": [0.3, 0.0, -0.1], "replicas": 3, "seed": 19}),
     ("hydro", "q", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
-                    "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}),
+                    "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}, 2),
     ("hydro", "q-t1", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
                        "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}, 1),
     ("hydro", "q-t3", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
@@ -82,7 +83,7 @@ def main(out_path=None, baseline_path=None):
     res = {}
     for case in CASES:
         name, tag, cfg = case[:3]
-        threads = case[3] if len(case) > 3 else 2
+        threads = case[3] if len(case) > 3 else None
         with tempfile.TemporaryDirectory() as d:
             harness.run_experiment(name, dict(cfg), d, threads=threads)
             csvs = [f for f in os.listdir(d) if f.endswith(".csv")]

@@ -1,12 +1,14 @@
 """Command-line entry point: one experiment per invocation.
 
 Exit codes: 0 on success, 1 when an experiment flags a violated criterion,
-2 on unknown subcommands or malformed configs.
+2 on unknown subcommands, malformed configs, or `--threads` given to an
+experiment that runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .harness import EXPERIMENTS, ConfigError, load_config, run_experiment
@@ -17,13 +19,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gradphi",
         description="Interface-dynamics experiments and diagnostics",
     )
+    threaded = [name for name, fn in EXPERIMENTS.items()
+                if "threads" in inspect.signature(fn).parameters]
+    threads_help = (f"worker threads of {', '.join(threaded)} (results are "
+                    "independent of this); the other experiments exit 2 on it")
     sub = parser.add_subparsers(dest="experiment")
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (results are independent of this)")
+        p.add_argument("--threads", type=int, default=None, help=threads_help)
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     return parser

@@ -248,7 +248,7 @@ def boundary_datum(spec: dict):
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def run_corrector_experiment(seed: int, threads=None, *, potential, sizes, d=2,
+def run_corrector_experiment(seed: int, *, potential, sizes, d=2,
                              replicas=200) -> ExperimentResult:
     V = _potential(potential)
     d = int(d)
@@ -324,7 +324,7 @@ def run_flux_decay(seed: int, threads=None, *, potential, L, windows, d=2,
     )
 
 
-def run_surface_tension(seed: int, threads=None, *, potential, L, slopes, d=2,
+def run_surface_tension(seed: int, *, potential, L, slopes, d=2,
                         replicas=500) -> ExperimentResult:
     V = _potential(potential)
     d = int(d)
@@ -354,7 +354,7 @@ def run_surface_tension(seed: int, threads=None, *, potential, L, slopes, d=2,
                             {"estimates": summary_rows}, criteria)
 
 
-def run_hessian(seed: int, threads=None, *, potential, L, d=2, slope=None,
+def run_hessian(seed: int, *, potential, L, d=2, slope=None,
                 replicas=32) -> ExperimentResult:
     V = _potential(potential)
     d = int(d)
@@ -406,7 +406,7 @@ def run_linearize(seed: int, threads=None, *, potential, L, d=2, base_slope=None
                             rows, summary, criteria)
 
 
-def run_occupation(seed: int, threads=None, *, thresholds=(0.05, 0.1, 0.2),
+def run_occupation(seed: int, *, thresholds=(0.05, 0.1, 0.2),
                    replicas=2000, process="brownian", d=2, dt=1e-3,
                    potential=_QUADRATIC, L=8) -> ExperimentResult:
     eps = [float(e) for e in thresholds]
@@ -472,7 +472,7 @@ def run_excess(seed: int, threads=None, *, potential=_QUADRATIC, d=2, L=32,
                             criteria)
 
 
-def run_heatkernel(seed: int, threads=None, *, d=2, L=8, environments=3,
+def run_heatkernel(seed: int, *, d=2, L=8, environments=3,
                    contrast=2.0) -> ExperimentResult:
     d = int(d)
     L = int(L)
@@ -507,7 +507,7 @@ def run_heatkernel(seed: int, threads=None, *, d=2, L=8, environments=3,
                             rows, summary, criteria)
 
 
-def run_gff(seed: int, threads=None, *, d=2, L=4, replicas=2000) -> ExperimentResult:
+def run_gff(seed: int, *, d=2, L=4, replicas=2000) -> ExperimentResult:
     d = int(d)
     L = int(L)
     replicas = int(replicas)
@@ -687,7 +687,12 @@ def run_experiment(name: str, cfg: dict, out_dir: str, seed: int | None = None,
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     params = {k: v for k, v in cfg.items()
               if k not in ("schema_version", "experiment", "seed")}
-    run = _bind(EXPERIMENTS[name], params, f"{name} config", seed, threads)
+    if "threads" in params:
+        raise ConfigError(f"{name} config: threads is a run option, not a config key")
+    if threads is not None:
+        # a driver without a threads parameter rejects a thread count
+        params["threads"] = threads
+    run = _bind(EXPERIMENTS[name], params, f"{name} config", seed)
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     result = run()

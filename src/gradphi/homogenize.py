@@ -3,7 +3,7 @@ expansion.
 
 Everything here is replica-averaged measurement on top of the dynamics
 module: flux means and their derivatives (the effective nonlinearity and
-its Hessian), decay of window averages, slope-coupling residuals, and the
+its Hessian), decay of window averages, linearization residuals, and the
 assembly of the corrected effective solution with its error terms.  All
 estimates carry standard errors and acceptance comparisons happen at stated
 multiples of them.  The power-law fit and the thread map live here too,
@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .lattice import (
     DirichletDomain,
-    ParabolicCylinder,
     SpaceTimeField,
     TorusGrid,
     dirichlet_edges,
@@ -38,7 +37,7 @@ from .lattice import (
     shift,
 )
 from .noise import NoiseSource
-from .norms import hminus1_par_multiscale, lp_norm
+from .norms import hminus1_par_multiscale
 from .parabolic import EffectiveGradient, linearized_corrector_drift
 from .potential import Potential
 
@@ -508,60 +507,8 @@ def corrector_fluctuation_experiment(
 
 
 # ---------------------------------------------------------------------------
-# slope coupling and linearization
+# linearization
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SlopeStabilityReport:
-    lhs: float
-    slope_gap: float
-    size_term: float
-    fitted_constant: float
-
-
-def slope_stability_check(q1, q2, L: int, V: Potential, src: NoiseSource,
-                          d: int = 2) -> SlopeStabilityReport:
-    """Coupled-trajectory gradient distance against the tilt-gap bound.
-
-    The dynamics at the constant tilts q1 and q2 run on the same torus as
-    one batch that shares each Brownian increment; the report compares
-    || grad phi_1 - grad phi_2 || over the trailing half-window with
-    C |q1 - q2| + (1/L)(||phi_1|| + ||phi_2||) and returns the fitted
-    constant.
-    """
-    grid = make_torus(d, L)
-    tilts = np.array([q1, q2], dtype=np.float64)
-    dt = stable_dt(V, d)
-    t0, n_steps = horizon_steps(float(L * L), dt)
-    _, rec = evolve_torus(grid, V, SlopePath.constant(tilts), src, t0, n_steps, dt,
-                          np.zeros(grid.shape), replicas=np.zeros(2, dtype=int),
-                          record_stride=1)
-    f1, f2 = (SpaceTimeField(grid, t0, dt, rec[:, i].copy()) for i in range(2))
-    r = L // 2
-    window = ParabolicCylinder(-float(r * r), 0.0, radius=r)
-
-    j0, j1 = f1.time_window(window.t_lo, window.t_hi)
-    box = grid.box_slices(r)
-    acc = 0.0
-    n = 0
-    for j in range(j0, j1 + 1):
-        diff = f1.values[j] - f2.values[j]
-        for ax in range(d):
-            g = forward_difference(diff, ax)[box]
-            acc += (g**2).mean()
-        n += 1
-    lhs = float(np.sqrt(acc / n))
-
-    # the per-step gaps, averaged as squares: their mean does not round
-    # like a single square
-    gaps = np.full(n_steps, np.linalg.norm(tilts[0] - tilts[1]))
-    slope_gap = float(np.sqrt((gaps**2).mean()))
-    size_term = (lp_norm(f1, p=2) + lp_norm(f2, p=2)) / L
-    fitted = 0.0
-    if slope_gap > 1e-14:
-        fitted = max(lhs - size_term, 0.0) / slope_gap
-    return SlopeStabilityReport(lhs, slope_gap, size_term, fitted)
-
 
 def linearization_modulus(
     p,

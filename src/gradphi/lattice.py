@@ -77,21 +77,8 @@ class TorusGrid:
             coords = coords + np.asarray(self.origin, dtype=np.int64)
         return _noise.site_keys(coords)
 
-    def flat_index(self, coord) -> int:
-        idx = tuple((c + self.radius) % self.side for c in coord)
-        return int(np.ravel_multi_index(idx, self.shape))
-
     def array_index(self, coord) -> tuple[int, ...]:
         return tuple(int((c + self.radius) % self.side) for c in coord)
-
-    def neighbors(self, coord) -> list[tuple[int, ...]]:
-        out = []
-        for ax in range(self.dim):
-            for s in (+1, -1):
-                n = list(coord)
-                n[ax] = (n[ax] + s + self.radius) % self.side - self.radius
-                out.append(tuple(n))
-        return out
 
     def box_slices(self, radius: int) -> tuple[np.ndarray, ...]:
         """Index arrays selecting the centered sub-box {-radius..radius}^d."""
@@ -162,10 +149,6 @@ class DirichletDomain:
         on_face = (c == 0) | (c == self.resolution)
         return (on_face.sum(axis=-1) == 1) & ~self.interior_mask
 
-    @property
-    def n_interior(self) -> int:
-        return int(self.interior_mask.sum())
-
     def points(self, mask: np.ndarray) -> np.ndarray:
         """Physical coordinates (in [0,1]^d) of the masked sites."""
         return self.coordinates[mask] * self.mesh
@@ -183,22 +166,6 @@ class ParabolicCylinder:
     def __post_init__(self):
         if not self.t_lo < self.t_hi:
             raise ValueError("need t_lo < t_hi")
-
-    @property
-    def duration(self) -> float:
-        return self.t_hi - self.t_lo
-
-    def volume(self, grid) -> float:
-        if self.radius is None:
-            nsites = grid.nsites
-        else:
-            nsites = (2 * self.radius + 1) ** grid.dim
-        return self.duration * nsites
-
-
-def standard_cylinder(L: int) -> ParabolicCylinder:
-    """The cylinder (-L^2, 0) x {-L..L}^d."""
-    return ParabolicCylinder(t_lo=-float(L * L), t_hi=0.0, radius=L)
 
 
 def horizon_steps(horizon: float, dt: float) -> tuple[float, int]:
@@ -265,33 +232,6 @@ class SpaceTimeField:
         return j0, j1
 
 
-@dataclass
-class EdgeField:
-    """Antisymmetric values on directed edges at one time slice.
-
-    data[i, x] is the value on the positively oriented edge (x, x+e_i).
-    """
-
-    grid: TorusGrid
-    data: np.ndarray  # (dim, *shape)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.grid.dim,) + self.grid.shape:
-            raise ValueError("edge data shape must be (dim, *grid.shape)")
-
-    def value(self, x, y) -> float:
-        """g(x, y) for neighboring sites x, y (periodic)."""
-        dx = np.asarray(y) - np.asarray(x)
-        dx = (dx + self.grid.radius) % self.grid.side - self.grid.radius
-        (ax,) = np.nonzero(dx)[0:1][0] if np.count_nonzero(dx) == 1 else (None,)
-        if ax is None or abs(dx[ax]) != 1:
-            raise ValueError(f"{x} and {y} are not neighbors")
-        if dx[ax] == 1:
-            return float(self.data[(ax,) + self.grid.array_index(x)])
-        return -float(self.data[(ax,) + self.grid.array_index(y)])
-
-
 # ---------------------------------------------------------------------------
 # discrete differential calculus
 # ---------------------------------------------------------------------------
@@ -355,39 +295,6 @@ def interior_across(d: int, ax: int) -> tuple:
     np.diff along ax holds the N edges that the interior update of a
     divergence along ax reads."""
     return (Ellipsis,) + tuple(slice(None) if k == ax else slice(1, -1) for k in range(d))
-
-
-def grad(grid, u: np.ndarray, x, y) -> float:
-    """Discrete gradient u(y) - u(x) on a directed edge; 1/mesh-scaled on
-    Dirichlet domains."""
-    if isinstance(grid, TorusGrid):
-        return float(u[grid.array_index(y)] - u[grid.array_index(x)])
-    xi, yi = tuple(x), tuple(y)
-    for p in (xi, yi):
-        if not all(0 <= c <= grid.resolution for c in p):
-            raise ValueError(f"site {p} outside the domain and its boundary")
-    if sum(abs(a - b) for a, b in zip(xi, yi)) != 1:
-        raise ValueError(f"{x} and {y} are not neighbors")
-    return float(u[yi] - u[xi]) / grid.mesh
-
-
-def divergence(g: EdgeField, x) -> float:
-    """Sum of g(x, y) over the 2*dim neighbors y of x."""
-    return float(divergence_field(g.data)[g.grid.array_index(x)])
-
-
-def nonlinear_div_field(V, q, u: np.ndarray) -> np.ndarray:
-    """The drift field x -> sum_y V'(q.(y-x) + u(y) - u(x)) on the torus."""
-    g = forward_gradients(u)
-    if q is not None:
-        g += np.reshape(q, (-1,) + (1,) * u.ndim)
-    return divergence_field(V.vp(g))
-
-
-def nonlinear_div(V, q, u: np.ndarray, x) -> float:
-    """Pointwise value of the uniformly convex elliptic operator at site x."""
-    return float(nonlinear_div_field(V, np.asarray(q, dtype=float), u)[
-        tuple((np.asarray(x) + (u.shape[0] - 1) // 2) % u.shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -468,36 +375,3 @@ def cylinder_average(f: SpaceTimeField, Q: ParabolicCylinder):
     spatial = vals.mean(axis=tuple(range(lead, vals.ndim)))
     return np.dot(w, spatial)
 
-
-# ---------------------------------------------------------------------------
-# triadic partitions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PartitionCell:
-    """Half-open space-time block (t_origin - 9^m, t_origin] x prod [x_i, x_i + 3^m)."""
-
-    t_origin: float
-    x_origin: tuple[int, ...]
-    scale: int  # m: temporal extent 9^m, spatial side 3^m
-
-
-def partition_cells(m: int, n: int, d: int = 2) -> list[PartitionCell]:
-    """Origins of the scale-m blocks tiling the scale-n cylinder.
-
-    The tiling uses half-open blocks of temporal length 9^m and spatial
-    side 3^m, so exactly 3^((d+2)(n-m)) cells cover the cylinder of
-    temporal length 9^n and spatial side 3^n, disjointly.
-    """
-    if m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    t_cells = 9 ** (n - m)
-    s_cells = 3 ** (n - m)
-    block = 3**m
-    cells = []
-    for j in range(t_cells):
-        t_origin = -float(j * 9**m)
-        for flat in np.ndindex(*(s_cells,) * d):
-            x_origin = tuple(int(a * block) for a in flat)
-            cells.append(PartitionCell(t_origin, x_origin, m))
-    return cells

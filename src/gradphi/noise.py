@@ -123,9 +123,10 @@ def _step_keys(prefix: np.ndarray, steps: range) -> np.ndarray:
 class NoiseSource:
     """Deterministic counter-based source of standard normals.
 
-    The Brownian increment of B over [k*dt, (k+1)*dt] at a site is
-    sqrt(dt) * increment(site, k); negative step indices draw from the
-    backward channel, which realizes a Brownian motion on the full line.
+    The Brownian increment of B over [k*dt, (k+1)*dt] at a site is sqrt(dt)
+    times the normal that `raw_normals` draws for its key at step k;
+    negative step indices draw from the backward channel, which realizes a
+    Brownian motion on the full line.
     """
 
     seed: int
@@ -183,12 +184,6 @@ class NoiseSource:
         if replicas is None:
             g = g[:, 0]
         return g if block else g[0]
-
-    def increment(self, site_key: int | np.ndarray, step: int) -> float | np.ndarray:
-        """One standard normal per (site, step); scalar for a scalar key."""
-        keys = np.asarray(site_key, dtype=np.uint64)
-        g = self.raw_normals(np.atleast_1d(keys), step)
-        return float(g[0]) if keys.ndim == 0 else g.reshape(keys.shape)
 
     def field_normals(self, keys: np.ndarray, replicas: np.ndarray,
                       tag: int = 0) -> np.ndarray:

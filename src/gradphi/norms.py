@@ -1,10 +1,7 @@
-"""Measurement instruments: Lp, Hoelder, and parabolic negative norms.
+"""Measurement instruments: the parabolic negative norm of raw slice stacks.
 
-The Lp and Hoelder norms take a SpaceTimeField of site values (and Lp
-also of edge values) and integrate in time by the trapezoid rule on its
-stored grid; the negative norms take raw slice stacks.  The parabolic
-negative norm comes in two forms: a multiscale estimator built from block
-averages over a triadic tiling, and an exact discrete dual norm computed by
+It comes in two forms: a multiscale estimator built from block averages
+over a triadic tiling, and an exact discrete dual norm computed by
 gradient ascent over the unit ball of parabolic test functions.
 """
 
@@ -14,82 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-
-from .lattice import (
-    ParabolicCylinder,
-    SpaceTimeField,
-    _trapezoid_weights,
-)
-
-
-# ---------------------------------------------------------------------------
-# Lp norms
-# ---------------------------------------------------------------------------
-
-def _windowed_values(f, Q: ParabolicCylinder | None):
-    if Q is None:
-        vals = f.values
-        dt = f.dt
-        duration = (f.nslices - 1) * f.dt
-        return vals, dt, duration
-    j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
-    vals = f.values[j0:j1 + 1]
-    if Q.radius is not None:
-        lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
-        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
-    return vals, f.dt, (j1 - j0) * f.dt
-
-
-def lp_norm(f: SpaceTimeField, p: float = 2.0, normalized: bool = True) -> float:
-    """Space-time L^p norm over the whole stored cylinder Q; `normalized`
-    divides by |Q| before the p-th root.
-
-    For edge fields the sum runs over all directed-edge
-    representatives (one per undirected edge), matching the convention that
-    |Q| = |I| |Lambda| normalizes vector fields as well.
-    """
-    if p != np.inf and p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    vals, dt, duration = _windowed_values(f, None)
-    if p == np.inf:
-        return float(np.max(np.abs(vals)))
-    w = _trapezoid_weights(vals.shape[0]) * dt
-    per_slice = np.abs(vals).__pow__(p).sum(axis=tuple(range(1, vals.ndim)))
-    total = float(np.dot(w, per_slice))
-    if normalized:
-        total /= duration * f.grid.nsites  # sites, not edges: |Q| = |I| |Lambda|
-    return total ** (1.0 / p)
-
-
-def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float) -> float:
-    """Parabolic Hoelder seminorm sup |f(t,x)-f(s,y)| / (|t-s|^(a/2) + |x-y|^a).
-
-    Pairs are enumerated on the restriction to Q (the whole field for
-    None), with the plain Euclidean distance on coordinates; intended as a
-    diagnostic on small cylinders.  `f` must be a site field.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"exponent must lie in (0, 1], got {alpha}")
-    if f.values.ndim != 1 + f.grid.dim:
-        raise ValueError("the Hoelder seminorm takes a site field, not an edge field")
-    vals, dt, _ = _windowed_values(f, Q)
-    d = vals.ndim - 1
-    shape = vals.shape[1:]
-    coords = np.stack(np.meshgrid(*[np.arange(n) for n in shape],
-                                  indexing="ij"), axis=-1).reshape(-1, d).astype(float)
-    flat = vals.reshape(vals.shape[0], -1)
-    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)) ** alpha
-    best = 0.0
-    nt = flat.shape[0]
-    for j in range(nt):
-        for k in range(j, nt):
-            gap = (dt * (k - j)) ** (alpha / 2.0)
-            denom = gap + dist
-            if j == k:
-                np.fill_diagonal(denom, np.inf)
-            ratio = np.abs(flat[j][:, None] - flat[k][None, :]) / denom
-            best = max(best, float(ratio.max()))
-    return best
 
 
 # ---------------------------------------------------------------------------

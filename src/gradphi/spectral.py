@@ -71,15 +71,9 @@ def gff_dynamic_covariance(grid: TorusGrid, x, T: float, dt: float) -> float:
     return float(np.sum(_mode_cosines(grid, x)[1:] * modes) / grid.nsites)
 
 
-def relaxation_variance(grid: TorusGrid, T: float) -> float:
-    """Variance at a site of the zero-started mean-zero Gaussian dynamic
-    run for time T (continuous time)."""
-    lam = laplacian_eigenvalues(grid).ravel()[1:]
-    return float(np.sum((1.0 - np.exp(-2.0 * lam * T)) / lam) / grid.nsites)
-
-
 def relaxation_variance_discrete(grid: TorusGrid, T: float, dt: float) -> float:
-    """Same quantity for the explicit Euler-Maruyama scheme at step dt."""
+    """Variance at a site of the zero-started mean-zero Gaussian dynamic
+    run for time T by the explicit Euler-Maruyama scheme at step dt."""
     lam = laplacian_eigenvalues(grid).ravel()[1:]
     n = int(round(T / dt))
     r = (1.0 - dt * lam) ** 2

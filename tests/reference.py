@@ -1,0 +1,153 @@
+"""Reference implementations that the unit tests compare library code
+against: pointwise forms of the torus stencil, the parabolic Hoelder
+seminorm, and the continuous-time relaxation variance."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gradphi.lattice import (
+    ParabolicCylinder,
+    SpaceTimeField,
+    TorusGrid,
+    divergence_field,
+    forward_gradients,
+)
+from gradphi.spectral import laplacian_eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# pointwise stencil
+# ---------------------------------------------------------------------------
+
+def neighbors(grid: TorusGrid, coord) -> list[tuple[int, ...]]:
+    """The 2d neighbors of a torus site, in coordinates."""
+    out = []
+    for ax in range(grid.dim):
+        for s in (+1, -1):
+            n = list(coord)
+            n[ax] = (n[ax] + s + grid.radius) % grid.side - grid.radius
+            out.append(tuple(n))
+    return out
+
+
+@dataclass
+class EdgeField:
+    """Antisymmetric values on directed edges at one time slice.
+
+    data[i, x] is the value on the positively oriented edge (x, x+e_i).
+    """
+
+    grid: TorusGrid
+    data: np.ndarray  # (dim, *shape)
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        if self.data.shape != (self.grid.dim,) + self.grid.shape:
+            raise ValueError("edge data shape must be (dim, *grid.shape)")
+
+    def value(self, x, y) -> float:
+        """g(x, y) for neighboring sites x, y (periodic)."""
+        dx = np.asarray(y) - np.asarray(x)
+        dx = (dx + self.grid.radius) % self.grid.side - self.grid.radius
+        (ax,) = np.nonzero(dx)[0:1][0] if np.count_nonzero(dx) == 1 else (None,)
+        if ax is None or abs(dx[ax]) != 1:
+            raise ValueError(f"{x} and {y} are not neighbors")
+        if dx[ax] == 1:
+            return float(self.data[(ax,) + self.grid.array_index(x)])
+        return -float(self.data[(ax,) + self.grid.array_index(y)])
+
+
+def grad(grid, u: np.ndarray, x, y) -> float:
+    """Discrete gradient u(y) - u(x) on a directed edge; 1/mesh-scaled on
+    Dirichlet domains."""
+    if isinstance(grid, TorusGrid):
+        return float(u[grid.array_index(y)] - u[grid.array_index(x)])
+    xi, yi = tuple(x), tuple(y)
+    for p in (xi, yi):
+        if not all(0 <= c <= grid.resolution for c in p):
+            raise ValueError(f"site {p} outside the domain and its boundary")
+    if sum(abs(a - b) for a, b in zip(xi, yi)) != 1:
+        raise ValueError(f"{x} and {y} are not neighbors")
+    return float(u[yi] - u[xi]) / grid.mesh
+
+
+def divergence(g: EdgeField, x) -> float:
+    """Sum of g(x, y) over the 2*dim neighbors y of x."""
+    return float(divergence_field(g.data)[g.grid.array_index(x)])
+
+
+def nonlinear_div_field(V, q, u: np.ndarray) -> np.ndarray:
+    """The drift field x -> sum_y V'(q.(y-x) + u(y) - u(x)) on the torus."""
+    g = forward_gradients(u)
+    if q is not None:
+        g += np.reshape(q, (-1,) + (1,) * u.ndim)
+    return divergence_field(V.vp(g))
+
+
+def nonlinear_div(V, q, u: np.ndarray, x) -> float:
+    """Pointwise value of the uniformly convex elliptic operator at site x."""
+    return float(nonlinear_div_field(V, np.asarray(q, dtype=float), u)[
+        tuple((np.asarray(x) + (u.shape[0] - 1) // 2) % u.shape[0])])
+
+
+# ---------------------------------------------------------------------------
+# parabolic Hoelder seminorm
+# ---------------------------------------------------------------------------
+
+def _windowed_values(f, Q: ParabolicCylinder | None):
+    if Q is None:
+        vals = f.values
+        dt = f.dt
+        duration = (f.nslices - 1) * f.dt
+        return vals, dt, duration
+    j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
+    vals = f.values[j0:j1 + 1]
+    if Q.radius is not None:
+        lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
+        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
+    return vals, f.dt, (j1 - j0) * f.dt
+
+
+def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float) -> float:
+    """Parabolic Hoelder seminorm sup |f(t,x)-f(s,y)| / (|t-s|^(a/2) + |x-y|^a).
+
+    Pairs are enumerated on the restriction to Q (the whole field for
+    None), with the plain Euclidean distance on coordinates; intended as a
+    diagnostic on small cylinders.  `f` must be a site field.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"exponent must lie in (0, 1], got {alpha}")
+    if f.values.ndim != 1 + f.grid.dim:
+        raise ValueError("the Hoelder seminorm takes a site field, not an edge field")
+    vals, dt, _ = _windowed_values(f, Q)
+    d = vals.ndim - 1
+    shape = vals.shape[1:]
+    coords = np.stack(np.meshgrid(*[np.arange(n) for n in shape],
+                                  indexing="ij"), axis=-1).reshape(-1, d).astype(float)
+    flat = vals.reshape(vals.shape[0], -1)
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)) ** alpha
+    best = 0.0
+    nt = flat.shape[0]
+    for j in range(nt):
+        for k in range(j, nt):
+            gap = (dt * (k - j)) ** (alpha / 2.0)
+            denom = gap + dist
+            if j == k:
+                np.fill_diagonal(denom, np.inf)
+            ratio = np.abs(flat[j][:, None] - flat[k][None, :]) / denom
+            best = max(best, float(ratio.max()))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# continuous-time relaxation
+# ---------------------------------------------------------------------------
+
+def relaxation_variance(grid: TorusGrid, T: float) -> float:
+    """Variance at a site of the zero-started mean-zero Gaussian dynamic
+    run for time T (continuous time)."""
+    lam = laplacian_eigenvalues(grid).ravel()[1:]
+    return float(np.sum((1.0 - np.exp(-2.0 * lam * T)) / lam) / grid.nsites)

@@ -341,25 +341,19 @@ def test_criterion_12_reproducibility(tmp_path):
         "seed": 1201,
     }
     blobs = []
-    for name, threads in [("a", None), ("b", 1), ("c", 4)]:
+    for name in ("a", "b"):
         out = tmp_path / name
-        run_experiment("occupation", dict(cfg), str(out), threads=threads)
+        run_experiment("occupation", dict(cfg), str(out))
         blobs.append((out / "occupation.csv").read_bytes())
-    ok = blobs[0] == blobs[1] == blobs[2]
+    ok = blobs[0] == blobs[1]
 
-    # a second experiment family: byte-identical corrector CSVs
-    ccfg = {
-        "schema_version": 1,
-        "potential": {"kind": "quadratic"},
-        "d": 2,
-        "sizes": [4, 8],
-        "replicas": 32,
-        "seed": 1202,
-    }
+    # an experiment whose replicas run on worker threads: byte-identical
+    # excess CSVs at one thread and at three
+    ecfg = {"schema_version": 1, "L": 8, "scales": [4, 8], "replicas": 6, "seed": 1202}
     outs = []
-    for name in ("d", "e"):
+    for name, threads in [("c", 1), ("d", 3)]:
         out = tmp_path / name
-        run_experiment("corrector", dict(ccfg), str(out), threads=2)
-        outs.append((out / "corrector_fluct.csv").read_bytes())
+        run_experiment("excess", dict(ecfg), str(out), threads=threads)
+        outs.append((out / "excess.csv").read_bytes())
     ok &= outs[0] == outs[1]
     _report(12, "byte-identical reruns", ok)

