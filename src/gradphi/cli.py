@@ -1,8 +1,8 @@
 """Command-line entry point: one experiment per invocation.
 
 Exit codes: 0 on success, 1 when an experiment flags a violated criterion,
-2 on unknown subcommands, malformed configs, or `--threads` given to an
-experiment that runs on one thread.
+2 on unknown subcommands, malformed configs, a `--threads` count below 1, or
+`--threads` given to an experiment that runs on one thread.
 """
 
 from __future__ import annotations
@@ -12,6 +12,17 @@ import inspect
 import sys
 
 from .harness import EXPERIMENTS, ConfigError, load_config, run_experiment
+
+
+def _thread_count(text: str) -> int:
+    """A `--threads` value: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least one thread, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help=threads_help)
+        p.add_argument("--threads", type=_thread_count, default=None, help=threads_help)
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     return parser

@@ -27,7 +27,6 @@ from .lattice import (
     DirichletDomain,
     SpaceTimeField,
     TorusGrid,
-    forward_difference,
     horizon_steps,
     interior_across,
     shift,
@@ -141,6 +140,7 @@ def evolve_torus(
     record_stride: int | None = None,
     batch_keys: np.ndarray | None = None,
     threads: int | None = None,
+    on_flux=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance the periodic Langevin dynamic by n_steps explicit steps.
 
@@ -156,6 +156,11 @@ def evolve_torus(
     Returns (final_state, recorded), both with the batch axis, where
     recorded stacks every record_stride-th slice (including the initial one)
     if requested.  `on_step(k, t_next, state)` is invoked after each update.
+    `on_flux(t, ax, grad, flux)` sees the same states: for each axis ax, the
+    untilted forward difference grad along ax and the flux V'(grad + q(t)),
+    both of shape (B, *grid.shape).  The drift hands them over as it
+    evaluates them, and one more evaluation after the loop covers the final
+    state; the arrays are the run's buffers, valid during the call only.
     With `threads` >= 2 a worker thread draws the noise a block ahead.
 
     The absolute step index is round(t/dt): windows driven by the same
@@ -171,35 +176,48 @@ def evolve_torus(
 
     keys, ids = (grid.site_keys, replicas) if batch_keys is None else (batch_keys, np.arange(1))
 
+    # Every per-step array is owned by the run: the shifts, V' (with its
+    # scratch) and the drift write into these buffers, and time_loop scales
+    # the drift and the draw in place.  Preallocating only part of the step
+    # is slower than allocating all of it, because what is still allocated
+    # then costs page faults.
     drift = np.empty_like(state)
-    gbuf = np.empty_like(state)
+    grad = np.empty_like(state)
+    flux = np.empty_like(state)
+    scratch = np.empty_like(state)
+    tilted = np.empty_like(state) if slope is not None else None
 
     # The drift accumulates `+= f; -= shift(f)`, not `+= f - shift(f)` as the
     # Dirichlet and deterministic solvers do: the two orders round
     # differently, so merging the kernels would change every trajectory.
-    # shift() allocates a fresh array each step on purpose: writing into
-    # preallocated buffers gives the same bits but costs far more page faults.
     def torus_drift(k, t, phi):
-        nonlocal drift, gbuf
+        nonlocal drift
         q = slope.at(t) if slope is not None else None
+        # step k evaluates the state on_step saw after step k - 1
+        observe = on_flux if k > 0 else None
         drift.fill(0.0)
         for ax in range(d):
             a = 1 + ax
-            forward_difference(phi, a, out=gbuf)
+            np.subtract(shift(phi, a, -1, out=scratch), phi, out=grad)
+            x = grad
             if q is not None:
                 if q.ndim == 2:  # one tilt per member, broadcast over space
-                    gbuf += q[:, ax].reshape((-1,) + (1,) * d)
+                    x = np.add(grad, q[:, ax].reshape((-1,) + (1,) * d), out=tilted)
                 elif q[ax] != 0.0:
-                    gbuf += q[ax]
-            f = V.vp(gbuf)
-            drift += f
-            drift -= shift(f, a, 1)
+                    x = np.add(grad, q[ax], out=tilted)
+            V.vp(x, out=flux, tmp=scratch)
+            if observe is not None:
+                observe(t, ax, grad, flux)
+            drift += flux
+            drift -= shift(flux, a, 1, out=scratch)
         return drift
 
     with _noise_worker(src, threads) as pool:
         noise = MeanSubtractedNoise(src, keys, ids, d, pool) if src is not None else None
         recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
                              on_step=on_step, record_stride=record_stride)
+    if on_flux is not None and n_steps > 0:
+        torus_drift(n_steps, t0 + n_steps * dt, state)
     return state, recorded
 
 

@@ -297,6 +297,10 @@ def run_flux_decay(seed: int, threads=None, *, potential, L, windows, d=2,
     d = int(d)
     L = int(L)
     ells = [int(v) for v in windows]
+    if len(ells) < 3:
+        raise ConfigError(f"flux-decay windows: a decay fit needs three, got {windows!r}")
+    if max(ells) > L:
+        raise ConfigError(f"flux-decay windows: {windows!r} do not fit in L = {L}")
     replicas = int(replicas)
     src = NoiseSource(seed=seed)
     res = flux_decay_experiment(ells, L, V, replicas, src, d=d,
@@ -438,6 +442,8 @@ def run_excess(seed: int, threads=None, *, potential=_QUADRATIC, d=2, L=32,
     d = int(d)
     L = int(L)
     scales = [int(v) for v in scales]
+    if not scales or min(scales) < 4 or max(scales) > L:
+        raise ConfigError(f"excess scales: {scales!r} must lie in [4, L] = [4, {L}]")
     replicas = int(replicas)
     src = NoiseSource(seed=seed)
     grid = make_torus(d, L)
@@ -693,10 +699,10 @@ def run_experiment(name: str, cfg: dict, out_dir: str, seed: int | None = None,
         # a driver without a threads parameter rejects a thread count
         params["threads"] = threads
     run = _bind(EXPERIMENTS[name], params, f"{name} config", seed)
-    os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     result = run()
     wall = time.time() - start
+    os.makedirs(out_dir, exist_ok=True)
     stem = {"corrector": "corrector_fluct"}.get(name, name.replace("-", "_"))
     write_csv(os.path.join(out_dir, f"{stem}.csv"), result.header, result.rows)
     write_summary(os.path.join(out_dir, "summary.json"), result, cfg, seed, wall)

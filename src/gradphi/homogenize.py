@@ -156,49 +156,37 @@ class _WindowAccumulator:
     For each requested radius r, accumulates the vector averages of
     V'(q + grad phi) and of grad phi over (-r^2, 0] x Lambda_r while the
     dynamics runs; slices enter with unit weight (rectangle rule on the
-    integration grid).
+    integration grid).  It is `evolve_torus`'s `on_flux`: the drift hands
+    over the gradient and the flux it evaluates anyway.
+
+    Each box is copied into a buffer laid out as a box gathered with
+    `np.ix_` (batch axis last in memory), so every box mean sums its
+    values in the order of that gather.
     """
 
-    def __init__(self, grid: TorusGrid, V: Potential, path: SlopePath | None,
-                 radii, n_batch: int):
-        self.grid = grid
-        self.V = V
-        self.path = path
+    def __init__(self, grid: TorusGrid, radii, n_batch: int):
         self.radii = list(radii)
         d = grid.dim
+        self.space = tuple(range(1, d + 1))
         self.flux_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
         self.grad_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
         self.counts = {r: 0 for r in self.radii}
-        # per radius and axis: batched index tuples for the box and the box
-        # shifted one site forward along that axis (gradients gathered box-locally)
-        self.boxes = {}
-        self.boxes_shifted = {}
-        side = grid.side
-        for r in self.radii:
-            offs = [(np.arange(-r, r + 1) + grid.radius) % side
-                    for _ in range(d)]
-            self.boxes[r] = (slice(None),) + np.ix_(*offs)
-            shifted = []
-            for ax in range(d):
-                offs_ax = [o.copy() for o in offs]
-                offs_ax[ax] = (offs_ax[ax] + 1) % side
-                shifted.append((slice(None),) + np.ix_(*offs_ax))
-            self.boxes_shifted[r] = shifted
+        self.views = {r: (slice(None),) + (slice(grid.radius - r, grid.radius + r + 1),) * d
+                      for r in self.radii}
+        self.bufs = {r: np.moveaxis(np.empty((2 * r + 1,) * d + (n_batch,)), -1, 0)
+                     for r in self.radii}
 
-    def __call__(self, k: int, t: float, state: np.ndarray):
-        q = self.path.at(t) if self.path is not None else None
-        d = self.grid.dim
-        space = tuple(range(1, d + 1))
+    def __call__(self, t: float, ax: int, grad: np.ndarray, flux: np.ndarray):
         for r in self.radii:
             if t < -(r * r) - 1e-9:
                 continue
-            box = self.boxes[r]
-            for ax in range(d):
-                g = state[self.boxes_shifted[r][ax]] - state[box]
-                tilted = g + q[ax] if q is not None and q[ax] != 0.0 else g
-                self.flux_acc[r][:, ax] += self.V.vp(tilted).mean(axis=space)
-                self.grad_acc[r][:, ax] += g.mean(axis=space)
-            self.counts[r] += 1
+            view, buf = self.views[r], self.bufs[r]
+            np.copyto(buf, flux[view])
+            self.flux_acc[r][:, ax] += buf.mean(axis=self.space)
+            np.copyto(buf, grad[view])
+            self.grad_acc[r][:, ax] += buf.mean(axis=self.space)
+            if ax == 0:
+                self.counts[r] += 1
 
     def averages(self, r) -> tuple[np.ndarray, np.ndarray]:
         c = max(self.counts[r], 1)
@@ -250,9 +238,9 @@ def estimate_tau(
 
     t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, d)
-    acc = _WindowAccumulator(grid, V, path, [r], replicas)
+    acc = _WindowAccumulator(grid, [r], replicas)
     evolve_torus(grid, V, path, src, t0, n_steps, dt, start,
-                 replicas=np.arange(replicas), on_step=acc)
+                 replicas=np.arange(replicas), on_flux=acc)
     flux, _ = acc.averages(r)
     mean = flux.mean(axis=0)
     se = flux.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -392,9 +380,9 @@ def flux_decay_experiment(
     # committed sizes, and the chunks already keep every core busy, so a
     # worker would only compete with them
     def run_chunk(ids):
-        acc = _WindowAccumulator(grid, V, None, ells, len(ids))
+        acc = _WindowAccumulator(grid, ells, len(ids))
         evolve_torus(grid, V, None, src, t0, n_steps, dt, np.zeros(grid.shape),
-                     replicas=ids, on_step=acc)
+                     replicas=ids, on_flux=acc)
         return acc
 
     accs = parallel_map(run_chunk, chunk_ids, len(chunk_ids))

@@ -301,6 +301,12 @@ def interior_across(d: int, ax: int) -> tuple:
 # explicit time loop
 # ---------------------------------------------------------------------------
 
+def _scaled(a: np.ndarray, c: float) -> np.ndarray:
+    """a, scaled by c in place."""
+    a *= c
+    return a
+
+
 def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
               mask: tuple[slice, ...] | None = None, noise=None, pin=None, on_step=None,
               record_stride: int | None = None) -> np.ndarray | None:
@@ -317,7 +323,9 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
 
     where `noise(range(k0, k0 + n_steps))` iterates over the draws xi of
     the run's absolute steps, one per step, each consumed before the next
-    is taken.
+    is taken.  The loop scales the drift and the draw in place, by dt and
+    sqrt(2 dt), so both must be scratch arrays that the drift kernel or
+    the noise owns and refills on its next call.
 
     `mask` is a basic index (a tuple of slices) of the trailing spatial
     axes, such as the Dirichlet interior `DirichletDomain.interior_box`, so
@@ -337,12 +345,13 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     k0 = int(round(t0 / dt))
     draws = None if noise is None else iter(noise(range(k0, k0 + n_steps)))
     sq = np.sqrt(2.0 * dt)
+    # Every per-step array is owned by the run (the drift's and the noise's
+    # buffers), so the loop scales them in place and allocates nothing:
+    # a step that still allocates part of its arrays costs page faults.
     for k in range(n_steps):
-        inner += dt * drift(k, t0 + k * dt, state)[idx]
-        # the draw is not bound to a name: holding it into the next step
-        # changes the allocation pattern and costs page faults
+        inner += _scaled(drift(k, t0 + k * dt, state)[idx], dt)
         if draws is not None:
-            inner += sq * next(draws).reshape(state.shape)[idx]
+            inner += _scaled(next(draws).reshape(state.shape)[idx], sq)
         t_next = t0 + (k + 1) * dt
         if pin is not None:
             state[..., pin[0]] = pin[1](t_next)

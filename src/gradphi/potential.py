@@ -4,6 +4,11 @@ A potential is the triple (V, V', V'') with certified ellipticity constants
 c- <= V'' <= c+.  Three families cover the experiments: the exactly solvable
 quadratic, a smooth non-quadratic perturbation, and a potential whose second
 derivative jumps, which exercises the mollification machinery.
+
+V' takes `out=` and `tmp=` arrays of its argument's shape, neither of them
+the argument's memory: the value is written through `out`, and `tmp` is
+scratch.  Given both, the three families allocate nothing, so a stepper can
+evaluate the flux into buffers it owns.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 class Potential:
     name: str
     v: Callable[[np.ndarray], np.ndarray]
-    vp: Callable[[np.ndarray], np.ndarray]
+    vp: Callable[..., np.ndarray]  # vp(x, out=None, tmp=None)
     vpp: Callable[[np.ndarray], np.ndarray]
     c_minus: float
     c_plus: float
@@ -28,10 +33,17 @@ class Potential:
 
 def quadratic() -> Potential:
     """V(x) = x^2/2: the Gaussian case, exactly solvable by Fourier modes."""
+
+    def vp(x, out=None, tmp=None):
+        if out is None:
+            return np.asarray(x, dtype=np.float64)
+        np.copyto(out, x)
+        return out
+
     return Potential(
         name="quadratic",
         v=lambda x: 0.5 * np.square(x),
-        vp=lambda x: np.asarray(x, dtype=np.float64),
+        vp=vp,
         vpp=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
         c_minus=1.0,
         c_plus=1.0,
@@ -47,9 +59,15 @@ def soft_quartic(a: float) -> Potential:
         x = np.asarray(x, dtype=np.float64)
         return 0.5 * x * x + a * np.sqrt(1.0 + x * x)
 
-    def vp(x):
+    def vp(x, out=None, tmp=None):
+        # x + a * x / sqrt(1 + x * x), one operation at a time
         x = np.asarray(x, dtype=np.float64)
-        return x + a * x / np.sqrt(1.0 + x * x)
+        s = np.multiply(x, x, out=np.empty_like(x) if tmp is None else tmp)
+        np.add(1.0, s, out=s)
+        np.sqrt(s, out=s)
+        out = np.multiply(a, x, out=np.empty_like(x) if out is None else out)
+        np.divide(out, s, out=out)
+        return np.add(x, out, out=out)
 
     def vpp(x):
         x = np.asarray(x, dtype=np.float64)
@@ -76,9 +94,12 @@ def kinked(b: float) -> Potential:
         outer = 0.5 * x * x + b * (ax - 0.5)
         return np.where(ax <= 1.0, inner, outer)
 
-    def vp(x):
+    def vp(x, out=None, tmp=None):
+        # x + b * clip(x, -1, 1), one operation at a time
         x = np.asarray(x, dtype=np.float64)
-        return x + b * np.clip(x, -1.0, 1.0)
+        out = np.clip(x, -1.0, 1.0, out=np.empty_like(x) if out is None else out)
+        np.multiply(b, out, out=out)
+        return np.add(x, out, out=out)
 
     def vpp(x):
         x = np.asarray(x, dtype=np.float64)
@@ -106,10 +127,10 @@ def mollify(V: Potential, kappa: float) -> Potential:
         raise ValueError(f"mollification width must be positive, got {kappa}")
 
     def conv(f):
-        def g(x):
+        def g(x, out=None, tmp=None):
             x = np.asarray(x, dtype=np.float64)
             vals = f(x[..., None] - kappa * _QUAD_NODES)
-            out = vals @ _QUAD_W
+            out = np.matmul(vals, _QUAD_W, out=out)
             if not np.all(np.isfinite(out)):
                 raise FloatingPointError("mollification quadrature produced non-finite values")
             return out

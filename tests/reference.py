@@ -1,6 +1,7 @@
 """Reference implementations that the unit tests compare library code
-against: pointwise forms of the torus stencil, the parabolic Hoelder
-seminorm, and the continuous-time relaxation variance."""
+against: pointwise forms of the torus stencil, the window accumulator that
+recomputes fluxes from the state, the parabolic Hoelder seminorm, and the
+continuous-time relaxation variance."""
 
 from __future__ import annotations
 
@@ -91,6 +92,65 @@ def nonlinear_div(V, q, u: np.ndarray, x) -> float:
     """Pointwise value of the uniformly convex elliptic operator at site x."""
     return float(nonlinear_div_field(V, np.asarray(q, dtype=float), u)[
         tuple((np.asarray(x) + (u.shape[0] - 1) // 2) % u.shape[0])])
+
+
+# ---------------------------------------------------------------------------
+# window accumulator
+# ---------------------------------------------------------------------------
+
+class WindowAccumulator:
+    """Running space-time averages of flux and gradient over trailing
+    windows, recomputed from every state after an update.
+
+    An `on_step` callback for `evolve_torus`: for each radius r it gathers
+    the box Lambda_r and the box shifted one site forward along each axis,
+    differences them and evaluates V'(q + grad phi) on the box, and adds
+    the box means to the running sums while t lies in (-r^2, 0].
+    """
+
+    def __init__(self, grid: TorusGrid, V, path, radii, n_batch: int):
+        self.grid = grid
+        self.V = V
+        self.path = path
+        self.radii = list(radii)
+        d = grid.dim
+        self.flux_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
+        self.grad_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
+        self.counts = {r: 0 for r in self.radii}
+        # per radius and axis: batched index tuples for the box and the box
+        # shifted one site forward along that axis (gradients gathered box-locally)
+        self.boxes = {}
+        self.boxes_shifted = {}
+        side = grid.side
+        for r in self.radii:
+            offs = [(np.arange(-r, r + 1) + grid.radius) % side
+                    for _ in range(d)]
+            self.boxes[r] = (slice(None),) + np.ix_(*offs)
+            shifted = []
+            for ax in range(d):
+                offs_ax = [o.copy() for o in offs]
+                offs_ax[ax] = (offs_ax[ax] + 1) % side
+                shifted.append((slice(None),) + np.ix_(*offs_ax))
+            self.boxes_shifted[r] = shifted
+
+    def __call__(self, k: int, t: float, state: np.ndarray):
+        q = self.path.at(t) if self.path is not None else None
+        d = self.grid.dim
+        space = tuple(range(1, d + 1))
+        for r in self.radii:
+            if t < -(r * r) - 1e-9:
+                continue
+            box = self.boxes[r]
+            for ax in range(d):
+                g = state[self.boxes_shifted[r][ax]] - state[box]
+                tilted = g + q[ax] if q is not None and q[ax] != 0.0 else g
+                self.flux_acc[r][:, ax] += self.V.vp(tilted).mean(axis=space)
+                self.grad_acc[r][:, ax] += g.mean(axis=space)
+            self.counts[r] += 1
+
+    def averages(self, r) -> tuple[np.ndarray, np.ndarray]:
+        c = max(self.counts[r], 1)
+        return self.flux_acc[r] / c, self.grad_acc[r] / c
 
 
 # ---------------------------------------------------------------------------

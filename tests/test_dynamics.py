@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradphi import spectral
+from gradphi.homogenize import _WindowAccumulator
 from gradphi.lattice import (
     DirichletDomain,
     ParabolicCylinder,
@@ -112,6 +115,36 @@ def test_torus_step_accumulation_order():
         other += f - shift(f, ax, 1)
     assert np.array_equal(state, u + dt * drift)
     assert not np.array_equal(state, u + dt * other)
+
+
+@pytest.mark.parametrize("tilt", ["none", "shared", "per-member"])
+def test_torus_step_allocates_nothing(tilt):
+    # numpy reports its array data to tracemalloc: once the run is set up,
+    # a torus step with a flux observer allocates no state-sized array
+    B, grid = 24, make_torus(2, 32)
+    V = soft_quartic(0.5)
+    dt = stable_dt(V, 2)
+    q = np.array([0.3, -0.2])
+    slope = {"none": None, "shared": SlopePath.constant(q),
+             "per-member": SlopePath.constant(np.outer(np.linspace(0.0, 1.0, B), q))}[tilt]
+    acc = _WindowAccumulator(grid, [2, 4, 8, 16], B)
+    level = []
+
+    def on_step(k, t, state):
+        if k == 0:
+            level.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        evolve_torus(grid, V, slope, NoiseSource(seed=3), -6 * dt, 6, dt, np.zeros(grid.shape),
+                     replicas=np.arange(B), on_step=on_step, on_flux=acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc.counts[16] == 6
+    state_bytes = B * grid.nsites * 8  # 811,200
+    assert peak - level[0] < 256 * 1024 < state_bytes / 3
 
 
 def test_batched_replicas_match_single_replica_runs():

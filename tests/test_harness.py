@@ -159,16 +159,26 @@ def test_cli_missing_config_key_exits_2(tmp_path):
     ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5], "replicas": 1,
                "f": {"name": "affine", "coefficients": [1, 2, 3]}}),
     ("excess", {"L": 8, "scales": [4, 8], "replicas": 3, "threads": 2}),
+    ("flux-decay", {"potential": {"kind": "quadratic"}, "L": 4, "windows": [2, 3]}),
+    ("flux-decay", {"potential": {"kind": "quadratic"}, "L": 4, "windows": [2, 4, 8]}),
+    ("excess", {"L": 4, "scales": [2, 4], "replicas": 2}),
+    ("excess", {"L": 4, "scales": [4, 8], "replicas": 2}),
 ])
-def test_cli_malformed_config_exits_2(tmp_path, name, cfg):
+def test_cli_malformed_config_exits_2(tmp_path, capsys, name, cfg):
     # an unknown potential, a missing potential parameter, a misspelled
     # top-level key, a misspelled key of a nested block, tilts without d
     # components, an affine boundary datum without d coefficients (the
-    # 2-d default in 3-d, three in 2-d), and a thread count, which only
-    # --threads sets
+    # 2-d default in 3-d, three in 2-d), a thread count, which only
+    # --threads sets, too few flux-decay windows, a window wider than the
+    # torus, and excess scales outside [4, L]: one error line, no
+    # traceback, and nothing written
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, **cfg}))
-    assert run_cli([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert run_cli([name, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_occupation_round_trip(tmp_path, capsys):
@@ -212,6 +222,21 @@ def test_cli_threads_exits_2_where_no_thread_acts(tmp_path, capsys, name, cfg):
     out = tmp_path / "out"
     assert run_cli([name, "--config", str(path), "--out", str(out), "--threads", "2"]) == 2
     assert "threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, threads, cfg", [
+    ("linearize", "-2", {"potential": {"kind": "kinked", "b": 0.5}, "L": 2, "replicas": 3}),
+    ("flux-decay", "0", {"potential": {"kind": "quadratic"}, "L": 4, "windows": [1, 2, 3],
+                         "replicas": 3, "horizon": 1}),
+])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, name, threads, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    out = tmp_path / "out"
+    assert run_cli([name, "--config", str(path), "--out", str(out),
+                    f"--threads={threads}"]) == 2
+    assert "--threads" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradphi import homogenize
 from gradphi.dynamics import (
     SlopePath,
     evolve_torus,
@@ -36,6 +37,7 @@ from gradphi.parabolic import (
     solve_linearized_corrector,
 )
 from gradphi.potential import kinked, quadratic, soft_quartic
+from reference import WindowAccumulator
 
 
 def test_tau_quadratic_centered_on_tilt():
@@ -109,6 +111,67 @@ def test_flux_decay_variance_decreases():
 def test_flux_decay_needs_three_scales():
     with pytest.raises(ValueError):
         flux_decay_experiment([2, 4], 8, quadratic(), 8, NoiseSource(seed=8))
+
+
+@pytest.fixture
+def paired_accumulators(monkeypatch):
+    """Runs the reference accumulator, which recomputes the box gradients and
+    fluxes from each state as `on_step`, next to every drift-fed `on_flux`
+    accumulator of homogenize's torus runs; the list holds the pairs."""
+    pairs = []
+    run = homogenize.evolve_torus
+
+    def paired(grid, V, slope, src, t0, n_steps, dt, init, on_flux=None, **kw):
+        if on_flux is not None:
+            ref = WindowAccumulator(grid, V, slope, on_flux.radii, len(kw["replicas"]))
+            pairs.append((on_flux, ref))
+            kw["on_step"] = ref
+        return run(grid, V, slope, src, t0, n_steps, dt, init, on_flux=on_flux, **kw)
+
+    monkeypatch.setattr(homogenize, "evolve_torus", paired)
+    return pairs
+
+
+def _assert_pairs_equal(pairs, n_runs):
+    assert len(pairs) == n_runs
+    for acc, ref in pairs:
+        for r in ref.radii:
+            assert acc.counts[r] == ref.counts[r] > 0
+            flux, grad = acc.averages(r)
+            ref_flux, ref_grad = ref.averages(r)
+            assert np.array_equal(flux, ref_flux)
+            assert np.array_equal(grad, ref_grad)
+
+
+_POTENTIALS = {"quadratic": quadratic(), "soft_quartic": soft_quartic(0.5),
+               "kinked": kinked(0.5)}
+
+
+@pytest.mark.parametrize("d, L", [(2, 6), (3, 3)])
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_flux_decay_accumulator_equals_the_reference(paired_accumulators, name, d, L):
+    # bit for bit at every chunking; the horizon cuts the window of radius 1
+    V = _POTENTIALS[name]
+    for threads in (1, 2, 3):
+        paired_accumulators.clear()
+        flux_decay_experiment([1, 2, 3], L, V, 7, NoiseSource(5), d=d, horizon=3.0,
+                              threads=threads)
+        _assert_pairs_equal(paired_accumulators, threads)
+
+
+@pytest.mark.parametrize("d, L", [(2, 6), (3, 3)])
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_tau_accumulator_equals_the_reference(paired_accumulators, name, d, L):
+    # a constant tilt (from the stationary start) and a tilt that changes
+    # inside the window (from zero)
+    V = _POTENTIALS[name]
+    tilt = np.zeros(d)
+    tilt[0] = 0.3
+    path = SlopePath(np.array([-np.inf, -0.5]), np.array([0.2 - tilt, tilt]))
+    for slope in (tuple(tilt), path):
+        paired_accumulators.clear()
+        estimate_tau(slope, L, V, 4, NoiseSource(9), d=d)
+        _assert_pairs_equal(paired_accumulators, 1)
 
 
 def test_linearization_modulus_quadratic_vanishes():

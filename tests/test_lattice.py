@@ -374,7 +374,8 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
         return out
 
     def noise(steps):
-        return (draws[step + 3] for step in steps)
+        # the loop scales each draw in place: yield scratch copies
+        return (draws[step + 3].copy() for step in steps)
 
     def pin(t):
         return pins[int(round(t / dt)) - 1 + 3]
