@@ -6,8 +6,7 @@ periodic interface dynamic with (possibly time-dependent) tilt and the
 Gaussian free-field dynamic, and `run_dirichlet` drives the Dirichlet
 dynamic for the rescaled boundary-value problem.  The step is
 dt = 1/(8 d c+), at which the drift is contractive and the explicit scheme
-preserves the maximum principle; `_check_dt` enforces it for every solver
-that takes a step from its caller.
+preserves the maximum principle.
 
 Noise is addressed by absolute step index and absolute site coordinates, so
 trajectories driven by the same NoiseSource are coupled pathwise whether or
@@ -42,12 +41,6 @@ def stable_dt(V: Potential | float, d: int) -> float:
     a bound c+ on the coefficients of a linear equation."""
     c_plus = V.c_plus if isinstance(V, Potential) else V
     return 1.0 / (8.0 * d * c_plus)
-
-
-def _check_dt(dt: float, d: int, c_plus: float):
-    cap = stable_dt(c_plus, d)
-    if dt > cap * (1 + 1e-12):
-        raise ValueError(f"dt={dt} violates the stability bound {cap}")
 
 
 @dataclass(frozen=True)
@@ -231,18 +224,16 @@ def run_corrector(
     slope,
     V: Potential,
     src: NoiseSource,
-    dt: float | None = None,
     record_stride: int = 1,
 ) -> SpaceTimeField:
     """Mean-zero periodic dynamic with tilt, started from zero at -horizon and
-    run to t = 0.
+    run to t = 0 at the stable step.
 
     Returns the recorded trajectory; the spatial mean of every slice stays
     at zero because the noise is mean-subtracted and the drift conserves the
     spatial sum for symmetric potentials.
     """
-    dt = stable_dt(V, grid.dim) if dt is None else dt
-    _check_dt(dt, grid.dim, V.c_plus)
+    dt = stable_dt(V, grid.dim)
     t0, n_steps = horizon_steps(horizon, dt)
     _, rec = evolve_torus(grid, V, as_slope_path(slope, grid.dim), src, t0, n_steps, dt,
                           np.zeros(grid.shape), replicas=np.arange(1),
@@ -301,14 +292,13 @@ def stationary_start(
     src: NoiseSource,
     replicas: np.ndarray,
     horizon: float,
-    burn_in: float | None = None,
 ) -> tuple[np.ndarray, SlopePath, float, int, float]:
     """Equilibrated start of a stationary run of the tilted dynamic that
     lasts `horizon` and ends at t = 0, one member per replica id.
 
     The quadratic potential starts from an exact free-field sample and needs
     no burn-in; other potentials start from zero and discard a burn-in of
-    L^2 by default.  Returns (state, path, t_start, n_steps, dt), where state
+    L^2.  Returns (state, path, t_start, n_steps, dt), where state
     has shape (B, *grid.shape) and holds at time t_start.
     """
     dt = stable_dt(V, grid.dim)
@@ -316,7 +306,7 @@ def stationary_start(
         state, n_burn = sample_gff(grid, src, replicas), 0
     else:
         state = np.zeros((len(replicas),) + grid.shape)
-        n_burn = int(round((grid.radius**2 if burn_in is None else burn_in) / dt))
+        n_burn = int(round(grid.radius**2 / dt))
     n_keep = int(round(horizon / dt))
     t0 = -(n_burn + n_keep) * dt
     path = as_slope_path(p, grid.dim)
@@ -332,14 +322,12 @@ def run_stationary_periodic(
     V: Potential,
     src: NoiseSource,
     horizon: float,
-    burn_in: float | None = None,
-    record_stride: int = 1,
+    record_stride: int,
 ) -> SpaceTimeField:
     """Trajectory of the tilted dynamic after equilibration (see
     `stationary_start`), ending at t = 0."""
     one = np.arange(1)
-    state, path, t_keep, n_keep, dt = stationary_start(grid, p, V, src, one, horizon,
-                                                       burn_in=burn_in)
+    state, path, t_keep, n_keep, dt = stationary_start(grid, p, V, src, one, horizon)
     _, rec = evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
                           replicas=one, record_stride=record_stride)
     return SpaceTimeField(grid, t_keep, dt * record_stride, rec[:, 0])
@@ -390,17 +378,17 @@ def run_dirichlet(
     V: Potential,
     src: NoiseSource | None,
     replicas: np.ndarray,
-    dt_unit: float | None = None,
     record_stride: int | None = None,
     on_step=None,
-    threads: int | None = None,
+    *,
+    threads: int | None,
 ) -> np.ndarray | None:
     """Langevin dynamic on the mesh-eps domain driven by diffusively rescaled noise.
 
-    Internally runs the unit-lattice dynamic U on the time interval
-    (-1/eps^2, 0) and returns u(t, x) = eps U(t/eps^2, x/eps), which solves
-    the mesh-eps system with noise amplitude sqrt(2) eps; macroscopic times
-    live in (-1, 0).  Boundary sites (and the initial slice) are pinned to
+    Internally runs the unit-lattice dynamic U at the stable step on the
+    time interval (-1/eps^2, 0) and returns u(t, x) = eps U(t/eps^2, x/eps),
+    which solves the mesh-eps system with noise amplitude sqrt(2) eps;
+    macroscopic times live in (-1, 0).  Boundary sites (and the initial slice) are pinned to
     the locally averaged datum f at every step; `f` is a boundary datum as
     `smoothed_boundary_datum` takes it, `f(points) -> (t -> values)`.
 
@@ -413,7 +401,7 @@ def run_dirichlet(
     """
     eps = dom.mesh
     d = dom.dim
-    dt_unit = stable_dt(V, d) if dt_unit is None else dt_unit
+    dt_unit = stable_dt(V, d)
     t0_unit, n_steps = horizon_steps(1.0 / (eps * eps), dt_unit)
 
     datum = smoothed_boundary_datum(f, dom)

@@ -494,8 +494,7 @@ def run_heatkernel(seed: int, *, d=2, L=8, environments=3,
                                                         size=(d,) + grid.shape))
         c_plus = float(np.sqrt(contrast))
         dt = stable_dt(c_plus, d)
-        tab = heat_kernel(env, grid, 0.0, (0,) * d, float(L * L), dt,
-                          c_plus=c_plus)
+        tab = heat_kernel(env, grid, 0.0, (0,) * d, float(L * L), dt)
         fit = nash_aronson_fit(tab, (0,) * d)
         mass = float(np.max(np.abs(tab.values.sum(axis=tuple(range(1, d + 1))))))
         neg = float((tab.values + 1.0 / grid.nsites).min())
@@ -543,8 +542,7 @@ def run_gff(seed: int, *, d=2, L=4, replicas=2000) -> ExperimentResult:
 
 
 def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
-                             ubar, kappa: float, dt_unit: float,
-                             threads: int | None) -> float:
+                             ubar, kappa: float, threads: int | None) -> float:
     """L2 gap between the gradients of the noisy dynamic and the corrected
     effective solution, for one replica.
 
@@ -555,9 +553,9 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     """
     eps = dom.mesh
     d = dom.dim
-    stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // (ubar.nslices - 1), 1)
-    traj = run_dirichlet(dom, f, V, src, np.arange(1), dt_unit=dt_unit,
-                         record_stride=stride, threads=threads)[:, 0]
+    stride = max(int(round(1.0 / (eps * eps) / stable_dt(V, d))) // (ubar.nslices - 1), 1)
+    traj = run_dirichlet(dom, f, V, src, np.arange(1), record_stride=stride,
+                         threads=threads)[:, 0]
     pack = make_correctors(ubar, kappa, V, src)
     expansion = build_two_scale(ubar, kappa, pack)
     acc = 0.0
@@ -626,7 +624,7 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
             for rep in range(diag_reps):
                 gerr = gradient_two_scale_error(dom, f, V,
                                                 src.with_replica(rep), ubar,
-                                                kappa, dt_unit, threads)
+                                                kappa, threads)
                 gradient_rows.append((eps, rep, gerr))
 
         # the deterministic diagnostic is the batched run with one replica
@@ -640,8 +638,8 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
                 diff = state[:, interior] * eps - ubar.values[j][interior]
                 acc[:] += (diff**2).sum(axis=1) * dt_rec
 
-        run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), dt_unit=dt_unit,
-                      on_step=on_step, threads=threads)
+        run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), on_step=on_step,
+                      threads=threads)
         errs = np.sqrt(eps**d * acc)
         for rep, e in enumerate(errs):
             rows.append((eps, rep, float(e)))

@@ -53,7 +53,7 @@ class FluxEstimate:
     replicas: int
     mean: np.ndarray  # (d,)
     stderr: np.ndarray  # (d,)
-    samples: np.ndarray | None = None  # (replicas, d)
+    samples: np.ndarray  # (replicas, d)
 
 
 @dataclass
@@ -154,10 +154,13 @@ class _WindowAccumulator:
     """Running space-time averages of flux and gradient over trailing windows.
 
     For each requested radius r, accumulates the vector averages of
-    V'(q + grad phi) and of grad phi over (-r^2, 0] x Lambda_r while the
-    dynamics runs; slices enter with unit weight (rectangle rule on the
-    integration grid).  It is `evolve_torus`'s `on_flux`: the drift hands
-    over the gradient and the flux it evaluates anyway.
+    V'(q + grad phi) and of grad phi over the slices at times t >= -r^2,
+    times Lambda_r, while the dynamics runs; slices enter with unit weight
+    (rectangle rule on the integration grid).  It is `evolve_torus`'s
+    `on_flux`: the drift hands over the gradient and the flux it evaluates
+    anyway.  The drift never sees the start slice, so a run that starts
+    before -r^2 averages the n_w + 1 slices of [-r^2, 0], and a run that
+    starts at -r^2 the n_w slices of (-r^2, 0], where n_w = r^2 / dt.
 
     Each box is copied into a buffer laid out as a box gathered with
     `np.ix_` (batch axis last in memory), so every box mean sums its
@@ -204,16 +207,17 @@ def estimate_tau(
     replicas: int,
     src: NoiseSource,
     d: int = 2,
-    init: str = "auto",
-    keep_samples: bool = False,
 ) -> FluxEstimate:
-    """Replica mean of the flux average over the trailing half-size window.
+    """Replica mean of the flux average over the trailing half-size window,
+    with the (replicas, d) per-replica averages as its samples.
 
     `slope` is a constant tilt or a SlopePath.  Constant tilts start from
     the equilibrated dynamic (exact free-field sample for the quadratic
-    potential, burn-in of L^2 otherwise); time-dependent tilts start the
-    dynamic from zero and run a horizon of L^2.  init="zero" forces the
-    zero start (used to compare the two routes on identical noise).
+    potential, burn-in of L^2 otherwise); a SlopePath starts the dynamic
+    from zero and runs a horizon of L^2.  With r = L // 2 the window is
+    [-r^2, 0], except for a constant tilt and the quadratic potential,
+    whose run starts at -r^2: its window is (-r^2, 0], one slice fewer
+    (see `_WindowAccumulator`).
     """
     if replicas < 2:
         raise ValueError("need at least two replicas")
@@ -223,13 +227,10 @@ def estimate_tau(
     window = float(r * r)
 
     constant = not isinstance(slope, SlopePath)
-    if init == "auto":
-        init = "stationary" if constant else "zero"
-
-    if init == "stationary" and V.name == "quadratic":
+    if constant and V.name == "quadratic":
         horizon = window
         start = sample_gff(grid, src, np.arange(replicas))
-    elif init == "stationary":
+    elif constant:
         horizon = window + float(L * L)  # burn-in of L^2 before the window
         start = np.zeros(grid.shape)
     else:
@@ -244,8 +245,7 @@ def estimate_tau(
     flux, _ = acc.averages(r)
     mean = flux.mean(axis=0)
     se = flux.std(axis=0, ddof=1) / np.sqrt(replicas)
-    return FluxEstimate(slope, r, replicas, mean, se,
-                        samples=flux if keep_samples else None)
+    return FluxEstimate(slope, r, replicas, mean, se, flux)
 
 
 def estimate_hessian(
@@ -314,25 +314,20 @@ def tabulate_effective_gradient(
     L: int,
     replicas: int,
     src: NoiseSource,
-    knots=None,
-    d: int = 2,
+    knots,
 ) -> EffectiveGradient:
-    """Tabulated effective nonlinearity from axis-aligned flux means.
+    """Tabulated effective nonlinearity of the planar dynamic from
+    axis-aligned flux means.
 
     Evaluates the flux mean at tilts s e_1 over the nonnegative knot grid
     (lattice symmetry reduces general tilts to componentwise evaluations,
-    odd in the tilt), then interpolates monotonically.  The quarter-step
-    grid up to 1.5 is the default.
+    odd in the tilt), then interpolates monotonically.
     """
-    if knots is None:
-        knots = np.arange(0.0, 1.5 + 1e-9, 0.25)
     knots = np.asarray(knots, dtype=float)
     values = [0.0]
     for i, s in enumerate(knots[1:]):
-        tilt = np.zeros(d)
-        tilt[0] = s
-        est = estimate_tau(tuple(tilt), L, V, replicas,
-                           src.with_replica(src.replica + (i + 1) * replicas), d=d)
+        est = estimate_tau((s, 0.0), L, V, replicas,
+                           src.with_replica(src.replica + (i + 1) * replicas))
         values.append(float(est.mean[0]))
     return EffectiveGradient.from_axis_table(knots, np.asarray(values))
 
@@ -349,7 +344,8 @@ def flux_decay_experiment(
     src: NoiseSource,
     d: int = 2,
     horizon: float | None = None,
-    threads: int | None = None,
+    *,
+    threads: int | None,
 ) -> FluxDecayResult:
     """Variance of window flux averages against the window size.
 
@@ -445,7 +441,7 @@ def corrector_fluctuation_experiment(
     V: Potential,
     replicas: int,
     src: NoiseSource,
-    d: int = 2,
+    d: int,
     stationary_window: float = 8.0,
 ) -> FluctuationResult:
     """Site variance, averaged L2 mass, and gradient tail per size.

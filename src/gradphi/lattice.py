@@ -4,8 +4,8 @@ Two site sets are supported: the periodic box (torus) of side 2L+1 used by
 the interface dynamics, and the Dirichlet discretization of the unit cube
 at mesh 1/N used by the rescaled boundary-value problems.  Fields are plain
 numpy arrays over the grid shape.  A space-time field (`SpaceTimeField`)
-holds site or edge values on one uniform time grid and snaps query times
-to the nearest slice.
+holds site values on one uniform time grid and snaps query times to the
+nearest slice.
 
 Every periodic difference and divergence of the package is one of the
 stencil functions below: the shift, forward difference and backward
@@ -156,12 +156,11 @@ class DirichletDomain:
 
 @dataclass(frozen=True)
 class ParabolicCylinder:
-    """Time interval (t_lo, t_hi) times the centered box of the given radius
-    (or the full torus)."""
+    """Time interval (t_lo, t_hi) times the centered box of the given radius."""
 
     t_lo: float
     t_hi: float
-    radius: int | None = None  # None: full torus / full domain
+    radius: int
 
     def __post_init__(self):
         if not self.t_lo < self.t_hi:
@@ -177,13 +176,11 @@ def horizon_steps(horizon: float, dt: float) -> tuple[float, int]:
 
 @dataclass
 class SpaceTimeField:
-    """Site or edge values on a uniform time grid t0 + j dt.
+    """Site values on a uniform time grid t0 + j dt.
 
-    `values` has shape (nslices, *grid.shape) for a site field or
-    (nslices, d, *grid.shape) for an edge field, whose entry [j, i, x] is
-    the value on the edge (x, x+e_i).  `at` and `time_window` snap to the
-    nearest slice and reject times outside the stored range; `at_clamped`
-    snaps and then clamps into it.
+    `values` has shape (nslices, *grid.shape).  `at` and `time_window` snap
+    to the nearest slice and reject times outside the stored range;
+    `at_clamped` snaps and then clamps into it.
     """
 
     grid: TorusGrid | DirichletDomain
@@ -193,9 +190,9 @@ class SpaceTimeField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape[1:] not in (self.grid.shape, (self.grid.dim,) + self.grid.shape):
-            raise ValueError("field shape must be (nslices, *grid.shape) or "
-                             "(nslices, dim, *grid.shape)")
+        if self.values.shape[1:] != self.grid.shape:
+            raise ValueError("a SpaceTimeField holds a site field of shape "
+                             "(nslices, *grid.shape)")
 
     @property
     def nslices(self) -> int:
@@ -309,7 +306,7 @@ def _scaled(a: np.ndarray, c: float) -> np.ndarray:
 
 def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
               mask: tuple[slice, ...] | None = None, noise=None, pin=None, on_step=None,
-              record_stride: int | None = None) -> np.ndarray | None:
+              *, record_stride: int | None) -> np.ndarray | None:
     """Explicit Euler(-Maruyama) loop shared by every solver; advances
     `state` in place.
 
@@ -368,19 +365,13 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     return w
 
 
-def cylinder_average(f: SpaceTimeField, Q: ParabolicCylinder):
-    """Space-time average (f)_Q.
-
-    Site fields give a real; edge fields give the vector whose i-th
-    component averages the values on the (x, x+e_i) edges of the box.
-    """
+def cylinder_average(f: SpaceTimeField, Q: ParabolicCylinder) -> float:
+    """Space-time average (f)_Q, trapezoid rule in time."""
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     w = _trapezoid_weights(j1 - j0 + 1)
     w = w / w.sum()
-    lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
     vals = f.values[j0:j1 + 1]
-    if Q.radius is not None:
-        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
-    spatial = vals.mean(axis=tuple(range(lead, vals.ndim)))
+    vals = vals[(slice(None),) + f.grid.box_slices(Q.radius)]
+    spatial = vals.mean(axis=tuple(range(1, vals.ndim)))
     return np.dot(w, spatial)
 

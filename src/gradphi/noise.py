@@ -15,7 +15,7 @@ from __future__ import annotations
 import mmap
 from collections.abc import Iterator
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -133,7 +133,7 @@ class NoiseSource:
     replica: int = 0
 
     def with_replica(self, replica: int) -> "NoiseSource":
-        return replace(self, replica=replica)
+        return NoiseSource(self.seed, replica)
 
     def stream_prefix(self, channel: int, replicas: np.ndarray) -> np.ndarray:
         """The step-independent part of the stream keys of the replica ids
@@ -148,8 +148,8 @@ class NoiseSource:
         self,
         keys: np.ndarray,
         step: int | range,
+        replicas: np.ndarray,
         channel: int | None = None,
-        replicas: np.ndarray | None = None,
         prefix: np.ndarray | None = None,
         out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
@@ -159,8 +159,7 @@ class NoiseSource:
         `step` is absolute, or counted within `channel` when one is given;
         an absolute range must not cross step 0.  `replicas` (shape (B,))
         holds replica ids counted from `self.replica`, one independent stream
-        each.  Without it the draw is the single stream `self.replica` and
-        has no B axis.  `prefix`, the `stream_prefix` of these ids on this
+        each.  `prefix`, the `stream_prefix` of these ids on this
         channel, spares rehashing it.  `out`, two uint64 arrays of shape
         (len(step), B, *keys.shape), takes the draw in place: the first
         holds the hashed bits, and the normals go to the float64 view of the
@@ -170,9 +169,8 @@ class NoiseSource:
             channel, step = _channel_step(step)
         block = isinstance(step, range)
         steps = step if block else range(step, step + 1)
-        ids = np.zeros(1, dtype=np.uint64) if replicas is None else replicas
         if prefix is None:
-            prefix = self.stream_prefix(channel, ids)
+            prefix = self.stream_prefix(channel, replicas)
         bases = _step_keys(prefix, steps)
         z, normals = (None, None) if out is None else out
         z = np.bitwise_xor(keys, bases.reshape(bases.shape + (1,) * keys.ndim), out=z)
@@ -181,15 +179,13 @@ class NoiseSource:
         _mix_array(z, out=z, tmp=normals)  # the normals' memory is scratch until they come
         g = _bits_to_uniform(z, normals.view(np.float64))
         ndtri(g, out=g)
-        if replicas is None:
-            g = g[:, 0]
         return g if block else g[0]
 
     def field_normals(self, keys: np.ndarray, replicas: np.ndarray,
-                      tag: int = 0) -> np.ndarray:
+                      tag: int) -> np.ndarray:
         """Normals from the initial-condition channel, distinguished by tag,
         shape (B, *keys.shape)."""
-        return self.raw_normals(keys, tag, channel=CHANNEL_INIT, replicas=replicas)
+        return self.raw_normals(keys, tag, replicas, channel=CHANNEL_INIT)
 
 
 def _mapped(shape: tuple[int, ...]) -> np.ndarray:
@@ -224,7 +220,7 @@ class MeanSubtractedNoise:
     """
 
     def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
-                 spatial_ndim: int, pool: Executor | None = None):
+                 spatial_ndim: int, pool: Executor | None):
         self.src = src
         self.keys = keys
         self.pool = pool
@@ -262,7 +258,7 @@ class MeanSubtractedNoise:
         if prefix is None:
             prefix = self._prefixes[channel] = self.src.stream_prefix(channel, self.replicas)
         n = len(block)
-        g = self.src.raw_normals(self.keys, steps, channel, self.replicas, prefix=prefix,
+        g = self.src.raw_normals(self.keys, steps, self.replicas, channel, prefix=prefix,
                                  out=(bits[:n], slot[:n]))
         g -= g.mean(axis=self._axes, keepdims=True)
         return g

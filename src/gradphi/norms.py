@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 # multiscale negative-norm estimator
 # ---------------------------------------------------------------------------
 
-def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None) -> float:
+def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int) -> float:
     """Upper estimator of the parabolic H^-1 norm from triadic block averages.
 
     `values` has shape (n_t, 3^m, ..., 3^m) and spans a cylinder of duration
@@ -33,8 +33,6 @@ def hminus1_par_multiscale(values: np.ndarray, dt: float, m: int | None = None) 
     side = values.shape[1]
     if any(s != side for s in values.shape[1:]):
         raise ValueError("spatial block must be a cube")
-    if m is None:
-        m = int(round(np.log(side) / np.log(3)))
     if 3**m != side:
         raise ValueError(f"spatial side {side} is not 3^m for m={m}")
     if m < 0:

@@ -16,14 +16,14 @@ import numpy as np
 from .dynamics import evolve_torus, sample_gff, stable_dt
 from .lattice import make_torus
 from .noise import NoiseSource, site_keys
-from .potential import Potential, quadratic
+from .potential import Potential
 
 
 @dataclass(frozen=True)
 class BrownianSpec:
     """Brownian motion from 0 over the unit time interval."""
 
-    dt: float = 1e-3
+    dt: float
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class EdgeGradientSpec:
     """Gradient of the stationarily started interface dynamic over the
     first-axis edge at the center, over the unit time interval."""
 
-    L: int = 8
+    L: int
+    potential: Potential
     d: int = 2
-    potential: Potential | None = None  # defaults to the quadratic potential
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _brownian_paths(spec: BrownianSpec, replicas: int,
 
 def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
                          src: NoiseSource) -> tuple[np.ndarray, float]:
-    V = spec.potential if spec.potential is not None else quadratic()
+    V = spec.potential
     grid = make_torus(spec.d, spec.L)
     dt = stable_dt(V, spec.d)
     n = int(round(1.0 / dt))

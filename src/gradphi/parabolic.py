@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_dt, smoothed_boundary_datum, stable_dt
+from .dynamics import smoothed_boundary_datum, stable_dt
 from .lattice import (
     DirichletDomain,
     SpaceTimeField,
@@ -28,6 +28,13 @@ from .lattice import (
     time_loop,
 )
 from .potential import Potential
+
+
+def _check_dt(dt: float, d: int, c_plus: float):
+    """A ValueError unless dt is stable for coefficients bounded by c_plus."""
+    cap = stable_dt(c_plus, d)
+    if dt > cap * (1 + 1e-12):
+        raise ValueError(f"dt={dt} violates the stability bound {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +57,18 @@ def _static_env(a, grid: TorusGrid) -> np.ndarray:
 # heat kernel
 # ---------------------------------------------------------------------------
 
-def heat_kernel(a, grid: TorusGrid, s: float, y, t_end: float, dt: float,
-                c_plus: float = 1.0) -> SpaceTimeField:
+def heat_kernel(a, grid: TorusGrid, s: float, y, t_end: float,
+                dt: float) -> SpaceTimeField:
     """Explicit stepping of the periodic kernel started from delta_y - 1/|L|
-    at the source time s, which is the field's t0."""
+    at the source time s, which is the field's t0; dt must be stable for
+    the largest coefficient of `a`."""
     P = np.full(grid.shape, -1.0 / grid.nsites)
     P[grid.array_index(y)] += 1.0
     n_steps = int(round((t_end - s) / dt))
-    return solve_linear_parabolic(a, grid, s, n_steps, dt, init=P, c_plus=c_plus)
+    return solve_linear_parabolic(a, grid, s, n_steps, dt, init=P)
 
 
-def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
+def duhamel_solve(a, f: SpaceTimeField) -> SpaceTimeField:
     """Solution of du/dt - div(a grad u) = f, u(t0) = 0, by kernel superposition.
 
     The forcing must have zero spatial sum on every slice.  Superposition
@@ -86,7 +94,7 @@ def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
             if w == 0.0:
                 continue
             coord = tuple(int(c) - grid.radius for c in idx)
-            tab = heat_kernel(a, grid, 0.0, coord, n * dt, dt, c_plus=c_plus)
+            tab = heat_kernel(a, grid, 0.0, coord, n * dt, dt)
             acc = np.zeros(grid.shape)
             for m in range(1, f.nslices):
                 acc += tab.values[m - 1]
@@ -104,7 +112,7 @@ def duhamel_solve(a, f: SpaceTimeField, c_plus: float = 1.0) -> SpaceTimeField:
             if w == 0.0:
                 continue
             coord = tuple(int(c) - grid.radius for c in idx)
-            tab = heat_kernel(a, grid, t_src, coord, f.t1, dt, c_plus=c_plus)
+            tab = heat_kernel(a, grid, t_src, coord, f.t1, dt)
             # kernel slice m corresponds to time t_src + m dt = t0 + (j+1+m) dt
             u[j + 1:] += dt * w * tab.values[: f.nslices - (j + 1)]
     return SpaceTimeField(grid, f.t0, dt, u)
@@ -121,40 +129,28 @@ def solve_linear_parabolic(
     n_steps: int,
     dt: float,
     init: np.ndarray | None = None,
-    edge_forcing=None,
     site_forcing=None,
-    c_plus: float = 1.0,
-    record_stride: int = 1,
 ) -> SpaceTimeField:
-    """Explicit stepping of du/dt = div(a grad u) + div(F) + f, periodic.
+    """Explicit stepping of du/dt = div(a grad u) + f, periodic, recorded at
+    every step.
 
-    The environment `a` is a scalar or a (d, *shape) array; `edge_forcing`
-    is a constant d-vector or a SpaceTimeField of edge values, read at the
-    nearest slice; `site_forcing` is a SpaceTimeField of site values.
-    Mean-zero data stays mean-zero exactly.
+    The environment `a` is a scalar or a (d, *shape) array, and dt must be
+    stable for its largest coefficient; `site_forcing` is a SpaceTimeField
+    of site values, read at the nearest slice.  Mean-zero data stays
+    mean-zero exactly.
     """
-    _check_dt(dt, grid.dim, c_plus)
-    d = grid.dim
-    u = np.zeros(grid.shape) if init is None else np.array(init, dtype=float, copy=True)
     a = _static_env(a, grid)
-    F = edge_forcing
-    if F is not None and not isinstance(F, SpaceTimeField):
-        # a constant forcing is an edge field of one slice
-        F = SpaceTimeField(grid, t0, dt, np.broadcast_to(
-            np.asarray(F, dtype=float).reshape((1, d) + (1,) * d), (1, d) + grid.shape))
-    if F is not None and F.values.shape[1:] != (d,) + grid.shape:
-        raise ValueError("edge forcing must hold edge values (nslices, d, *grid.shape)")
+    _check_dt(dt, grid.dim, float(a.max()))
+    u = np.zeros(grid.shape) if init is None else np.array(init, dtype=float, copy=True)
 
     def linear_drift(k, t, u):
         du = divergence_field(a * forward_gradients(u))
-        if F is not None:
-            du += divergence_field(F.at_clamped(t))
         if site_forcing is not None:
             du += site_forcing.at(t)
         return du
 
-    out = time_loop(u, linear_drift, t0, dt, n_steps, record_stride=record_stride)
-    return SpaceTimeField(grid, t0, dt * record_stride, out)
+    out = time_loop(u, linear_drift, t0, dt, n_steps, record_stride=1)
+    return SpaceTimeField(grid, t0, dt, out)
 
 
 def linearized_corrector_drift(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
@@ -246,13 +242,6 @@ class EffectiveGradient:
         values = np.maximum.accumulate(values)
         return cls(kind="table", knots=knots, table=values)
 
-    @property
-    def lipschitz(self) -> float:
-        if self.kind == "identity":
-            return 1.0
-        slopes = np.diff(self.table) / np.diff(self.knots)
-        return float(max(slopes.max(), 1e-12))
-
     def __call__(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
         if self.kind == "identity":
@@ -269,8 +258,7 @@ def solve_homogenized(
     dom: DirichletDomain,
     f,
     record_stride: int,
-    dt_unit: float | None = None,
-    init: np.ndarray | None = None,
+    dt_unit: float,
 ) -> SpaceTimeField:
     """Explicit stepping of the effective equation on the mesh-eps domain.
 
@@ -278,23 +266,18 @@ def solve_homogenized(
     component i evaluated at x enters with opposite signs at x and x + eps
     e_i, so the discrete integration-by-parts identity holds exactly.
     Boundary sites are pinned to the locally averaged datum at every step.
+    The step is dt_unit on the unit lattice, dt_unit eps^2 on the domain.
     Every record_stride-th step is recorded, the initial slice first.
     """
     eps = dom.mesh
-    d = dom.dim
-    if dt_unit is None:
-        dt_unit = stable_dt(max(Dsigma.lipschitz, 1.0), d)
     dt = dt_unit * eps * eps
     n_steps = int(round(1.0 / dt))
     datum = smoothed_boundary_datum(f, dom)
-    interior = dom.interior_mask
     boundary = dom.boundary_mask
-    both = interior | boundary
+    both = dom.interior_mask | boundary
 
     u = np.zeros(dom.shape)
     u[both] = datum(-1.0, both)
-    if init is not None:
-        u[interior] = np.asarray(init)[interior]
 
     out = time_loop(u, lambda k, t, u: homogenized_operator(Dsigma, u, eps), -1.0, dt,
                     n_steps, mask=dom.interior_box, pin=(boundary, lambda t: datum(t, boundary)),

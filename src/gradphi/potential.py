@@ -1,6 +1,6 @@
 """Uniformly convex interaction potentials.
 
-A potential is the triple (V, V', V'') with certified ellipticity constants
+A potential is the pair (V', V'') with certified ellipticity constants
 c- <= V'' <= c+.  Three families cover the experiments: the exactly solvable
 quadratic, a smooth non-quadratic perturbation, and a potential whose second
 derivative jumps, which exercises the mollification machinery.
@@ -23,7 +23,6 @@ import numpy as np
 @dataclass(frozen=True)
 class Potential:
     name: str
-    v: Callable[[np.ndarray], np.ndarray]
     vp: Callable[..., np.ndarray]  # vp(x, out=None, tmp=None)
     vpp: Callable[[np.ndarray], np.ndarray]
     c_minus: float
@@ -42,7 +41,6 @@ def quadratic() -> Potential:
 
     return Potential(
         name="quadratic",
-        v=lambda x: 0.5 * np.square(x),
         vp=vp,
         vpp=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
         c_minus=1.0,
@@ -54,10 +52,6 @@ def soft_quartic(a: float) -> Potential:
     """V(x) = x^2/2 + a*sqrt(1+x^2): smooth, uniformly convex, non-quadratic."""
     if a <= 0:
         raise ValueError(f"strength must be positive, got {a}")
-
-    def v(x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 * x * x + a * np.sqrt(1.0 + x * x)
 
     def vp(x, out=None, tmp=None):
         # x + a * x / sqrt(1 + x * x), one operation at a time
@@ -73,26 +67,18 @@ def soft_quartic(a: float) -> Potential:
         x = np.asarray(x, dtype=np.float64)
         return 1.0 + a * (1.0 + x * x) ** -1.5
 
-    return Potential("soft_quartic", v, vp, vpp, c_minus=1.0, c_plus=1.0 + a,
+    return Potential("soft_quartic", vp, vpp, c_minus=1.0, c_plus=1.0 + a,
                      params={"a": a})
 
 
 def kinked(b: float) -> Potential:
     """C^{1,1} potential with V''(x) = 1 + b on |x| < 1 and 1 outside.
 
-    V' is the continuous piecewise-linear antiderivative, V its C^{1,1}
-    antiderivative; the jump of V'' at |x| = 1 drives the Lusin-set and
-    linearization-modulus experiments.
+    V' is the continuous piecewise-linear antiderivative; the jump of V''
+    at |x| = 1 drives the Lusin-set and linearization-modulus experiments.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"kink size must lie in (0, 1), got {b}")
-
-    def v(x):
-        x = np.asarray(x, dtype=np.float64)
-        ax = np.abs(x)
-        inner = 0.5 * (1.0 + b) * x * x
-        outer = 0.5 * x * x + b * (ax - 0.5)
-        return np.where(ax <= 1.0, inner, outer)
 
     def vp(x, out=None, tmp=None):
         # x + b * clip(x, -1, 1), one operation at a time
@@ -105,7 +91,7 @@ def kinked(b: float) -> Potential:
         x = np.asarray(x, dtype=np.float64)
         return 1.0 + b * (np.abs(x) < 1.0)
 
-    return Potential("kinked", v, vp, vpp, c_minus=1.0, c_plus=1.0 + b,
+    return Potential("kinked", vp, vpp, c_minus=1.0, c_plus=1.0 + b,
                      params={"b": b})
 
 
@@ -119,7 +105,7 @@ _QUAD_W = _QUAD_W / _QUAD_W.sum()  # normalizer folded in: weights sum to 1
 def mollify(V: Potential, kappa: float) -> Potential:
     """Convolution with the standard compactly supported bump at width kappa.
 
-    All three evaluators are convolved with the same fixed 64-node
+    Both evaluators are convolved with the same fixed 64-node
     quadrature; since the weights sum to one, mollification is exact on
     constants and on any region where the integrand is constant.
     """
@@ -139,7 +125,6 @@ def mollify(V: Potential, kappa: float) -> Potential:
 
     return Potential(
         name=f"{V.name}_mollified",
-        v=conv(V.v),
         vp=conv(V.vp),
         vpp=conv(V.vpp),
         c_minus=V.c_minus,

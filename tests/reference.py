@@ -165,9 +165,7 @@ def _windowed_values(f, Q: ParabolicCylinder | None):
         return vals, dt, duration
     j0, j1 = f.time_window(Q.t_lo, Q.t_hi)
     vals = f.values[j0:j1 + 1]
-    if Q.radius is not None:
-        lead = f.values.ndim - f.grid.dim  # the time axis, then any edge axis
-        vals = vals[(slice(None),) * lead + f.grid.box_slices(Q.radius)]
+    vals = vals[(slice(None),) + f.grid.box_slices(Q.radius)]
     return vals, f.dt, (j1 - j0) * f.dt
 
 
@@ -176,12 +174,10 @@ def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float
 
     Pairs are enumerated on the restriction to Q (the whole field for
     None), with the plain Euclidean distance on coordinates; intended as a
-    diagnostic on small cylinders.  `f` must be a site field.
+    diagnostic on small cylinders.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"exponent must lie in (0, 1], got {alpha}")
-    if f.values.ndim != 1 + f.grid.dim:
-        raise ValueError("the Hoelder seminorm takes a site field, not an edge field")
     vals, dt, _ = _windowed_values(f, Q)
     d = vals.ndim - 1
     shape = vals.shape[1:]

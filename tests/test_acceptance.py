@@ -61,9 +61,8 @@ def test_criterion_01_exact_oracles():
     vals = rng.normal(size=(25,) + grid.shape)
     vals -= vals.mean(axis=(1, 2), keepdims=True)
     f = SpaceTimeField(grid, 0.0, dt, vals)
-    u_duh = duhamel_solve(env, f, c_plus=1.4)
-    u_dir = solve_linear_parabolic(env, grid, 0.0, 24, dt, site_forcing=f,
-                                   c_plus=1.4)
+    u_duh = duhamel_solve(env, f)
+    u_dir = solve_linear_parabolic(env, grid, 0.0, 24, dt, site_forcing=f)
     ok &= np.max(np.abs(u_duh.values - u_dir.values)) <= 1e-8
 
     # heat kernel vs the discrete-time spectral solution, a = 1, L = 4
@@ -76,7 +75,7 @@ def test_criterion_01_exact_oracles():
 
     # mass conservation of the kernel, every step
     env8 = rng.uniform(0.75, 1.5, size=(2,) + grid4.shape)
-    tab2 = heat_kernel(env8, grid4, 0.0, (0, 0), 16.0, dt=1.0 / 24, c_plus=1.5)
+    tab2 = heat_kernel(env8, grid4, 0.0, (0, 0), 16.0, dt=1.0 / 24)
     ok &= np.max(np.abs(tab2.values.sum(axis=(1, 2)))) <= 1e-12 * grid4.nsites
 
     # discrete integration by parts of the conservative effective operator

@@ -1,5 +1,6 @@
 """Every public definition in the package has a caller outside the unit
-tests, and every option a caller can set is set by at least one call."""
+tests, every option a caller can set is set by at least one such call, and
+every option's default is taken by one."""
 
 import ast
 import json
@@ -10,11 +11,10 @@ from gradphi.harness import BOUNDARY_DATA, EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gradphi"
-FOLDERS = ("src", "tests", "demos", "scripts", "bench")
 
-# the code whose references make a public definition used: the library, the
-# demos, the scripts, the benchmark and the acceptance criteria; a unit test
-# alone does not count
+# the code whose references and calls make a public definition or an option
+# used: the library, the demos, the scripts, the benchmark and the acceptance
+# criteria; a unit test alone does not count
 USERS = [
     *(path for folder in ("src", "demos", "scripts", "bench")
       for path in sorted((ROOT / folder).rglob("*.py"))),
@@ -35,9 +35,8 @@ CONFIG_BOUND = {fn.__name__ for fn in (*EXPERIMENTS.values(), *BOUNDARY_DATA.val
 
 
 def _trees():
-    for folder in FOLDERS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            yield ast.parse(path.read_text())
+    for path in USERS:
+        yield ast.parse(path.read_text())
 
 
 def _references() -> tuple[Counter, Counter]:
@@ -45,8 +44,8 @@ def _references() -> tuple[Counter, Counter]:
     USERS files (definitions themselves do not count), and how often it is
     read as an attribute, the only way to reach a method."""
     names, attributes = Counter(), Counter()
-    for path in USERS:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names[node.id] += 1
             elif isinstance(node, ast.Attribute):
@@ -58,7 +57,7 @@ def _references() -> tuple[Counter, Counter]:
 
 
 def _config_keys() -> set:
-    """The string keys of every dict literal in the scanned folders and of
+    """The string keys of every dict literal in the USERS files and of
     every object in the benchmark's workload configs."""
     keys = set()
     for tree in _trees():
@@ -143,8 +142,9 @@ def _options():
 
 def _calls():
     """(callee name, positional count or None for *args, keywords or None for
-    **kwargs) of every call; `cls(...)` inside a class counts for that class,
-    and imports under another name count for the original."""
+    **kwargs) of every call in the USERS files; `cls(...)` inside a class
+    counts for that class, and imports under another name count for the
+    original."""
     aliases = {}
     trees = list(_trees())
     for tree in trees:
@@ -199,20 +199,44 @@ def test_every_public_method_is_referenced():
     assert unreferenced == []
 
 
-def test_every_option_is_set_by_some_call():
+def _calls_by_callee() -> dict:
     calls = {}
     for name, npos, keywords in _calls():
         calls.setdefault(name, []).append((npos, keywords))
+    return calls
+
+
+def _sets(pos, param, npos, keywords) -> bool:
+    """Whether a call may set the option: it names it, passes enough
+    positional arguments to reach it, or passes *args or **kwargs."""
+    return (npos is None or keywords is None or param in keywords
+            or (pos is not None and npos > pos))
+
+
+def test_every_option_is_set_by_some_call():
+    calls = _calls_by_callee()
     config_keys = _config_keys()
     unset = [
         f"{callee}({param})"
         for callee, pos, param in _options()
         if (callee, param) not in ALLOWED
         and not (callee in CONFIG_BOUND and param in config_keys)
-        and not any(
-            npos is None or keywords is None or param in keywords
-            or (pos is not None and npos > pos)
-            for npos, keywords in calls.get(callee, ())
-        )
+        and not any(_sets(pos, param, npos, keywords)
+                    for npos, keywords in calls.get(callee, ()))
     ]
     assert unset == []
+
+
+def test_every_default_is_taken_by_some_call():
+    # a default that every call overrides is a required parameter; a call
+    # with *args or **kwargs may set anything, so it takes no default; a
+    # config-bound driver takes a default whenever its config omits the key
+    calls = _calls_by_callee()
+    untaken = [
+        f"{callee}({param})"
+        for callee, pos, param in _options()
+        if (callee, param) not in ALLOWED and callee not in CONFIG_BOUND
+        and all(_sets(pos, param, npos, keywords)
+                for npos, keywords in calls.get(callee, ()))
+    ]
+    assert untaken == []

@@ -155,7 +155,7 @@ def test_cylinder_average_constants_and_time_ramp():
     dt = 1.0 / (nsl - 1)
     vals = np.full((nsl,) + grid.shape, 3.25)
     f = SpaceTimeField(grid, -1.0, dt, vals)
-    Q = ParabolicCylinder(-1.0, 0.0)
+    Q = ParabolicCylinder(-1.0, 0.0, radius=grid.radius)
     assert cylinder_average(f, Q) == pytest.approx(3.25)
 
     ramp = np.empty((nsl,) + grid.shape)
@@ -165,25 +165,14 @@ def test_cylinder_average_constants_and_time_ramp():
     assert cylinder_average(f2, Q) == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_cylinder_average_edge_field_vector():
-    grid = make_torus(2, 2)
-    nsl = 5
-    vals = np.empty((nsl, 2) + grid.shape)
-    vals[:, 0] = 1.5
-    vals[:, 1] = -0.5
-    g = SpaceTimeField(grid, -1.0, 0.25, vals)
-    out = cylinder_average(g, ParabolicCylinder(-1.0, 0.0))
-    assert np.allclose(out, [1.5, -0.5])
-
-
-def test_space_time_field_holds_site_or_edge_stacks():
-    # (n, *shape) site values and (n, d, *shape) edge values are fields;
-    # a stack with any other component count is not
+def test_space_time_field_holds_site_stacks_only():
+    # (n, *shape) site values are a field; a stack with a component axis,
+    # edge values (n, d, *shape) included, is not
     for grid in (make_torus(2, 2), make_torus(3, 1), DirichletDomain(2, 4)):
         d = grid.dim
         assert SpaceTimeField(grid, 0.0, 0.5, np.zeros((3,) + grid.shape)).nslices == 3
-        assert SpaceTimeField(grid, 0.0, 0.5, np.zeros((3, d) + grid.shape)).nslices == 3
-        for bad in ((3, d + 1) + grid.shape, (3, 1) + grid.shape, (3,) + grid.shape[1:]):
+        for bad in ((3, d) + grid.shape, (3, d + 1) + grid.shape, (3, 1) + grid.shape,
+                    (3,) + grid.shape[1:]):
             with pytest.raises(ValueError):
                 SpaceTimeField(grid, 0.0, 0.5, np.zeros(bad))
 
@@ -260,11 +249,11 @@ def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
     eps = dom.mesh
     src, reps = NoiseSource(seed=31), np.arange(2)
     rec = run_dirichlet(dom, lambda p: lambda t: np.exp(t) * np.sin(3.0 * p.sum(axis=-1)),
-                        V, src, reps, record_stride=1)
+                        V, src, reps, record_stride=1, threads=None)
     dt = stable_dt(V, d)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
     k0 = int(round(t0 / dt))
-    draws = MeanSubtractedNoise(src, dom.site_keys, reps, d)(range(k0, k0 + n_steps))
+    draws = MeanSubtractedNoise(src, dom.site_keys, reps, d, None)(range(k0, k0 + n_steps))
     inner = (Ellipsis,) + dom.interior_box
     for k in range(n_steps):
         u = rec[k] / eps
@@ -398,7 +387,7 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
     assert np.array_equal(u, ref)
     assert np.array_equal(rec, np.stack(ref_rec))
     with pytest.raises(TypeError):
-        time_loop(init.copy(), drift, 0.0, dt, 1, mask=(mask,))
+        time_loop(init.copy(), drift, 0.0, dt, 1, mask=(mask,), record_stride=None)
 
 
 def test_time_loop_draws_noise_at_the_absolute_step():
@@ -412,7 +401,8 @@ def test_time_loop_draws_noise_at_the_absolute_step():
     u = np.zeros((1, 5, 5))
     dt = 0.02
     # the absolute step index counts from round(t0 / dt)
-    time_loop(u, lambda k, t, u: np.zeros_like(u), -5 * dt, dt, 5, noise=noise)
+    time_loop(u, lambda k, t, u: np.zeros_like(u), -5 * dt, dt, 5, noise=noise,
+              record_stride=None)
     assert steps == [-5, -4, -3, -2, -1]
     expected = 0.0
     for step in steps:

@@ -39,6 +39,11 @@ def _per_step_draw(src, keys, ids, spatial_ndim, step):
     return g[rows]
 
 
+def _single(src, keys, step):
+    """The draw of the one stream `src.replica` at a step, shape keys.shape."""
+    return src.raw_normals(keys, step, np.arange(1))[0]
+
+
 def _draw_at(noise, step):
     """A copy of the draw of one step, from a run of that step alone."""
     return next(noise(range(step, step + 1))).copy()
@@ -47,17 +52,17 @@ def _draw_at(noise, step):
 def test_same_key_is_bitwise_identical():
     grid = make_torus(2, 3)
     src = NoiseSource(seed=1234, replica=7)
-    a = src.raw_normals(grid.site_keys, step=42)
-    b = NoiseSource(seed=1234, replica=7).raw_normals(grid.site_keys, step=42)
+    a = _single(src, grid.site_keys, 42)
+    b = _single(NoiseSource(seed=1234, replica=7), grid.site_keys, 42)
     assert np.array_equal(a, b)
 
 
 def test_distinct_keys_differ():
     grid = make_torus(2, 3)
     src = NoiseSource(seed=1234)
-    a = src.raw_normals(grid.site_keys, step=0)
-    b = src.raw_normals(grid.site_keys, step=1)
-    c = src.with_replica(1).raw_normals(grid.site_keys, step=0)
+    a = _single(src, grid.site_keys, 0)
+    b = _single(src, grid.site_keys, 1)
+    c = _single(src.with_replica(1), grid.site_keys, 0)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
 
@@ -65,10 +70,10 @@ def test_distinct_keys_differ():
 def test_negative_steps_use_independent_side():
     grid = make_torus(2, 2)
     src = NoiseSource(seed=9)
-    fwd = src.raw_normals(grid.site_keys, step=3)
-    bwd = src.raw_normals(grid.site_keys, step=-4)
+    fwd = _single(src, grid.site_keys, 3)
+    bwd = _single(src, grid.site_keys, -4)
     assert not np.allclose(fwd, bwd)
-    again = src.raw_normals(grid.site_keys, step=-4)
+    again = _single(src, grid.site_keys, -4)
     assert np.array_equal(bwd, again)
 
 
@@ -76,7 +81,7 @@ def test_moments_match_standard_normal():
     # CLT bounds: mean within 4/sqrt(n), variance within 0.05 of 1
     src = NoiseSource(seed=2024)
     keys = site_keys(np.arange(100_000, dtype=np.int64).reshape(-1, 1, 2)[:, 0, :])
-    draws = src.raw_normals(keys, step=0)
+    draws = _single(src, keys, 0)
     n = draws.size
     assert abs(draws.mean()) < 4.0 / np.sqrt(n)
     assert abs(draws.var() - 1.0) < 0.05
@@ -85,7 +90,7 @@ def test_moments_match_standard_normal():
 def test_mean_subtracted_sums_to_zero_and_is_idempotent():
     grid = make_torus(2, 4)
     src = NoiseSource(seed=3)
-    g = _draw_at(MeanSubtractedNoise(src, grid.site_keys, np.arange(1), 2), 0)[0]
+    g = _draw_at(MeanSubtractedNoise(src, grid.site_keys, np.arange(1), 2, None), 0)[0]
     assert abs(g.sum()) < 1e-12 * grid.nsites
     g2 = g - g.mean()
     assert np.allclose(g, g2, atol=1e-15)
@@ -94,15 +99,15 @@ def test_mean_subtracted_sums_to_zero_and_is_idempotent():
 def test_mean_subtraction_rejects_single_site():
     src = NoiseSource(seed=3)
     with pytest.raises(ValueError):
-        MeanSubtractedNoise(src, np.array([np.uint64(1)]), np.arange(2), 1)
+        MeanSubtractedNoise(src, np.array([np.uint64(1)]), np.arange(2), 1, None)
 
 
 def test_replica_batch_matches_individual_sources():
     grid = make_torus(2, 2)
     src = NoiseSource(seed=77)
-    batch = src.raw_normals(grid.site_keys, step=5, replicas=np.arange(4))
+    batch = src.raw_normals(grid.site_keys, 5, np.arange(4))
     for r in range(4):
-        solo = src.with_replica(r).raw_normals(grid.site_keys, step=5)
+        solo = _single(src.with_replica(r), grid.site_keys, 5)
         assert np.array_equal(batch[r], solo)
 
 
@@ -112,9 +117,9 @@ def test_batched_replica_ids_count_from_the_source_replica():
     grid = make_torus(2, 3)
     src = NoiseSource(seed=17).with_replica(5)
     for step in (0, 9, -3):
-        batch = src.raw_normals(grid.site_keys, step, replicas=np.arange(2))
+        batch = src.raw_normals(grid.site_keys, step, np.arange(2))
         for r in range(2):
-            solo = src.with_replica(5 + r).raw_normals(grid.site_keys, step)
+            solo = _single(src.with_replica(5 + r), grid.site_keys, step)
             assert np.array_equal(batch[r], solo)
 
 
@@ -124,20 +129,20 @@ def test_repeated_replica_ids_share_one_draw(monkeypatch):
     grid = make_torus(2, 3)
     src = NoiseSource(seed=19).with_replica(4)
     distinct = np.array([2, 0, 5])
-    ref = MeanSubtractedNoise(src, grid.site_keys, distinct, 2)
+    ref = MeanSubtractedNoise(src, grid.site_keys, distinct, 2, None)
     expected = {step: _draw_at(ref, step) for step in (0, 3, -2)}
 
     drawn = []
     raw = NoiseSource.raw_normals
 
-    def counting(self, keys, step, channel=None, replicas=None, **kwargs):
+    def counting(self, keys, step, replicas, channel=None, **kwargs):
         for s in step:
             drawn.append((-1 - s if channel == CHANNEL_BACKWARD else s, tuple(replicas)))
-        return raw(self, keys, step, channel, replicas, **kwargs)
+        return raw(self, keys, step, replicas, channel, **kwargs)
 
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)
     ids = np.tile(distinct, 3)
-    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2, None)
     for step, g_ref in expected.items():
         g = _draw_at(noise, step)
         assert g.shape == (len(ids),) + grid.shape
@@ -163,12 +168,12 @@ def test_held_stream_prefix_matches_stream_keys_from_scratch(monkeypatch):
     monkeypatch.setattr(NoiseSource, "stream_prefix",
                         lambda self, channel, reps: hashed.append(channel)
                         or prefix(self, channel, reps))
-    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    noise = MeanSubtractedNoise(src, grid.site_keys, ids, 2, None)
     for step in steps + steps:
         assert np.array_equal(_draw_at(noise, step), expected[step])
     assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD]
     # a second object hashes its own prefixes
-    other = MeanSubtractedNoise(src, grid.site_keys, ids, 2)
+    other = MeanSubtractedNoise(src, grid.site_keys, ids, 2, None)
     assert np.array_equal(_draw_at(other, -3), expected[-3])
     assert sorted(hashed) == [CHANNEL_FORWARD, CHANNEL_BACKWARD, CHANNEL_BACKWARD]
 

@@ -36,7 +36,8 @@ def test_holder_seminorm_cases():
 
 def test_holder_seminorm_rejects_edge_fields():
     # 0 on every x-edge and 1 on every y-edge is constant per component: the
-    # component axis is no spatial axis to take differences across
+    # component axis is no spatial axis to take differences across, and a
+    # SpaceTimeField holds no such stack, so it never reaches the seminorm
     grid = make_torus(2, 2)
     vals = np.zeros((3, 2) + grid.shape)
     vals[:, 1] = 1.0

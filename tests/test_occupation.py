@@ -20,7 +20,7 @@ def test_zero_threshold_has_zero_occupation():
 
 def test_needs_three_thresholds():
     with pytest.raises(ValueError):
-        occupation_experiment(BrownianSpec(), [0.1, 0.2], 8, NoiseSource(seed=1))
+        occupation_experiment(BrownianSpec(dt=1e-3), [0.1, 0.2], 8, NoiseSource(seed=1))
 
 
 def test_brownian_occupation_linear_through_origin():

