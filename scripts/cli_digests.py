@@ -4,15 +4,16 @@
 
 Runs all ten experiments through `harness.run_experiment` on a few small
 configs each (flux-decay, excess, hydro/q and linearize/k at 1, 2 and 3
-threads, every other config without a thread count) and prints, per
-config, the digest of the CSV and of the `results` block of summary.json.
-Two source trees give byte-identical outputs exactly when their digests
-agree; with OUT.json the digests are also written there.  With --check the
-digests are compared with a file written by an earlier run: every config
-whose CSV or `results` digest differs (or is missing on one side) is named,
-and the exit code is 1.  `scripts/cli_digests_baseline.json` holds the
-digests under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; other numpy or
-scipy versions may round differently and give other digests.
+threads, linearize/k6 at 2, every other config without a thread count) and
+prints, per config, the digest of the CSV and of the `results` block of
+summary.json.  Two source trees give byte-identical outputs exactly when
+their digests agree; with OUT.json the digests are also written there.
+With --check the digests are compared with a file written by an earlier
+run: every config whose CSV or `results` digest differs (or is missing on
+one side) is named, and the exit code is 1.
+`scripts/cli_digests_baseline.json` holds the digests under Python 3.11.7,
+numpy 2.4.6 and scipy 1.17.1; other numpy or scipy versions may round
+differently and give other digests.
 """
 
 import argparse
@@ -42,6 +43,7 @@ CASES = [
     ("linearize", "k-t1", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 1),
     ("linearize", "k-t3", {"potential": K, "L": 4, "base_slope": [0.3, 0.0], "replicas": 4, "seed": 8}, 3),
     ("linearize", "k3", {"potential": K, "d": 3, "L": 2, "base_slope": [0.3, 0.0, -0.1], "replicas": 3, "seed": 19}),
+    ("linearize", "k6", {"potential": K, "L": 6, "base_slope": [0.3, 0.0], "replicas": 2, "seed": 22}, 2),
     ("hydro", "q", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},
                     "gradient_diagnostic": {"epsilons": [0.25, 0.125], "replicas": 2}, "seed": 9}, 2),
     ("hydro", "q-t1", {"potential": Q, "epsilons": [0.25, 0.125, 0.0625], "replicas": 3, "f": {"name": "sine_product"},

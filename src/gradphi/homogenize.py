@@ -196,6 +196,67 @@ class _WindowAccumulator:
         return self.flux_acc[r] / c, self.grad_acc[r] / c
 
 
+# leaf length of `_StreamSum`'s tree: at least numpy's pairwise block of 128
+# values and within its iterator buffer of 8192, so that `np.add.reduce`
+# sums each leaf in one inner loop
+_LEAF = 4096
+
+
+def _pairwise_leaves(n: int, merges: int = 0) -> list:
+    """The leaves of numpy's pairwise sum of n values, in stream order, as
+    (length, merges): after a leaf's sum is pushed, the top two sums are
+    replaced by their sum `merges` times.  A node longer than _LEAF splits
+    where numpy splits it."""
+    if n <= _LEAF:
+        return [(n, merges)]
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_leaves(half) + _pairwise_leaves(n - half, merges + 1)
+
+
+class _StreamSum:
+    """Running sums of streams of n values each, bitwise `np.add.reduce` of
+    each stream held whole.
+
+    numpy sums a contiguous float64 array pairwise: a node of more than 128
+    values splits at n//2 - (n//2 % 8), and `np.add.reduce` of a stretch
+    that is a node computes that node's sum.  The values arrive a piece at a
+    time in a buffer of shape (*lead, _LEAF + width); each leaf of the tree
+    is reduced, for all streams at once, when it fills, and the leaf sums
+    are combined in the tree's order on a stack.  The buffer does not grow
+    with n.
+    """
+
+    def __init__(self, lead: tuple, n: int, width: int):
+        self.leaves = _pairwise_leaves(n)
+        self.done = 0
+        self.stack = []
+        self.buf = np.empty(tuple(lead) + (_LEAF + width,))
+        self.fill = 0
+
+    def slot(self, width: int) -> np.ndarray:
+        """The buffer view that the streams' next `width` values go into."""
+        return self.buf[..., self.fill:self.fill + width]
+
+    def advance(self, width: int):
+        """Take the `width` values written into `slot`, and sum every leaf
+        they complete."""
+        self.fill += width
+        while self.done < len(self.leaves) and self.fill >= self.leaves[self.done][0]:
+            size, merges = self.leaves[self.done]
+            self.stack.append(np.add.reduce(self.buf[..., :size], axis=-1))
+            for _ in range(merges):
+                right = self.stack.pop()
+                self.stack[-1] = self.stack[-1] + right
+            self.fill -= size
+            self.buf[..., :self.fill] = self.buf[..., size:size + self.fill]
+            self.done += 1
+
+    def total(self) -> np.ndarray:
+        """The sum of each whole stream, shape `lead`."""
+        assert self.done == len(self.leaves), "the streams are not complete"
+        return self.stack[0]
+
+
 # ---------------------------------------------------------------------------
 # surface-tension estimators
 # ---------------------------------------------------------------------------
@@ -512,7 +573,9 @@ def linearization_modulus(
     over the cylinder.  Replicas run in batches of 16; within a batch p,
     every q and every linearized corrector advance in one time loop, with
     one noise draw per replica and step.  With `threads` >= 2 a worker
-    thread draws the noise a block ahead.
+    thread draws the noise a block ahead.  The squared residual is summed as
+    the run goes, bitwise in the order of a sum over the whole space-time
+    record, so memory does not grow with the horizon.
     """
     grid = make_torus(d, L)
     dt = stable_dt(V, d)
@@ -522,6 +585,8 @@ def linearization_modulus(
     m = len(qs)
     xi = np.array([q - pv for q in qs]).reshape(m, d)
     t0, n_steps = horizon_steps(float(L * L), dt)
+    # values per (probe, replica, axis) stream: every slice, the start too
+    n = (n_steps + 1) * grid.nsites
 
     res = np.zeros((replicas, m))
     for lo in range(0, replicas, chunk):
@@ -532,11 +597,12 @@ def linearization_modulus(
         env = np.empty((b, d) + grid.shape)
         w = np.zeros((m, b) + grid.shape)
         bufs = tuple(np.empty_like(w) for _ in range(3))
-        # (q - p) - w per probe, replica and slice; each (probe, replica)
-        # record is contiguous, so its mean sums in the same order as a
-        # stand-alone (slices, *shape) array
-        diff = np.empty((m, b, n_steps + 1) + grid.shape)
-        diff[:, :, 0] = 0.0
+        resid = np.empty_like(w)
+        # the squared residual gradients, summed as if each (probe, replica,
+        # axis) stream were one contiguous (slices, *shape) array
+        sq = _StreamSum((m, b, d), n, grid.nsites)
+        sq.slot(grid.nsites)[...] = 0.0  # every member and w start at zero
+        sq.advance(grid.nsites)
 
         def set_env(phi_p):
             for ax in range(d):
@@ -545,24 +611,26 @@ def linearization_modulus(
         def on_step(k, t, state):
             # the corrector step k uses the environment of slice k, i.e.
             # before the update that produced `state`
-            nonlocal w
+            nonlocal w, resid
             members = state.reshape((1 + m, b) + grid.shape)
             w += dt * linearized_corrector_drift(w, env, xi, bufs)
-            out = diff[:, :, k + 1]
-            np.subtract(members[1:], members[0], out=out)
-            out -= w
+            np.subtract(members[1:], members[0], out=resid)
+            resid -= w
+            slot = sq.slot(grid.nsites).reshape((m, b, d) + grid.shape)
+            for ax in range(d):
+                g = forward_difference(resid, 2 + ax, out=slot[:, :, ax])
+                np.square(g, out=g)
+            sq.advance(grid.nsites)
             set_env(members[0])
 
         set_env(np.zeros((b,) + grid.shape))
         evolve_torus(grid, V, tilts, src, t0, n_steps, dt, np.zeros(grid.shape),
                      replicas=np.tile(ids, 1 + m), on_step=on_step, threads=threads)
-        for iq in range(m):
-            for k, rep in enumerate(ids):
-                acc = 0.0
-                for ax in range(d):
-                    g = forward_difference(diff[iq, k], 1 + ax)
-                    acc += (g**2).mean()
-                res[rep, iq] = np.sqrt(acc)
+        total = sq.total()
+        acc = np.zeros((m, b))
+        for ax in range(d):
+            acc += total[..., ax] / n
+        res[ids] = np.sqrt(acc).T
     gaps = np.array([np.linalg.norm(q - pv) for q in qs])
     return ModulusEstimate(gaps, res.mean(axis=0),
                            res.std(axis=0, ddof=1) / np.sqrt(replicas))

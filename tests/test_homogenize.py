@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gradphi.homogenize import (
     partition_of_unity,
     tabulate_effective_gradient,
     variance_with_jackknife,
+    _StreamSum,
     _edge_average,
 )
 from gradphi.lattice import (
@@ -187,6 +190,72 @@ def test_linearization_modulus_quadratic_vanishes():
     assert np.max(mod.residuals) <= 1e-10
 
 
+def _stream_values(j, lo, hi):
+    # values in [0, 1) from integer arithmetic, so every slice of stream j
+    # is the same bits however it is cut
+    k = np.arange(lo, hi, dtype=np.int64)
+    return (k * 2654435761 + np.asarray(j)[..., None] * 40503) % 1000003 / 1000003.0
+
+
+@pytest.mark.parametrize("lead", [(), (3, 8, 2)])
+@pytest.mark.parametrize("width", [1, 17, 289])
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 1000, homogenize._LEAF - 1,
+                               homogenize._LEAF + 1, 3 * homogenize._LEAF + 5, 1537 * 289])
+def test_stream_sum_is_numpys_sum_of_each_whole_stream(lead, width, n):
+    streams = np.arange(int(np.prod(lead))).reshape(lead)
+    acc = _StreamSum(lead, n, width)
+    block = 8192 - 8192 % width  # values drawn per call, a whole number of pieces
+    for lo in range(0, n, block):
+        values = _stream_values(streams, lo, min(lo + block, n))
+        for at in range(0, values.shape[-1], width):
+            piece = values[..., at:at + width]
+            acc.slot(piece.shape[-1])[...] = piece
+            acc.advance(piece.shape[-1])
+    total = acc.total()
+    assert total.shape == lead
+    for j in streams.flat:
+        stream = _stream_values(j, 0, n)
+        assert total.flat[j] == np.add.reduce(stream)
+
+
+def _halved_gap_residual_ratio():
+    # soft quartic is smooth, so halving the tilt gap quarters the residual;
+    # a residual of first order in the gap would only halve
+    mod = linearization_modulus((0.3, 0.0), [(0.5, 0.0), (0.4, 0.0)], 4,
+                                soft_quartic(0.5), NoiseSource(seed=12), replicas=3)
+    return mod.residuals[1] / mod.residuals[0]
+
+
+def test_linearization_residual_is_second_order_in_the_gap():
+    assert _halved_gap_residual_ratio() <= 2 ** -1.5
+
+
+def test_second_order_bound_catches_a_flipped_divergence(monkeypatch):
+    # the quadratic bound above cannot: there the corrector's drift is
+    # identically zero, whatever its sign
+    drift = homogenize.linearized_corrector_drift
+    monkeypatch.setattr(homogenize, "linearized_corrector_drift",
+                        lambda *args: -drift(*args))
+    assert not _halved_gap_residual_ratio() <= 2 ** -1.5
+
+
+def test_linearization_modulus_memory_does_not_grow_with_the_horizon():
+    # numpy reports its array data to tracemalloc; a record of the residual
+    # (probes, replicas, slices, *shape) would be 85 MB at this shape
+    L, replicas, V = 8, 8, kinked(0.5)
+    n_slices = horizon_steps(float(L * L), stable_dt(V, 2))[1] + 1
+    record_bytes = 3 * replicas * n_slices * (2 * L + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        linearization_modulus((0.3, 0.0), [(0.7, 0.0), (0.5, 0.0), (0.4, 0.0)], L, V,
+                              NoiseSource(seed=5), replicas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record_bytes > 85e6
+    assert peak < record_bytes / 5
+
+
 def test_linearization_modulus_zero_gap():
     mod = linearization_modulus((0.2, 0.1), [(0.2, 0.1)], 6, soft_quartic(0.5),
                                 NoiseSource(seed=13), replicas=3)
@@ -244,8 +313,8 @@ def _linearization_reference(p, qs, L, V, src, replicas, d=2):
     (kinked(0.5), (0.3, 0.0), [(0.7, 0.0), (0.5, 0.0), (0.4, 0.0)], 18, 901),
     (soft_quartic(0.5), (0.1, 0.0), [(0.2, 0.3), (0.6, 0.0)], 5, 31),
 ])
-def test_linearization_modulus_one_pass_matches_per_probe_runs(draws, V, p, qs,
-                                                               replicas, seed):
+def test_linearization_modulus_one_pass_matches_per_probe_runs(draws, monkeypatch, V, p,
+                                                               qs, replicas, seed):
     # one time loop per chunk of replicas: bitwise the per-probe runs and
     # per-replica correctors, with each increment drawn once
     src = NoiseSource(seed=seed, replica=2)
@@ -254,9 +323,14 @@ def test_linearization_modulus_one_pass_matches_per_probe_runs(draws, V, p, qs,
     assert len(draws) == n_steps * -(-replicas // 16)
     assert sum(n for _, n in draws) == n_steps * replicas
     draws.clear()
+    # the running sum's tree, with leaves that no slice of 49 sites fills
+    # evenly: 10,633 values per stream make 16 leaves of 1000 or less
+    monkeypatch.setattr(homogenize, "_LEAF", 1000)
+    small_leaves = linearization_modulus(p, qs, 3, V, src, replicas)
     residuals, stderr = _linearization_reference(p, qs, 3, V, src, replicas)
-    assert np.array_equal(mod.residuals, residuals)
-    assert np.array_equal(mod.stderr, stderr)
+    for est in (mod, small_leaves):
+        assert np.array_equal(est.residuals, residuals)
+        assert np.array_equal(est.stderr, stderr)
     assert np.all(mod.residuals > 0)
 
 
