@@ -556,11 +556,10 @@ def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
     stride = max(int(round(1.0 / (eps * eps) / stable_dt(V, d))) // (ubar.nslices - 1), 1)
     traj = run_dirichlet(dom, f, V, src, np.arange(1), record_stride=stride,
                          threads=threads)[:, 0]
-    pack = make_correctors(ubar, kappa, V, src)
-    expansion = build_two_scale(ubar, kappa, pack)
+    w = build_two_scale(ubar, make_correctors(ubar, kappa, V, src))
     acc = 0.0
     for j in range(ubar.nslices):
-        du = traj[j] - expansion.w[j]
+        du = traj[j] - w[j]
         for ax in range(d):
             g = np.diff(du, axis=ax) / eps
             acc += float((g**2).sum()) * ubar.dt

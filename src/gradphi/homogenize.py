@@ -4,11 +4,10 @@ expansion.
 Everything here is replica-averaged measurement on top of the dynamics
 module: flux means and their derivatives (the effective nonlinearity and
 its Hessian), decay of window averages, linearization residuals, and the
-assembly of the corrected effective solution with its error terms.  All
-estimates carry standard errors and acceptance comparisons happen at stated
-multiples of them.  The power-law fit and the thread map live here too,
-because the flux-decay experiment needs them and the harness imports this
-module.
+assembly of the corrected effective solution.  All estimates carry standard
+errors and acceptance comparisons happen at stated multiples of them.  The
+power-law fit and the thread map live here too, because the flux-decay
+experiment needs them and the harness imports this module.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from .lattice import (
     forward_difference,
     horizon_steps,
     make_torus,
-    shift,
 )
 from .noise import NoiseSource
-from .norms import hminus1_par_multiscale
 from .parabolic import EffectiveGradient, linearized_corrector_drift
 from .potential import Potential
 
@@ -380,9 +377,13 @@ def tabulate_effective_gradient(
     """Tabulated effective nonlinearity of the planar dynamic from
     axis-aligned flux means.
 
-    Evaluates the flux mean at tilts s e_1 over the nonnegative knot grid
-    (lattice symmetry reduces general tilts to componentwise evaluations,
-    odd in the tilt), then interpolates monotonically.
+    Evaluates the flux mean at tilts s e_1 over the nonnegative knot grid,
+    then interpolates monotonically.  The table acts componentwise, odd in
+    the tilt: Dsigma(p)_i = g(p_i) for every axis i.  That is exact only at
+    the quadratic potential, whose flux mean is the tilt itself.  For any
+    other V it neglects the dependence of each flux component on the other
+    tilt components: at L = 8 with soft quartic 0.5, tau_1(0.5, 1) -
+    tau_1(0.5, 0) = -0.00082 +- 0.00011 on 64 common-noise replicas.
     """
     knots = np.asarray(knots, dtype=float)
     values = [0.0]
@@ -651,20 +652,6 @@ def _bspline_bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class TwoScaleExpansion:
-    ubar: SpaceTimeField
-    kappa: float
-    centers: np.ndarray  # (nY, d) physical coordinates
-    chi: np.ndarray  # (nY, *dom.shape), sums to one on the interior
-    xi: list  # per center: SlopePath in macroscopic time
-    correctors: list  # per center: SpaceTimeField on the microscopic box
-    micro_origin: np.ndarray  # (nY, d) integer centers of the micro boxes
-    w: np.ndarray  # (nslices, *dom.shape) assembled field
-    gradient_remainder: np.ndarray  # (nslices, d, *dom.shape)
-    L_micro: int
-
-
 def partition_of_unity(dom: DirichletDomain, kappa: float):
     """Tensor cubic-spline bumps on the kappa-grid, normalized pointwise."""
     step = kappa
@@ -717,20 +704,19 @@ def local_slopes(ubar: SpaceTimeField, kappa: float, centers: np.ndarray):
 
 
 def _window_gradient_average(ubar, pts, y, half_width, t_lo, t_hi):
-    j0, j1 = ubar.time_window(max(t_lo, ubar.t0), min(t_hi, ubar.t1))
-    return np.array([sum(row.mean() for row in g) / (j1 - j0 + 1)
-                     for g in _box_gradients(ubar, pts, y, half_width, j0, j1)])
-
-
-def _box_gradients(ubar, pts, y, half_width, j0, j1):
-    """Per axis, the (j1 - j0 + 1, n) mesh-scaled gradients of the slices
-    j0..j1 on the n edges (x, x + e_ax) with x in the box of the given
-    half-width around y."""
+    """Per axis, the mesh-scaled gradient of the slices covering (t_lo, t_hi)
+    on the edges (x, x + e_ax) with x in the box of the given half-width
+    around y, averaged over the edges of each slice and then over the
+    slices."""
     dom: DirichletDomain = ubar.grid
+    j0, j1 = ubar.time_window(max(t_lo, ubar.t0), min(t_hi, ubar.t1))
     mask = np.all(np.abs(pts - y) <= half_width + 1e-12, axis=-1)
     vals = ubar.values[j0:j1 + 1]
-    return [np.diff(vals, axis=1 + ax)[:, mask[dirichlet_edges(dom.dim, ax)]] / dom.mesh
-            for ax in range(dom.dim)]
+    averages = []
+    for ax in range(dom.dim):
+        g = np.diff(vals, axis=1 + ax)[:, mask[dirichlet_edges(dom.dim, ax)]] / dom.mesh
+        averages.append(sum(row.mean() for row in g) / (j1 - j0 + 1))
+    return np.array(averages)
 
 
 def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
@@ -740,7 +726,9 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     Boxes have radius 2 floor(kappa/eps) around the rescaled centers; the
     noise is keyed by absolute lattice coordinates, so overlapping boxes
     share their Brownian motions.  Corrector trajectories are recorded at
-    the macroscopic recording resolution of `ubar`.
+    the macroscopic recording resolution of `ubar`.  Returns the partition
+    of unity (nY, *dom.shape), the corrector of each cell and the integer
+    centers (nY, d) of their boxes.
     """
     dom: DirichletDomain = ubar.grid
     eps = dom.mesh
@@ -770,62 +758,31 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
         SpaceTimeField(g, t0, dt * stride, rec[:, i])
         for i, g in enumerate(grids)
     ]
-    return centers, chi, xi, correctors, np.asarray(origins), L_micro
+    return chi, correctors, np.asarray(origins)
 
 
-def build_two_scale(ubar: SpaceTimeField, kappa: float,
-                    correctors_pack) -> TwoScaleExpansion:
-    """Assemble the corrected effective solution and its gradient remainder.
+def build_two_scale(ubar: SpaceTimeField, correctors_pack) -> np.ndarray:
+    """The corrected effective solution on the recorded slices of `ubar`,
+    shape (nslices, *dom.shape).
 
-    w = ubar + eps sum_y chi_y phi_y(t/eps^2, x/eps; xi_y(t)); the returned
-    remainder field is grad w - sum_y avg(chi_y) grad v_y, whose equality
-    with the product-rule terms is an exact algebraic identity.
+    w = ubar + eps sum_y chi_y phi_y(t/eps^2, x/eps; xi_y(t)), each
+    corrector read at the micro time t/eps^2 clamped to its recorded range
+    and added on its box's overlap with the domain.
     """
-    centers, chi, xi, correctors, origins, L_micro = correctors_pack
+    chi, correctors, origins = correctors_pack
     dom: DirichletDomain = ubar.grid
     eps = dom.mesh
-    d = dom.dim
-    n_slices = ubar.nslices
     w = ubar.values.copy()
-    remainder = np.zeros((n_slices, d) + dom.shape)
-    times = ubar.times
-
-    # the geometry does not depend on the slice: one overlap per corrector,
-    # one edge average per corrector and axis
-    overlaps = [_box_overlap(traj.grid, z_y, dom) for traj, z_y in zip(correctors, origins)]
-    chi_edges = [[_edge_average(chi_i, ax)[dirichlet_edges(d, ax)] for ax in range(d)]
-                 for chi_i in chi]
-
-    for i, (traj, overlap) in enumerate(zip(correctors, overlaps)):
+    for chi_i, traj, z_y in zip(chi, correctors, origins):
+        overlap = _box_overlap(traj.grid, z_y, dom)
         if overlap is None:
             continue
         dom_sel, box_sel = overlap
-        chi_i = chi[i][dom_sel]
-        for j in range(n_slices):
-            micro_slice = traj.at_clamped(times[j] / (eps * eps))
+        chi_i = chi_i[dom_sel]
+        for j, t in enumerate(ubar.times):
+            micro_slice = traj.at_clamped(t / (eps * eps))
             w[(j,) + dom_sel] += eps * chi_i * micro_slice[box_sel]
-
-    # gradient remainder: grad w - sum_y chi_bar grad v_y
-    for j in range(n_slices):
-        t = times[j]
-        for ax in range(d):
-            total = np.diff(w[j], axis=ax) / eps
-            for i, (path, traj, overlap) in enumerate(zip(xi, correctors, overlaps)):
-                chi_edge = chi_edges[i][ax]
-                if not np.any(chi_edge):
-                    continue
-                gv = _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
-                total -= chi_edge * (path.at(t)[ax] + gv)
-            remainder[(j, ax) + dirichlet_edges(d, ax)] = total
-    return TwoScaleExpansion(ubar, kappa, centers, chi, xi, correctors,
-                             origins, w, remainder, L_micro)
-
-
-def _edge_average(chi: np.ndarray, ax: int) -> np.ndarray:
-    out = np.zeros_like(chi)
-    edges = dirichlet_edges(chi.ndim, ax)
-    out[edges] = (0.5 * (chi + shift(chi, ax, -1)))[edges]
-    return out
+    return w
 
 
 def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
@@ -840,134 +797,6 @@ def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
     box_sel = tuple(slice(int(a - l), int(b - l) + 1)
                     for a, b, l in zip(lo_c, hi_c, lo))
     return dom_sel, box_sel
-
-
-def _corrector_edge_gradient(traj, overlap, dom, t_macro, eps, ax):
-    """Unit-lattice forward gradient of the corrector on the domain edges
-    along ax, in the layout of np.diff; the overlap is `_box_overlap` of
-    the corrector's box."""
-    out = np.zeros(dom.shape)
-    if overlap is not None:
-        g_box = forward_difference(traj.at_clamped(t_macro / (eps * eps)), ax)
-        out[overlap[0]] = g_box[overlap[1]]
-    return out[dirichlet_edges(dom.dim, ax)]
-
-
-def error_terms(expansion: TwoScaleExpansion, cell) -> tuple[float, float, float]:
-    """The three per-cell error summands: gradient mismatch in the cell,
-    tilt differences to neighboring cells, and the relative mass of the
-    neighboring correctors on the cell."""
-    t_c, y = cell
-    dom: DirichletDomain = expansion.ubar.grid
-    eps = dom.mesh
-    kappa = expansion.kappa
-    pts = dom.coordinates * eps
-    centers = expansion.centers
-
-    def center_index(yy):
-        return int(np.argmin(np.sum((centers - np.asarray(yy)) ** 2, axis=1)))
-
-    i_self = center_index(y)
-    xi_self = expansion.xi[i_self].at(t_c - 1e-9)
-
-    neighbors = [i for i, c in enumerate(centers)
-                 if np.max(np.abs(c - centers[i_self])) <= kappa + 1e-9]
-
-    # (i) gradient mismatch over the cell window, counted per neighbor
-    t_lo = max(t_c - kappa**2, expansion.ubar.t0)
-    mismatch = _gradient_mismatch(expansion.ubar, pts, centers[i_self], kappa,
-                                  t_lo, t_c, xi_self)
-    first = len(neighbors) * mismatch
-
-    # (ii) tilt gaps to neighboring cells (same time cell and adjacent ones)
-    second = 0.0
-    for i in neighbors:
-        for t_probe in (t_c - 1e-9, t_c - kappa**2 - 1e-9, t_c + kappa**2 - 1e-9):
-            if expansion.xi[i].breakpoints[0] <= t_probe <= 0.0:
-                second += float(np.linalg.norm(
-                    xi_self - expansion.xi[i].at(t_probe)))
-
-    # (iii) corrector mass of the neighbors over the micro window
-    third = 0.0
-    L_mic = expansion.L_micro
-    for i in neighbors:
-        traj = expansion.correctors[i]
-        t_hi_m = np.clip(t_c / (eps * eps), traj.t0, traj.t1)
-        t_lo_m = np.clip(t_hi_m - L_mic**2, traj.t0, traj.t1 - traj.dt)
-        j0, j1 = traj.time_window(t_lo_m, t_hi_m)
-        vals = traj.values[j0:j1 + 1]
-        third += (eps / kappa) * float(np.sqrt((vals**2).mean()))
-    return first, second, third
-
-
-def _gradient_mismatch(ubar, pts, y, kappa, t_lo, t_hi, xi):
-    j0, j1 = ubar.time_window(t_lo, t_hi)
-    grads = _box_gradients(ubar, pts, y, kappa, j0, j1)
-    acc = 0.0
-    for j in range(j1 - j0 + 1):
-        for ax, g in enumerate(grads):
-            if g.shape[1]:
-                acc += ((g[j] - xi[ax]) ** 2).mean()
-    return float(np.sqrt(acc / (j1 - j0 + 1)))
-
-
-def error_terms_aggregate(expansion: TwoScaleExpansion) -> float:
-    """Mean squared total error over all interior cells."""
-    kappa = expansion.kappa
-    n_cells = max(int(np.ceil(1.0 / (kappa * kappa))), 1)
-    total = 0.0
-    count = 0
-    for j in range(n_cells):
-        t_c = -j * kappa**2
-        for y in expansion.centers:
-            a, b, c = error_terms(expansion, (t_c, y))
-            total += (a + b + c) ** 2
-            count += 1
-    return total / max(count, 1)
-
-
-def flux_weak_norm(expansion: TwoScaleExpansion, Dsigma: EffectiveGradient,
-                   V: Potential) -> float:
-    """Negative-norm estimate of the flux error driven by the partition.
-
-    Builds the site field sum_y grad chi_y . (V'(grad v_y) - Dsigma(xi_y)),
-    rescales it to the unit lattice, extends by zero to the containing
-    triadic cylinder, and applies the multiscale estimator; the returned
-    value carries the mesh factor from the diffusive rescaling of the norm.
-    """
-    dom: DirichletDomain = expansion.ubar.grid
-    eps = dom.mesh
-    d = dom.dim
-    ubar = expansion.ubar
-    n_slices = ubar.nslices
-    h = np.zeros((n_slices,) + dom.shape)
-    for i, (path, traj, z_y) in enumerate(zip(expansion.xi, expansion.correctors,
-                                              expansion.micro_origin)):
-        grad_chi = [np.diff(expansion.chi[i], axis=ax) / eps for ax in range(d)]
-        if not any(np.any(g) for g in grad_chi):
-            continue
-        overlap = _box_overlap(traj.grid, z_y, dom)
-        for j in range(n_slices):
-            t = ubar.times[j]
-            xi_t = path.at(np.clip(t, path.breakpoints[0], 0.0))
-            target = Dsigma(xi_t)
-            for ax in range(d):
-                gv = xi_t[ax] + _corrector_edge_gradient(traj, overlap, dom, t, eps, ax)
-                h[(j,) + dirichlet_edges(d, ax)] += grad_chi[ax] * (V.vp(gv) - target[ax])
-    # rescale to the unit lattice and extend by zero to a triadic cylinder
-    side = dom.shape[0]
-    m = 0
-    while 3**m < side or 9**m < 1.0 / (eps * eps):
-        m += 1
-    padded_side = 3**m
-    micro_len = 9**m
-    dt_micro = ubar.dt / (eps * eps)
-    n_total = int(round(micro_len / dt_micro))
-    n_use = min(n_slices, n_total)
-    vals = np.zeros((n_total,) + (padded_side,) * d)
-    sel = (slice(n_total - n_use, n_total),) + (slice(0, side),) * d
-    vals[sel] = h[n_slices - n_use:]
-    return eps * hminus1_par_multiscale(vals, dt_micro, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,16 @@ from gradphi.dynamics import (
 )
 from gradphi.homogenize import (
     build_two_scale,
-    error_terms,
     estimate_hessian,
     estimate_tau,
     excess_decay,
     flux_decay_experiment,
-    flux_weak_norm,
     linearization_modulus,
     make_correctors,
     partition_of_unity,
     tabulate_effective_gradient,
     variance_with_jackknife,
     _StreamSum,
-    _edge_average,
 )
 from gradphi.lattice import (
     DirichletDomain,
@@ -350,7 +347,7 @@ def small_expansion():
     ubar = solve_homogenized(EffectiveGradient.identity(), dom, _sine_datum,
                              dt_unit=stable_dt(V, 2), record_stride=16)
     pack = make_correctors(ubar, 0.25, V, NoiseSource(seed=14))
-    return ubar, pack, build_two_scale(ubar, 0.25, pack)
+    return ubar, pack, build_two_scale(ubar, pack)
 
 
 def test_partition_sums_to_one():
@@ -361,95 +358,51 @@ def test_partition_sums_to_one():
 
 
 def test_two_scale_zero_correctors_reduce_to_ubar(small_expansion):
-    ubar, pack, _ = small_expansion
-    zero_pack = (pack[0], pack[1], pack[2],
-                 [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
-                  for t in pack[3]],
-                 pack[4], pack[5])
-    exp0 = build_two_scale(ubar, 0.25, zero_pack)
-    assert np.max(np.abs(exp0.w - ubar.values)) == 0.0
+    ubar, (chi, correctors, origins), _ = small_expansion
+    zeros = [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
+             for t in correctors]
+    w0 = build_two_scale(ubar, (chi, zeros, origins))
+    assert np.max(np.abs(w0 - ubar.values)) == 0.0
 
 
-def test_two_scale_product_rule_identity(small_expansion):
-    # grad w - sum chi_bar grad v_y equals the mismatch-plus-eps-grad-chi
-    # terms exactly, at every recorded slice and axis
-    ubar, pack, exp = small_expansion
-    centers, chi, xi, corr, origins, _ = pack
+def _two_scale_by_site(ubar, pack):
+    # w rebuilt site by site: ubar + eps sum_i chi_i phi_i(t/eps^2), each
+    # corrector read at its recorded slice nearest to the micro time clamped
+    # to the recorded range, on its box's overlap with the domain
+    chi, correctors, origins = pack
     dom = ubar.grid
     eps = dom.mesh
-    d = 2
-    j = ubar.nslices // 2
-    t = ubar.times[j]
-    for ax in range(d):
-        idx = [slice(None)] * d
-        idx[ax] = slice(0, dom.shape[ax] - 1)
-        g_ub = np.zeros(dom.shape)
-        g_ub[tuple(idx)] = np.diff(ubar.values[j], axis=ax) / eps
-        term = g_ub.copy()
-        for i in range(len(centers)):
-            term -= _edge_average(chi[i], ax) * xi[i].at(t)[ax]
-            gchi = np.zeros(dom.shape)
-            gchi[tuple(idx)] = np.diff(chi[i], axis=ax) / eps
-            tr = corr[i]
-            sl = tr.values[tr.slice_index(np.clip(t / (eps * eps), tr.t0, tr.t1))]
-            full = np.zeros(dom.shape)
-            lo = origins[i] - tr.grid.radius
-            hi = origins[i] + tr.grid.radius
-            lo_c = np.maximum(lo, 0)
-            hi_c = np.minimum(hi, dom.resolution)
-            dom_sel = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo_c, hi_c))
-            box_sel = tuple(slice(int(a - l), int(b - l) + 1)
-                            for a, b, l in zip(lo_c, hi_c, lo))
-            full[dom_sel] = sl[box_sel]
-            term += eps * _edge_average(full, ax) * gchi
-        assert np.max(np.abs(term - exp.gradient_remainder[j, ax])) < 1e-12
+    ref = ubar.values.copy()
+    for chi_i, traj, z in zip(chi, correctors, origins):
+        lo = z - traj.grid.radius
+        for j, t in enumerate(ubar.times):
+            phi = traj.values[traj.slice_index(np.clip(t / eps**2, traj.t0, traj.t1))]
+            for x in np.ndindex(dom.shape):
+                b = tuple(int(c) for c in np.asarray(x) - lo)
+                if all(0 <= c < traj.grid.side for c in b):
+                    ref[(j,) + x] += eps * chi_i[x] * phi[b]
+    return ref
 
 
-def test_error_terms_affine_profile():
-    # affine effective solution with zero correctors: the gradient-mismatch
-    # and tilt-difference summands vanish at interior cells
+def test_two_scale_adds_eps_chi_corrector_at_micro_time(small_expansion):
+    ubar, pack, w = small_expansion
+    assert np.any(w != ubar.values)
+    assert np.max(np.abs(w - _two_scale_by_site(ubar, pack))) < 1e-12
+
+
+def test_two_scale_clamps_micro_time_to_recorded_range():
+    # recorded every 1/24 at mesh 1/8, the correctors keep every 43rd step
+    # of 1/16, so their last slice lies at micro time -2.1875 and the slice
+    # at t = 0 rounds past it
     V = quadratic()
     dom = DirichletDomain(2, 8)
-    eps = dom.mesh
-    kappa = 0.25
-    pts = dom.coordinates * eps
-    vals = np.broadcast_to(0.4 * pts[..., 0] - 0.1 * pts[..., 1],
-                           (33,) + dom.shape).copy()
-    ubar = SpaceTimeField(dom, -1.0, 1.0 / 32, vals)
-    pack = make_correctors(ubar, kappa, V, NoiseSource(seed=15))
-    zero_pack = (pack[0], pack[1], pack[2],
-                 [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
-                  for t in pack[3]],
-                 pack[4], pack[5])
-    exp = build_two_scale(ubar, kappa, zero_pack)
-    first, second, third = error_terms(exp, (-0.25, np.array([0.5, 0.5])))
-    assert first < 1e-12
-    assert second < 1e-12
-    assert third == 0.0
-
-
-def test_error_terms_identical_slopes_zero_gap(small_expansion):
-    _, _, exp = small_expansion
-    # overwrite all tilt paths with one constant: the difference summand dies
-    const = SlopePath(np.array([-1.0]), np.array([[0.3, -0.2]]))
-    frozen = type(exp)(exp.ubar, exp.kappa, exp.centers, exp.chi,
-                       [const] * len(exp.centers), exp.correctors,
-                       exp.micro_origin, exp.w, exp.gradient_remainder,
-                       exp.L_micro)
-    _, second, _ = error_terms(frozen, (-0.25, np.array([0.5, 0.5])))
-    assert second == 0.0
-
-
-def test_flux_weak_norm_zero_correctors_quadratic(small_expansion):
-    ubar, pack, _ = small_expansion
-    const = SlopePath(np.array([-1.0]), np.array([[0.3, -0.2]]))
-    zero_pack = (pack[0], pack[1], [const] * len(pack[0]),
-                 [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
-                  for t in pack[3]],
-                 pack[4], pack[5])
-    exp0 = build_two_scale(ubar, 0.25, zero_pack)
-    val = flux_weak_norm(exp0, EffectiveGradient.identity(), quadratic())
-    assert val == 0.0
+    times = -1.0 + np.arange(25) / 24
+    vals = np.stack([_sine_datum(dom.coordinates * dom.mesh)(t) for t in times])
+    ubar = SpaceTimeField(dom, -1.0, 1.0 / 24, vals)
+    pack = make_correctors(ubar, 0.25, V, NoiseSource(seed=15))
+    assert pack[1][0].t1 < 0.0
+    w = build_two_scale(ubar, pack)
+    assert np.max(np.abs(w - _two_scale_by_site(ubar, pack))) < 1e-12
 
 
 def test_make_correctors_requires_commensurate_mesoscale():
@@ -527,52 +480,6 @@ def test_hessian_tilt_sign_symmetry_and_bounds():
     off = zero.matrix[0, 1], zero.matrix[1, 0]
     se_off = zero.stderr[0, 1], zero.stderr[1, 0]
     assert all(abs(o) <= 4 * s for o, s in zip(off, se_off))
-
-
-@pytest.mark.slow
-def test_error_aggregate_decreases_with_mesh():
-    # halving the mesh at the square-root mesoscale rule shrinks the mean
-    # squared cell error of the expansion (non-quadratic potential)
-    from gradphi.homogenize import error_terms_aggregate, tabulate_effective_gradient
-
-    V = soft_quartic(0.5)
-    Ds = tabulate_effective_gradient(V, 6, 16, NoiseSource(seed=21),
-                                     knots=[0.0, 0.5, 1.0, 1.5])
-    aggregates = []
-    for N in (8, 16):
-        eps = 1.0 / N
-        dom = DirichletDomain(2, N)
-        kappa = round(np.sqrt(eps) / eps) * eps
-        ubar = solve_homogenized(Ds, dom, _sine_datum,
-                                 dt_unit=stable_dt(V, 2), record_stride=16)
-        pack = make_correctors(ubar, kappa, V, NoiseSource(seed=22))
-        exp = build_two_scale(ubar, kappa, pack)
-        aggregates.append(error_terms_aggregate(exp))
-    assert aggregates[1] < aggregates[0]
-
-
-@pytest.mark.slow
-def test_flux_weak_norm_decreases_with_mesh():
-    # with the exact effective gradient (equal to the flux expectation for
-    # the quadratic potential) the negative-norm flux error shrinks from
-    # mesh 1/8 to mesh 1/16, averaged over 20 replicas
-    V = quadratic()
-    vals = {}
-    for N in (8, 16):
-        eps = 1.0 / N
-        dom = DirichletDomain(2, N)
-        kappa = round(np.sqrt(eps) / eps) * eps
-        ubar = solve_homogenized(EffectiveGradient.identity(), dom,
-                                 _sine_datum, dt_unit=stable_dt(V, 2),
-                                 record_stride=16)
-        per_rep = []
-        for rep in range(20):
-            pack = make_correctors(ubar, kappa, V,
-                                   NoiseSource(seed=23, replica=rep))
-            exp = build_two_scale(ubar, kappa, pack)
-            per_rep.append(flux_weak_norm(exp, EffectiveGradient.identity(), V))
-        vals[N] = float(np.mean(per_rep))
-    assert vals[16] < vals[8]
 
 
 def test_tabulate_effective_gradient_draws_one_replica_block_per_knot():
