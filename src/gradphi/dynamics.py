@@ -26,8 +26,8 @@ from .lattice import (
     DirichletDomain,
     SpaceTimeField,
     TorusGrid,
+    dirichlet_divergence,
     horizon_steps,
-    interior_across,
     shift,
     time_loop,
 )
@@ -416,14 +416,9 @@ def run_dirichlet(
     # the loop reads the interior only: the rest of the buffer stays zero
     drift = np.zeros_like(state)
     drift_in = drift[(Ellipsis,) + dom.interior_box]
-    rows = [interior_across(d, ax) for ax in range(d)]
 
     def dirichlet_drift(k, t, u):
-        drift_in.fill(0.0)
-        for ax, idx in enumerate(rows):
-            # V' on the N (N-1)^(d-1) edges along ax that the interior reads
-            flux = V.vp(np.diff(u[idx], axis=ax - d))
-            np.add(drift_in, np.diff(flux, axis=ax - d), out=drift_in)
+        dirichlet_divergence(u, V.vp, d, 1.0, drift_in)
         return drift
 
     # the loop runs in unit time; the datum and on_step see macroscopic time

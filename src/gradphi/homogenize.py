@@ -727,8 +727,8 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     noise is keyed by absolute lattice coordinates, so overlapping boxes
     share their Brownian motions.  Corrector trajectories are recorded at
     the macroscopic recording resolution of `ubar`.  Returns the partition
-    of unity (nY, *dom.shape), the corrector of each cell and the integer
-    centers (nY, d) of their boxes.
+    of unity (nY, *dom.shape) and the corrector of each cell, whose grid's
+    origin is the integer center of its box.
     """
     dom: DirichletDomain = ubar.grid
     eps = dom.mesh
@@ -744,9 +744,8 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
     stride = max(int(round(ubar.dt / (eps * eps) / dt)), 1)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
 
-    origins = [np.rint(y / eps).astype(int) for y in centers]
-    grids = [TorusGrid(d, 2 * L_micro, origin=tuple(int(c) for c in z))
-             for z in origins]
+    grids = [TorusGrid(d, 2 * L_micro, origin=tuple(int(c) for c in np.rint(y / eps)))
+             for y in centers]
     keys = np.stack([g.site_keys for g in grids])
     # every center's path has the same breakpoints: one path, one tilt per box
     micro_path = SlopePath(xi[0].breakpoints / (eps * eps),
@@ -758,7 +757,7 @@ def make_correctors(ubar: SpaceTimeField, kappa: float, V: Potential,
         SpaceTimeField(g, t0, dt * stride, rec[:, i])
         for i, g in enumerate(grids)
     ]
-    return chi, correctors, np.asarray(origins)
+    return chi, correctors
 
 
 def build_two_scale(ubar: SpaceTimeField, correctors_pack) -> np.ndarray:
@@ -769,12 +768,12 @@ def build_two_scale(ubar: SpaceTimeField, correctors_pack) -> np.ndarray:
     corrector read at the micro time t/eps^2 clamped to its recorded range
     and added on its box's overlap with the domain.
     """
-    chi, correctors, origins = correctors_pack
+    chi, correctors = correctors_pack
     dom: DirichletDomain = ubar.grid
     eps = dom.mesh
     w = ubar.values.copy()
-    for chi_i, traj, z_y in zip(chi, correctors, origins):
-        overlap = _box_overlap(traj.grid, z_y, dom)
+    for chi_i, traj in zip(chi, correctors):
+        overlap = _box_overlap(traj.grid, dom)
         if overlap is None:
             continue
         dom_sel, box_sel = overlap
@@ -785,9 +784,11 @@ def build_two_scale(ubar: SpaceTimeField, correctors_pack) -> np.ndarray:
     return w
 
 
-def _box_overlap(grid: TorusGrid, z_y, dom: DirichletDomain):
+def _box_overlap(grid: TorusGrid, dom: DirichletDomain):
     """Index pair (into the domain, into the micro box) selecting the part
-    of the micro box centered at site z_y that lies on the domain, or None."""
+    of the micro box, centered at its origin, that lies on the domain, or
+    None."""
+    z_y = np.asarray(grid.origin)
     lo = z_y - grid.radius
     lo_c = np.maximum(lo, 0)
     hi_c = np.minimum(z_y + grid.radius, dom.resolution)

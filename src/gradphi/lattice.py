@@ -11,8 +11,9 @@ Every periodic difference and divergence of the package is one of the
 stencil functions below: the shift, forward difference and backward
 divergence.  A Dirichlet difference is `np.diff`, where nothing wraps
 around: along axis i the grid has N edges (x, x+e_i), one per site of
-`dirichlet_edges`, and no value on the far face.  The interior update of a
-conservative divergence reads only the edges of `interior_across`.  Every
+`dirichlet_edges`, and no value on the far face.  The one Dirichlet
+divergence, `dirichlet_divergence`, reads only the edges of
+`interior_across`, which are all that the interior update needs.  Every
 solver steps through the one explicit time loop, `time_loop`, and supplies
 only its drift.
 
@@ -292,6 +293,28 @@ def interior_across(d: int, ax: int) -> tuple:
     np.diff along ax holds the N edges that the interior update of a
     divergence along ax reads."""
     return (Ellipsis,) + tuple(slice(None) if k == ax else slice(1, -1) for k in range(d))
+
+
+def dirichlet_divergence(u: np.ndarray, flux, d: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Conservative divergence of flux(grad u) at the interior sites of a
+    Dirichlet field u at mesh h, written into and returned as `out`, the
+    interior view (leading batch axes allowed): the sum over axes ax of
+    np.diff(flux(np.diff(u[interior_across(d, ax)]) / h)) / h, along ax.
+
+    `flux` maps an array of edge gradients elementwise.  The flux on edge
+    (x, x + e_ax) enters with opposite signs at x and x + e_ax, so the
+    discrete integration-by-parts identity holds exactly.
+    """
+    out.fill(0.0)
+    for ax in range(d):
+        g = np.diff(u[interior_across(d, ax)], axis=ax - d)
+        if h != 1.0:  # dividing by 1 is exact but not free
+            g /= h
+        div = np.diff(flux(g), axis=ax - d)
+        if h != 1.0:
+            div /= h
+        np.add(out, div, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

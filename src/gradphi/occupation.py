@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_torus, sample_gff, stable_dt
+from .dynamics import evolve_torus, stationary_start
 from .lattice import make_torus
 from .noise import NoiseSource, site_keys
 from .potential import Potential
@@ -83,16 +83,8 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
                          src: NoiseSource) -> tuple[np.ndarray, float]:
     V = spec.potential
     grid = make_torus(spec.d, spec.L)
-    dt = stable_dt(V, spec.d)
-    n = int(round(1.0 / dt))
     reps = np.arange(replicas)
-    if V.name == "quadratic":
-        start = sample_gff(grid, src, reps)
-    else:
-        start = np.zeros(grid.shape)
-        burn = int(round(spec.L**2 / dt))
-        start, _ = evolve_torus(grid, V, None, src, -1.0 - spec.L**2,
-                                burn, dt, start, replicas=reps)
+    start, path, t0, n, dt = stationary_start(grid, None, V, src, reps, horizon=1.0)
     center = (grid.radius,) * spec.d
     out = np.empty((replicas, n + 1))
 
@@ -108,7 +100,7 @@ def _edge_gradient_paths(spec: EdgeGradientSpec, replicas: int,
     def on_step(k, t, state):
         out[:, k + 1] = edge_value(state)
 
-    evolve_torus(grid, V, None, src, -1.0, n, dt, start,
+    evolve_torus(grid, V, path, src, t0, n, dt, start,
                  replicas=reps, on_step=on_step)
     return out, dt
 

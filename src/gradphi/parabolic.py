@@ -21,6 +21,7 @@ from .lattice import (
     DirichletDomain,
     SpaceTimeField,
     TorusGrid,
+    dirichlet_divergence,
     divergence_field,
     forward_difference,
     forward_gradients,
@@ -262,9 +263,8 @@ def solve_homogenized(
 ) -> SpaceTimeField:
     """Explicit stepping of the effective equation on the mesh-eps domain.
 
-    The divergence is the conservative summation-by-parts form: the flux
-    component i evaluated at x enters with opposite signs at x and x + eps
-    e_i, so the discrete integration-by-parts identity holds exactly.
+    The drift is `dirichlet_divergence` of Dsigma, so Dsigma is evaluated,
+    and its clamps counted, only on the edges the interior update reads.
     Boundary sites are pinned to the locally averaged datum at every step.
     The step is dt_unit on the unit lattice, dt_unit eps^2 on the domain.
     Every record_stride-th step is recorded, the initial slice first.
@@ -279,45 +279,28 @@ def solve_homogenized(
     u = np.zeros(dom.shape)
     u[both] = datum(-1.0, both)
 
-    out = time_loop(u, lambda k, t, u: homogenized_operator(Dsigma, u, eps), -1.0, dt,
-                    n_steps, mask=dom.interior_box, pin=(boundary, lambda t: datum(t, boundary)),
-                    record_stride=record_stride)
+    # the loop reads the interior only: the rest of the buffer stays zero
+    drift = np.zeros_like(u)
+    drift_in = drift[dom.interior_box]
+
+    def effective_drift(k, t, u):
+        dirichlet_divergence(u, Dsigma, dom.dim, eps, drift_in)
+        return drift
+
+    out = time_loop(u, effective_drift, -1.0, dt, n_steps, mask=dom.interior_box,
+                    pin=(boundary, lambda t: datum(t, boundary)), record_stride=record_stride)
     return SpaceTimeField(dom, -1.0, dt * record_stride, out)
-
-
-def _inner_gradients(u: np.ndarray, eps: float) -> np.ndarray:
-    """Gradient vectors (..., d) at the sites {0..N-1}^d off every far face,
-    where all d forward differences exist."""
-    inner = tuple(slice(0, n - 1) for n in u.shape)
-    # inner keeps all N edges along ax of np.diff(u, axis=ax)
-    return np.stack([np.diff(u, axis=ax)[inner] / eps for ax in range(u.ndim)], axis=-1)
-
-
-def homogenized_operator(Dsigma: EffectiveGradient, u: np.ndarray, eps: float) -> np.ndarray:
-    """Conservative divergence of the effective flux at the interior sites
-    of the mesh-eps grid, and zero on the rest of it.
-
-    The vector map is evaluated on the full gradient vectors at the sites
-    {0..N-1}^d; the divergence along ax at an interior site x reads the
-    flux at x and at x - e_ax.
-    """
-    d = u.ndim
-    fvecs = Dsigma(_inner_gradients(u, eps))
-    out = np.zeros_like(u)
-    interior = out[(slice(1, -1),) * d]
-    for ax in range(d):
-        # the sites {1..N-1} across ax are [1:] of fvecs
-        across = tuple(slice(None) if k == ax else slice(1, None) for k in range(d))
-        interior += np.diff(fvecs[..., ax], axis=ax)[across] / eps
-    return out
 
 
 def integration_by_parts_gap(Dsigma: EffectiveGradient, u: np.ndarray,
                              v: np.ndarray, eps: float) -> float:
     """|sum div(Dsigma(grad u)) v + sum Dsigma(grad u).grad v| for compactly
     supported u, v (zero on all faces)."""
-    lhs = float(np.sum(homogenized_operator(Dsigma, u, eps) * v))
-    rhs = float(np.sum(Dsigma(_inner_gradients(u, eps)) * _inner_gradients(v, eps)))
+    inner = (slice(1, -1),) * u.ndim
+    div = dirichlet_divergence(u, Dsigma, u.ndim, eps, np.empty(u[inner].shape))
+    lhs = float(np.sum(div * v[inner]))
+    rhs = sum(float(np.sum(Dsigma(np.diff(u, axis=ax) / eps) * (np.diff(v, axis=ax) / eps)))
+              for ax in range(u.ndim))
     return abs(lhs + rhs)
 
 

@@ -358,10 +358,10 @@ def test_partition_sums_to_one():
 
 
 def test_two_scale_zero_correctors_reduce_to_ubar(small_expansion):
-    ubar, (chi, correctors, origins), _ = small_expansion
+    ubar, (chi, correctors), _ = small_expansion
     zeros = [SpaceTimeField(t.grid, t.t0, t.dt, np.zeros_like(t.values))
              for t in correctors]
-    w0 = build_two_scale(ubar, (chi, zeros, origins))
+    w0 = build_two_scale(ubar, (chi, zeros))
     assert np.max(np.abs(w0 - ubar.values)) == 0.0
 
 
@@ -369,12 +369,12 @@ def _two_scale_by_site(ubar, pack):
     # w rebuilt site by site: ubar + eps sum_i chi_i phi_i(t/eps^2), each
     # corrector read at its recorded slice nearest to the micro time clamped
     # to the recorded range, on its box's overlap with the domain
-    chi, correctors, origins = pack
+    chi, correctors = pack
     dom = ubar.grid
     eps = dom.mesh
     ref = ubar.values.copy()
-    for chi_i, traj, z in zip(chi, correctors, origins):
-        lo = z - traj.grid.radius
+    for chi_i, traj in zip(chi, correctors):
+        lo = np.asarray(traj.grid.origin) - traj.grid.radius
         for j, t in enumerate(ubar.times):
             phi = traj.values[traj.slice_index(np.clip(t / eps**2, traj.t0, traj.t1))]
             for x in np.ndindex(dom.shape):

@@ -319,6 +319,19 @@ def test_homogenized_integration_by_parts_exact():
         assert gap < 1e-12 * u.size
 
 
+def test_homogenized_counts_clamps_only_on_the_edges_it_reads():
+    # hydro's 3-d table config at eps = 1/4: the sites on the cube's edges
+    # are never pinned and stay 0, so the face edges that reach them carry
+    # gradients past the table's last knot; no interior update reads those
+    # edges, so nothing is clamped
+    dom = DirichletDomain(3, 4)
+    coeffs = np.array([0.5, 0.25, -0.5])
+    Ds = EffectiveGradient.from_axis_table([0.0, 0.5, 1.0], [0.0, 0.6, 1.3])
+    solve_homogenized(Ds, dom, lambda pts: (lambda t, v=pts @ coeffs: v),
+                      record_stride=64, dt_unit=stable_dt(soft_quartic(0.5), 3))
+    assert Ds.clamp_events == 0
+
+
 def test_holder_regularity_diagnostic_on_caloric_solutions():
     # interior smoothing diagnostic: after running the linear equation with
     # a rough random environment from a spike, the parabolic Hoelder
