@@ -413,21 +413,14 @@ def run_dirichlet(
     state = np.zeros((len(replicas),) + dom.shape)
     state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
-    # the loop reads the interior only: the rest of the buffer stays zero
-    drift = np.zeros_like(state)
-    drift_in = drift[(Ellipsis,) + dom.interior_box]
-
-    def dirichlet_drift(k, t, u):
-        dirichlet_divergence(u, V.vp, d, 1.0, drift_in)
-        return drift
-
+    div = dirichlet_divergence(state.shape, d, 1.0)
     # the loop runs in unit time; the datum and on_step see macroscopic time
     pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
     step = None if on_step is None else (lambda k, t, u: on_step(k, t * eps * eps, u))
     with _noise_worker(src, threads) as pool:
         noise = (MeanSubtractedNoise(src, dom.site_keys, replicas, d, pool)
                  if src is not None else None)
-        recorded = time_loop(state, dirichlet_drift, t0_unit, dt_unit, n_steps,
+        recorded = time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
                              mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
                              record_stride=record_stride)
     if recorded is not None:

@@ -9,13 +9,15 @@ nearest slice.
 
 Every periodic difference and divergence of the package is one of the
 stencil functions below: the shift, forward difference and backward
-divergence.  A Dirichlet difference is `np.diff`, where nothing wraps
-around: along axis i the grid has N edges (x, x+e_i), one per site of
+divergence.  A Dirichlet difference is that of `np.diff`, where nothing
+wraps around: along axis i the grid has N edges (x, x+e_i), one per site of
 `dirichlet_edges`, and no value on the far face.  The one Dirichlet
-divergence, `dirichlet_divergence`, reads only the edges of
+divergence, `dirichlet_divergence`, is bound once per run to the state's
+shape: it owns its index tuples and buffers, and reads only the edges of
 `interior_across`, which are all that the interior update needs.  Every
 solver steps through the one explicit time loop, `time_loop`, and supplies
-only its drift.
+only its drift; under an interior mask the drift holds the masked sites
+only.
 
 Site indexing is row-major over {-L..L}^d.  Edge fields store the value on
 the positively oriented edge (x, x+e_i) at index [i, x]; antisymmetry is
@@ -24,8 +26,9 @@ realized by the sign convention g(x, x-e_i) = -g(x-e_i, x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -243,6 +246,14 @@ def _along(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
     return tuple(idx)
 
 
+@lru_cache(maxsize=None)
+def _shift_index(ndim: int, ax: int, n: int, step: int) -> tuple[tuple[slice, ...], ...]:
+    """(to, from) index pairs of `shift`'s two copies, flattened."""
+    k = step % n
+    return (_along(ndim, ax, slice(k, None)), _along(ndim, ax, slice(None, n - k)),
+            _along(ndim, ax, slice(None, k)), _along(ndim, ax, slice(n - k, None)))
+
+
 def shift(a: np.ndarray, ax: int, step: int, out: np.ndarray | None = None) -> np.ndarray:
     """Periodic shift along ax, equal to np.roll(a, step, axis=ax).
 
@@ -251,10 +262,9 @@ def shift(a: np.ndarray, ax: int, step: int, out: np.ndarray | None = None) -> n
     """
     if out is None:
         out = np.empty_like(a)
-    n = a.shape[ax]
-    k = step % n
-    out[_along(a.ndim, ax, slice(k, None))] = a[_along(a.ndim, ax, slice(None, n - k))]
-    out[_along(a.ndim, ax, slice(None, k))] = a[_along(a.ndim, ax, slice(n - k, None))]
+    to_hi, from_lo, to_lo, from_hi = _shift_index(a.ndim, ax, a.shape[ax], step)
+    out[to_hi] = a[from_lo]
+    out[to_lo] = a[from_hi]
     return out
 
 
@@ -287,34 +297,78 @@ def dirichlet_edges(ndim: int, ax: int) -> tuple[slice, ...]:
     return _along(ndim, ax, slice(None, -1))
 
 
-def interior_across(d: int, ax: int) -> tuple:
+def interior_across(d: int, ax: int, along: slice) -> tuple:
     """Index of a Dirichlet field (with any leading batch axes) selecting
-    every site along spatial axis ax and the interior across it.  Its
-    np.diff along ax holds the N edges that the interior update of a
-    divergence along ax reads."""
-    return (Ellipsis,) + tuple(slice(None) if k == ax else slice(1, -1) for k in range(d))
+    the sites `along` spatial axis ax and the interior across it.  With
+    `along` every site, slice(None), its difference along ax holds the N
+    edges that the interior update of a divergence along ax reads."""
+    return (Ellipsis,) + tuple(along if k == ax else slice(1, -1) for k in range(d))
 
 
-def dirichlet_divergence(u: np.ndarray, flux, d: int, h: float, out: np.ndarray) -> np.ndarray:
-    """Conservative divergence of flux(grad u) at the interior sites of a
-    Dirichlet field u at mesh h, written into and returned as `out`, the
-    interior view (leading batch axes allowed): the sum over axes ax of
-    np.diff(flux(np.diff(u[interior_across(d, ax)]) / h)) / h, along ax.
+def _c_stride(shape: tuple[int, ...], ax: int) -> int:
+    """The step, in elements, from one site to the next along ax of a
+    C-contiguous array of this shape."""
+    return math.prod(shape[ax + 1:])
 
-    `flux` maps an array of edge gradients elementwise.  The flux on edge
-    (x, x + e_ax) enters with opposite signs at x and x + e_ax, so the
-    discrete integration-by-parts identity holds exactly.
+
+def dirichlet_divergence(shape: tuple[int, ...], d: int, h: float):
+    """The conservative divergence of a flux of the edge gradients at the
+    interior sites of Dirichlet fields of `shape` (leading batch axes
+    allowed) at mesh h, bound to that shape once.
+
+    Returns `div(u, flux)`: the sum over axes ax of the difference along ax
+    of flux(g) / h, with g = (u(x + e_ax) - u(x)) / h on the edges of
+    `interior_across(d, ax, slice(None))`, in a contiguous array of the
+    shape of the interior, `u[..., 1:-1, ..., 1:-1]`.  Both divisions are
+    skipped at h == 1.0.  The binding owns its index tuples and every
+    buffer: the result is overwritten by the next call.  `flux(g, out=,
+    tmp=)` maps the edge gradients elementwise, as `Potential.vp` does.
+
+    The flux on edge (x, x + e_ax) enters with opposite signs at x and
+    x + e_ax, so the discrete integration-by-parts identity holds exactly.
+
+    numpy runs a ufunc on strided views through buffers of its own, which
+    it allocates and fills on every call.  So each difference is taken
+    over the flattened field, one contiguous subtraction whose entries at
+    the far face (and across rows) are never read, and the entries wanted
+    are then copied out of it into a contiguous buffer.
     """
-    out.fill(0.0)
+    shape = tuple(shape)
+    lead = len(shape) - d
+    sides = shape[lead:]
+    out = np.empty(shape[:lead] + tuple(n - 2 for n in sides))
+    div = np.empty_like(out)
+    diffs = np.empty(math.prod(shape))  # of u, flat
+    axes = []
     for ax in range(d):
-        g = np.diff(u[interior_across(d, ax)], axis=ax - d)
-        if h != 1.0:  # dividing by 1 is exact but not free
-            g /= h
-        div = np.diff(flux(g), axis=ax - d)
-        if h != 1.0:
-            div /= h
-        np.add(out, div, out=out)
-    return out
+        edges = shape[:lead] + tuple(n - 1 if k == ax else n - 2 for k, n in enumerate(sides))
+        g = np.empty(edges)
+        f_diffs = np.empty(g.size)  # of the flux, flat
+        s_u, s_f = _c_stride(shape, lead + ax), _c_stride(edges, lead + ax)
+        axes.append((s_u, diffs[:-s_u],
+                     diffs.reshape(shape)[interior_across(d, ax, slice(None, -1))],
+                     g, np.empty_like(g), np.empty_like(g), s_f, f_diffs[:-s_f],
+                     f_diffs.reshape(edges)[_along(len(shape), lead + ax, slice(None, -1))]))
+
+    def divergence(u: np.ndarray, flux) -> np.ndarray:
+        if u.shape != shape:
+            raise ValueError(f"bound to fields of shape {shape}, got {u.shape}")
+        u = u.reshape(-1)
+        out.fill(0.0)
+        for s_u, u_diffs, read, g, f, tmp, s_f, f_diffs, inner in axes:
+            np.subtract(u[s_u:], u[:-s_u], out=u_diffs)
+            np.copyto(g, read)
+            if h != 1.0:  # dividing by 1 is exact but not free
+                g /= h
+            f = flux(g, out=f, tmp=tmp).reshape(-1)
+            np.subtract(f[s_f:], f[:-s_f], out=f_diffs)
+            np.copyto(div, inner)
+            if h != 1.0:
+                np.divide(div, h, out=div)
+            np.add(out, div, out=out)
+        return out
+
+    return divergence
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +381,14 @@ def _scaled(a: np.ndarray, c: float) -> np.ndarray:
     return a
 
 
+def _gathered(a: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
+    """a, copied into buf unless buf is None."""
+    if buf is None:
+        return a
+    np.copyto(buf, a)
+    return buf
+
+
 def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
               mask: tuple[slice, ...] | None = None, noise=None, pin=None, on_step=None,
               *, record_stride: int | None) -> np.ndarray | None:
@@ -336,23 +398,26 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     Step k starts at t = t0 + k dt and, with t' = t0 + (k + 1) dt and the
     absolute step index k0 = round(t0 / dt), does
 
-        state[..., mask] += dt * drift(k, t, state)[..., mask]
+        state[..., mask] += dt * drift(k, t, state)
         state[..., mask] += sqrt(2 dt) * xi_{k0 + k}[..., mask]
         state[..., pin_mask] = pin_values(t')     with pin = (pin_mask, pin_values)
         on_step(k, t', state)
 
     where `noise(range(k0, k0 + n_steps))` iterates over the draws xi of
     the run's absolute steps, one per step, each consumed before the next
-    is taken.  The loop scales the drift and the draw in place, by dt and
-    sqrt(2 dt), so both must be scratch arrays that the drift kernel or
-    the noise owns and refills on its next call.
+    is taken.  The drift holds the values of the masked sites only, in an
+    array of the shape of `state[..., mask]` (of the state's shape without
+    a mask); any other shape raises.  The noise draw covers every site and
+    is reshaped to the state's shape.  The loop scales the drift and the
+    draw in place, by dt and sqrt(2 dt), so both must be scratch arrays
+    that the drift kernel or the noise owns and refills on its next call.
 
     `mask` is a basic index (a tuple of slices) of the trailing spatial
     axes, such as the Dirichlet interior `DirichletDomain.interior_box`, so
     the updates act on a view; None updates every site.  `pin_mask` is a
-    boolean mask of those axes.  Leading batch axes are shared.  The noise
-    draw is reshaped to the state's shape.  Returns every record_stride-th
-    state (the initial one first), stacked, or None without a stride.
+    boolean mask of those axes.  Leading batch axes are shared.  Returns
+    every record_stride-th state (the initial one first), stacked, or None
+    without a stride.
     """
     idx = (Ellipsis,) + (() if mask is None else tuple(mask))
     inner = state[idx]
@@ -368,10 +433,22 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     # Every per-step array is owned by the run (the drift's and the noise's
     # buffers), so the loop scales them in place and allocates nothing:
     # a step that still allocates part of its arrays costs page faults.
+    #
+    # Under a mask the interior is a strided view, and numpy runs a ufunc on
+    # strided operands through buffers that it allocates on every call: the
+    # loop copies the interior and the draw's interior into contiguous
+    # buffers of its own, updates there, and copies the interior back.
+    work, xi_in = (None, None) if mask is None else (np.empty(inner.shape), np.empty(inner.shape))
     for k in range(n_steps):
-        inner += _scaled(drift(k, t0 + k * dt, state)[idx], dt)
+        du = drift(k, t0 + k * dt, state)
+        if du.shape != inner.shape:
+            raise ValueError(f"the drift has shape {du.shape}; the masked state, {inner.shape}")
+        u = _gathered(inner, work)
+        u += _scaled(du, dt)
         if draws is not None:
-            inner += _scaled(next(draws).reshape(state.shape)[idx], sq)
+            u += _scaled(_gathered(next(draws).reshape(state.shape)[idx], xi_in), sq)
+        if work is not None:
+            inner[...] = work
         t_next = t0 + (k + 1) * dt
         if pin is not None:
             state[..., pin[0]] = pin[1](t_next)

@@ -243,15 +243,23 @@ class EffectiveGradient:
         values = np.maximum.accumulate(values)
         return cls(kind="table", knots=knots, table=values)
 
-    def __call__(self, P: np.ndarray) -> np.ndarray:
+    def __call__(self, P: np.ndarray, out: np.ndarray | None = None,
+                 tmp: np.ndarray | None = None) -> np.ndarray:
+        """Dsigma(P), with `out` and `tmp` as `Potential.vp` takes them:
+        arrays of P's shape, neither of them P's memory; the value is
+        written through `out`, and `tmp` is scratch."""
         P = np.asarray(P, dtype=float)
+        if out is None:
+            out = np.empty_like(P)
         if self.kind == "identity":
-            return P
-        s = np.abs(P)
+            np.copyto(out, P)
+            return out
+        s = np.abs(P, out=np.empty_like(P) if tmp is None else tmp)
         if np.any(s > self.knots[-1]):
             self.clamp_events += int(np.count_nonzero(s > self.knots[-1]))
-            s = np.minimum(s, self.knots[-1])
-        return np.sign(P) * np.interp(s, self.knots, self.table)
+            np.minimum(s, self.knots[-1], out=s)
+        np.sign(P, out=out)
+        return np.multiply(out, np.interp(s, self.knots, self.table), out=out)
 
 
 def solve_homogenized(
@@ -278,17 +286,10 @@ def solve_homogenized(
 
     u = np.zeros(dom.shape)
     u[both] = datum(-1.0, both)
-
-    # the loop reads the interior only: the rest of the buffer stays zero
-    drift = np.zeros_like(u)
-    drift_in = drift[dom.interior_box]
-
-    def effective_drift(k, t, u):
-        dirichlet_divergence(u, Dsigma, dom.dim, eps, drift_in)
-        return drift
-
-    out = time_loop(u, effective_drift, -1.0, dt, n_steps, mask=dom.interior_box,
-                    pin=(boundary, lambda t: datum(t, boundary)), record_stride=record_stride)
+    div = dirichlet_divergence(u.shape, dom.dim, eps)
+    out = time_loop(u, lambda k, t, u: div(u, Dsigma), -1.0, dt, n_steps,
+                    mask=dom.interior_box, pin=(boundary, lambda t: datum(t, boundary)),
+                    record_stride=record_stride)
     return SpaceTimeField(dom, -1.0, dt * record_stride, out)
 
 
@@ -296,9 +297,8 @@ def integration_by_parts_gap(Dsigma: EffectiveGradient, u: np.ndarray,
                              v: np.ndarray, eps: float) -> float:
     """|sum div(Dsigma(grad u)) v + sum Dsigma(grad u).grad v| for compactly
     supported u, v (zero on all faces)."""
-    inner = (slice(1, -1),) * u.ndim
-    div = dirichlet_divergence(u, Dsigma, u.ndim, eps, np.empty(u[inner].shape))
-    lhs = float(np.sum(div * v[inner]))
+    div = dirichlet_divergence(u.shape, u.ndim, eps)(u, Dsigma)
+    lhs = float(np.sum(div * v[(slice(1, -1),) * u.ndim]))
     rhs = sum(float(np.sum(Dsigma(np.diff(u, axis=ax) / eps) * (np.diff(v, axis=ax) / eps)))
               for ax in range(u.ndim))
     return abs(lhs + rhs)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,46 @@ def test_torus_step_allocates_nothing(tilt):
     assert acc.counts[16] == 6
     state_bytes = B * grid.nsites * 8  # 811,200
     assert peak - level[0] < 256 * 1024 < state_bytes / 3
+
+
+def test_dirichlet_step_allocates_nothing():
+    # once a run is set up, a step of the Dirichlet dynamic (20 replicas,
+    # noise off) or of the effective solver allocates no interior-sized
+    # array; the level is taken where step 0 pins the boundary, and the
+    # datum is constant in time, so of the pin only its quadrature sums
+    # and the scatter remain
+    from gradphi.parabolic import EffectiveGradient, solve_homogenized
+
+    dom, B = DirichletDomain(2, 16), 20
+    interior_bytes = B * (dom.resolution - 1) ** 2 * 8  # 36,000
+    bound = 8 * 1024
+    assert bound < interior_bytes / 4
+    level = []
+
+    def datum(points):
+        values = np.sin(3.0 * points.sum(axis=-1))
+
+        def at(t):
+            if next(calls) == 1:  # the first evaluation is the initial slice
+                level.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return values
+
+        return at
+
+    runs = (lambda: run_dirichlet(dom, datum, quadratic(), None, np.arange(B), threads=None),
+            lambda: solve_homogenized(EffectiveGradient.identity(), dom, datum,
+                                      record_stride=4096, dt_unit=stable_dt(quadratic(), 2)))
+    for run in runs:
+        level.clear()
+        calls = itertools.count()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - level[0] < bound
 
 
 def test_batched_replicas_match_single_replica_runs():

@@ -276,16 +276,17 @@ def test_dirichlet_divergence_equals_the_padded_stencil(d):
     dom = DirichletDomain(d, 5)
     eps = dom.mesh
     u = np.random.default_rng(32).normal(size=dom.shape) * 4.0
+    div = dirichlet_divergence(u.shape, d, eps)  # one binding serves both fluxes
     for make in (EffectiveGradient.identity,
                  lambda: EffectiveGradient.from_axis_table([0.0, 5.0, 10.0], [0.0, 6.0, 13.0])):
         Ds, ref = make(), make()
         expect = np.zeros_like(u)
         for ax in range(d):
             read = np.zeros(dom.shape, dtype=bool)
-            read[interior_across(d, ax)] = True
+            read[interior_across(d, ax, slice(None))] = True
             g = _padded(np.diff(u, axis=ax), ax, far=True) / eps
             expect += _padded_divergence(ref(np.where(read, g, 0.0)), ax) / eps
-        got = dirichlet_divergence(u, Ds, d, eps, np.empty(u[dom.interior_box].shape))
+        got = div(u, Ds)
         assert np.array_equal(got, expect[dom.interior_box])
         assert Ds.clamp_events == ref.clamp_events
     assert ref.clamp_events > 0
@@ -333,8 +334,8 @@ def test_time_loop_masked_sites_change_only_through_the_pin():
     pin_values = np.arange(3.0)
     u = _loop_state()
     init = u.copy()
-    time_loop(u, lambda k, t, u: rng.normal(size=u.shape), 0.0, 0.01, 6, mask=box,
-              noise=lambda steps: (rng.normal(size=u.shape) for _ in steps),
+    time_loop(u, lambda k, t, u: rng.normal(size=u[(Ellipsis,) + box].shape), 0.0, 0.01, 6,
+              mask=box, noise=lambda steps: (rng.normal(size=u.shape) for _ in steps),
               pin=(pin_mask, lambda t: pin_values * t), record_stride=None)
     rest = ~(mask | pin_mask)
     assert np.array_equal(u[:, rest], init[:, rest])
@@ -372,8 +373,8 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
         return pins[int(round(t / dt)) - 1 + 3]
 
     u = init.copy()
-    rec = time_loop(u, drift, -3 * dt, dt, n_steps, mask=box, noise=noise,
-                    pin=(pin_mask, pin), record_stride=stride)
+    rec = time_loop(u, lambda k, t, u: drift(k, t, u)[(Ellipsis,) + box], -3 * dt, dt,
+                    n_steps, mask=box, noise=noise, pin=(pin_mask, pin), record_stride=stride)
 
     # the same loop written with the boolean gather and scatter
     ref = init.copy()
@@ -390,6 +391,18 @@ def test_time_loop_interior_box_matches_the_boolean_mask(d):
     assert np.array_equal(rec, np.stack(ref_rec))
     with pytest.raises(TypeError):
         time_loop(init.copy(), drift, 0.0, dt, 1, mask=(mask,), record_stride=None)
+
+
+def test_time_loop_rejects_a_drift_not_of_the_masked_shape():
+    # under a mask the drift holds the masked sites only: a full-shape drift
+    # raises, and so does an interior drift without the batch axis, which
+    # would broadcast over the replicas
+    box = (slice(1, -1), slice(1, -1))
+    u = _loop_state()
+    for shape in (u.shape, u[(0,) + box].shape):
+        with pytest.raises(ValueError, match="drift"):
+            time_loop(u.copy(), lambda k, t, u: np.ones(shape), 0.0, 0.1, 1, mask=box,
+                      record_stride=None)
 
 
 def test_time_loop_draws_noise_at_the_absolute_step():
