@@ -4,7 +4,8 @@
 
 Runs all ten experiments through `harness.run_experiment` on a few small
 configs each (flux-decay, excess, hydro/q and linearize/k at 1, 2 and 3
-threads, linearize/k6 at 2, every other config without a thread count) and
+threads, flux-decay/tiles at 1 and 2, linearize/k6 at 2, every other config
+without a thread count) and
 prints, per config, the digest of the CSV and of the `results` block of
 summary.json.  Two source trees give byte-identical outputs exactly when
 their digests agree; with OUT.json the digests are also written there.
@@ -34,6 +35,11 @@ CASES = [
     ("flux-decay", "t1", {"potential": SQ, "L": 8, "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}, 1),
     ("flux-decay", "t2", {"potential": SQ, "L": 8, "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}, 2),
     ("flux-decay", "t3", {"potential": SQ, "L": 8, "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}, 3),
+    # 130 replicas of 33^2 sites span two tiles of at most noise.BUDGET sites
+    ("flux-decay", "tiles-t1", {"potential": SQ, "L": 16, "windows": [2, 4, 8], "replicas": 130, "horizon": 2,
+                                "seed": 23}, 1),
+    ("flux-decay", "tiles-t2", {"potential": SQ, "L": 16, "windows": [2, 4, 8], "replicas": 130, "horizon": 2,
+                                "seed": 23}, 2),
     ("surface-tension", "q", {"potential": Q, "L": 4, "replicas": 4, "seed": 6,
                               "slopes": [[0.1, 0.0], [{"t": -40, "q": [0.2, 0.0]}, {"t": -4, "q": [0.1, 0.0]}]]}),
     ("surface-tension", "sq", {"potential": SQ, "L": 4, "replicas": 3, "seed": 6, "slopes": [[0.3, 0.1]]}),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import noise
 from .dynamics import (
     SlopePath,
     as_slope_path,
@@ -161,11 +162,15 @@ class _WindowAccumulator:
 
     Each box is copied into a buffer laid out as a box gathered with
     `np.ix_` (batch axis last in memory), so every box mean sums its
-    values in the order of that gather.
+    values in the order of that gather.  The buffer has at least two batch
+    columns: numpy sums a one-column buffer pairwise, as one contiguous
+    run, and two or more columns sequentially, so a one-replica batch is
+    summed in a padded buffer to get the bits of any other batch.
     """
 
     def __init__(self, grid: TorusGrid, radii, n_batch: int):
         self.radii = list(radii)
+        self.n_batch = n_batch
         d = grid.dim
         self.space = tuple(range(1, d + 1))
         self.flux_acc = {r: np.zeros((n_batch, d)) for r in self.radii}
@@ -173,18 +178,18 @@ class _WindowAccumulator:
         self.counts = {r: 0 for r in self.radii}
         self.views = {r: (slice(None),) + (slice(grid.radius - r, grid.radius + r + 1),) * d
                       for r in self.radii}
-        self.bufs = {r: np.moveaxis(np.empty((2 * r + 1,) * d + (n_batch,)), -1, 0)
+        self.bufs = {r: np.moveaxis(np.zeros((2 * r + 1,) * d + (max(n_batch, 2),)), -1, 0)
                      for r in self.radii}
 
     def __call__(self, t: float, ax: int, grad: np.ndarray, flux: np.ndarray):
         for r in self.radii:
             if t < -(r * r) - 1e-9:
                 continue
-            view, buf = self.views[r], self.bufs[r]
-            np.copyto(buf, flux[view])
-            self.flux_acc[r][:, ax] += buf.mean(axis=self.space)
-            np.copyto(buf, grad[view])
-            self.grad_acc[r][:, ax] += buf.mean(axis=self.space)
+            view, buf, n = self.views[r], self.bufs[r], self.n_batch
+            np.copyto(buf[:n], flux[view])
+            self.flux_acc[r][:, ax] += buf.mean(axis=self.space)[:n]
+            np.copyto(buf[:n], grad[view])
+            self.grad_acc[r][:, ax] += buf.mean(axis=self.space)[:n]
             if ax == 0:
                 self.counts[r] += 1
 
@@ -411,12 +416,16 @@ def flux_decay_experiment(
 ) -> FluxDecayResult:
     """Variance of window flux averages against the window size.
 
-    Runs the zero-started, untilted dynamic once per replica batch and
+    Runs the zero-started, untilted dynamic once per replica tile and
     accumulates the flux and gradient averages over trailing windows of
     every requested radius; the decay exponent is the log-log slope of the
     total variance.
-    Replica chunks may run on worker threads; results do not depend on the
-    chunking.
+    A tile holds at most noise.BUDGET // grid.nsites replicas (one, if a
+    replica has more sites), and the tile count is a multiple of
+    `threads`.  The tiles run on `threads` worker threads, so at most that
+    many tiles are in memory at once.  Every replica's trajectory and
+    window averages are the same in any tile, so the results do not depend
+    on the tiling or the thread count.
     """
     ells = sorted(int(e) for e in ells)
     if len(ells) < 3:
@@ -429,28 +438,26 @@ def flux_decay_experiment(
         horizon = float(ells[-1] ** 2 + 64)
     t0, n_steps = horizon_steps(horizon, dt)
 
-    n_chunks = max(int(threads or 1), 1)
-    chunk_ids = [ids for ids in np.array_split(np.arange(replicas), n_chunks)
-                 if len(ids)]
+    workers = max(int(threads or 1), 1)
+    per_tile = max(noise.BUDGET // grid.nsites, 1)
+    n_tiles = workers * -(-replicas // (per_tile * workers))
+    tiles = [ids for ids in np.array_split(np.arange(replicas), n_tiles) if len(ids)]
 
-    # the chunks take no noise worker (no `threads`): each draws
-    # replicas x (2L+1)^d normals a step, more than noise.BUDGET at the
-    # committed sizes, and the chunks already keep every core busy, so a
-    # worker would only compete with them
-    def run_chunk(ids):
+    # the tiles take no noise worker (no `threads`): the tiles already keep
+    # every core busy, so a worker would only compete with them
+    def run_tile(ids):
         acc = _WindowAccumulator(grid, ells, len(ids))
         evolve_torus(grid, V, None, src, t0, n_steps, dt, np.zeros(grid.shape),
                      replicas=ids, on_flux=acc)
-        return acc
+        return [acc.averages(e) for e in ells]
 
-    accs = parallel_map(run_chunk, chunk_ids, len(chunk_ids))
+    parts = parallel_map(run_tile, tiles, workers)
 
     flux_var, flux_se, grad_var = [], [], []
     samples = {}
-    for e in ells:
-        parts = [acc.averages(e) for acc in accs]
-        flux = np.vstack([p[0] for p in parts])
-        gradv = np.vstack([p[1] for p in parts])
+    for i, e in enumerate(ells):
+        flux = np.vstack([p[i][0] for p in parts])
+        gradv = np.vstack([p[i][1] for p in parts])
         samples[e] = flux
         var_components = []
         se_sq = 0.0

@@ -32,7 +32,8 @@ _MIX2 = 0x94D049BB133111EB
 # interval.  On a 2-core VM, `run_dirichlet` at N = 16 with 20 replicas took
 # 2.2 s (median of 3) with no worker, 2.0 s at 2^15 normals a block, 2.1 s
 # at 2^16, 1.36 s at 2^17 and 1.39 s at 3 * 2^16; a block of 2^17 normals
-# is 1 MB, and a run holds three.
+# is 1 MB, and a run holds three.  The same unit sizes flux-decay's
+# replica tiles: a tile holds at most BUDGET // nsites replicas.
 BUDGET = 2**17
 
 # channel ids

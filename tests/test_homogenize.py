@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradphi import homogenize
+from gradphi import homogenize, noise
 from gradphi.dynamics import (
     SlopePath,
     as_slope_path,
@@ -164,6 +164,43 @@ def test_flux_decay_accumulator_equals_the_reference(paired_accumulators, name, 
         flux_decay_experiment([1, 2, 3], L, V, 7, NoiseSource(5), d=d, horizon=3.0,
                               threads=threads)
         _assert_pairs_equal(paired_accumulators, threads)
+
+
+@pytest.fixture
+def tile_sizes(monkeypatch):
+    """The replica count of every `evolve_torus` call of homogenize."""
+    sizes = []
+    run = homogenize.evolve_torus
+
+    def counted(*args, replicas, **kw):
+        sizes.append(len(replicas))
+        return run(*args, replicas=replicas, **kw)
+
+    monkeypatch.setattr(homogenize, "evolve_torus", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("per_tile", [None, 1, 2])
+def test_flux_decay_is_tile_and_thread_independent(tile_sizes, monkeypatch, per_tile):
+    # six replicas in one tile against tiles of at most one or two replicas
+    # (a budget just short of the next replica) and against the budget's
+    # own tiling, which splits six replicas on four threads into 2, 2, 1, 1
+    args = ([2, 4, 8], 8, soft_quartic(0.5), 6, NoiseSource(5))
+    ref = flux_decay_experiment(*args, horizon=2.0, threads=1)
+    assert tile_sizes == [6]
+    nsites = make_torus(2, 8).nsites
+    if per_tile is not None:
+        monkeypatch.setattr(noise, "BUDGET", (per_tile + 1) * nsites - 1)
+    for threads in (1, 3, 4):
+        tile_sizes.clear()
+        res = flux_decay_experiment(*args, horizon=2.0, threads=threads)
+        assert sum(tile_sizes) == 6
+        assert max(tile_sizes) <= (per_tile or 6)
+        for e in ref.samples:
+            assert np.array_equal(res.samples[e], ref.samples[e])
+        for name in ("flux_variance", "flux_variance_se", "gradient_variance"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
+        assert (res.exponent, res.r_squared) == (ref.exponent, ref.r_squared)
 
 
 @pytest.mark.parametrize("d, L", [(2, 6), (3, 3)])
