@@ -9,7 +9,7 @@ noisy dynamic and the corrected effective solution: the
 
 import numpy as np
 
-from gradphi.dynamics import stable_dt
+from gradphi.dynamics import run_dirichlet, stable_dt
 from gradphi.harness import gradient_two_scale_error
 from gradphi.lattice import DirichletDomain
 from gradphi.noise import NoiseSource
@@ -30,6 +30,10 @@ for N in (8, 16):
     kappa = round(np.sqrt(eps) / eps) * eps  # mesoscale commensurate with the mesh
     ubar = solve_homogenized(EffectiveGradient.identity(), dom, datum,
                              dt_unit=stable_dt(V, 2), record_stride=16)
-    err = gradient_two_scale_error(dom, datum, V, NoiseSource(seed=42), ubar,
-                                   kappa, threads=None)
+    # one replica of the noisy dynamic, recorded at the slices of ubar
+    n_steps = int(round(1.0 / (eps * eps) / stable_dt(V, 2)))
+    src = NoiseSource(seed=42)
+    traj = run_dirichlet(dom, datum, V, src, np.arange(1), None,
+                         record=(n_steps // (ubar.nslices - 1), 1), threads=None)
+    err = gradient_two_scale_error(traj[:, 0], ubar, kappa, V, src)
     print(f"mesh 1/{N}: mesoscale {kappa:.3f}, gradient two-scale error {err:.4f}")

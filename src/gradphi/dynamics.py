@@ -1,6 +1,6 @@
 """Stochastic integrators for the lattice Langevin dynamics.
 
-Two drift kernels on the stencil of `lattice`, both stepped by the
+Two drifts, the bound divergences of V' of `lattice`, both stepped by the
 explicit Euler-Maruyama loop `lattice.time_loop`: `evolve_torus` drives the
 periodic interface dynamic with (possibly time-dependent) tilt and the
 Gaussian free-field dynamic, and `run_dirichlet` drives the Dirichlet
@@ -28,7 +28,7 @@ from .lattice import (
     TorusGrid,
     dirichlet_divergence,
     horizon_steps,
-    shift,
+    periodic_divergence,
     time_loop,
 )
 from .noise import MeanSubtractedNoise, NoiseSource
@@ -169,41 +169,29 @@ def evolve_torus(
 
     keys, ids = (grid.site_keys, replicas) if batch_keys is None else (batch_keys, np.arange(1))
 
-    # Every per-step array is owned by the run: the shifts, V' (with its
-    # scratch) and the drift write into these buffers, and time_loop scales
-    # the drift and the draw in place.  Preallocating only part of the step
-    # is slower than allocating all of it, because what is still allocated
-    # then costs page faults.
-    drift = np.empty_like(state)
-    grad = np.empty_like(state)
-    flux = np.empty_like(state)
-    scratch = np.empty_like(state)
+    # the run owns every per-step array: what a step allocates costs page faults
+    div = periodic_divergence(state.shape, d)
     tilted = np.empty_like(state) if slope is not None else None
 
-    # The drift accumulates `+= f; -= shift(f)`, not `+= f - shift(f)` as the
-    # Dirichlet and deterministic solvers do: the two orders round
-    # differently, so merging the kernels would change every trajectory.
     def torus_drift(k, t, phi):
-        nonlocal drift
         q = slope.at(t) if slope is not None else None
         # step k evaluates the state on_step saw after step k - 1
         observe = on_flux if k > 0 else None
-        drift.fill(0.0)
-        for ax in range(d):
-            a = 1 + ax
-            np.subtract(shift(phi, a, -1, out=scratch), phi, out=grad)
+
+        def flux(ax, grad, out, tmp):
             x = grad
             if q is not None:
-                if q.ndim == 2:  # one tilt per member, broadcast over space
-                    x = np.add(grad, q[:, ax].reshape((-1,) + (1,) * d), out=tilted)
+                if q.ndim == 2:  # one tilt per member, broadcast by a copy
+                    np.copyto(tilted, q[:, ax].reshape((-1,) + (1,) * d))
+                    x = np.add(tilted, grad, out=tilted)
                 elif q[ax] != 0.0:
                     x = np.add(grad, q[ax], out=tilted)
-            V.vp(x, out=flux, tmp=scratch)
+            V.vp(x, out=out, tmp=tmp)
             if observe is not None:
-                observe(t, ax, grad, flux)
-            drift += flux
-            drift -= shift(flux, a, 1, out=scratch)
-        return drift
+                observe(t, ax, grad, out)
+            return out
+
+        return div(phi, flux)
 
     with _noise_worker(src, threads) as pool:
         noise = MeanSubtractedNoise(src, keys, ids, d, pool) if src is not None else None
@@ -378,9 +366,9 @@ def run_dirichlet(
     V: Potential,
     src: NoiseSource | None,
     replicas: np.ndarray,
-    record_stride: int | None = None,
-    on_step=None,
+    on_step,
     *,
+    record: tuple[int, int] | None,
     threads: int | None,
 ) -> np.ndarray | None:
     """Langevin dynamic on the mesh-eps domain driven by diffusively rescaled noise.
@@ -393,11 +381,12 @@ def run_dirichlet(
     `smoothed_boundary_datum` takes it, `f(points) -> (t -> values)`.
 
     The B replica streams of `replicas` (ids counted from `src.replica`)
-    advance together; the recorded array has shape (slices, B, *dom.shape)
-    and holds every record_stride-th step, starting at macroscopic time -1;
-    without a stride nothing is recorded and None is returned.  With
-    src=None the noise is switched off (deterministic diagnostic mode).
-    With `threads` >= 2 a worker thread draws the noise a block ahead.
+    advance together; `on_step`, unless None, sees them at macroscopic
+    times.  `record` = (stride, n) returns every stride-th step of the first
+    n replicas, shape (slices, n, *dom.shape), from macroscopic time -1;
+    with None nothing is recorded and None is returned.  With src=None the
+    noise is switched off (deterministic diagnostic mode).  With `threads`
+    >= 2 a worker thread draws the noise a block ahead.
     """
     eps = dom.mesh
     d = dom.dim
@@ -413,16 +402,20 @@ def run_dirichlet(
     state = np.zeros((len(replicas),) + dom.shape)
     state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
+    stride, n = record or (None, 0)
+    recorded = [state[:n].copy()]
+
+    def step(k, t, u):  # the loop runs in unit time, on_step sees macroscopic time
+        if stride is not None and (k + 1) % stride == 0:
+            recorded.append(u[:n].copy())
+        if on_step is not None:
+            on_step(k, t * eps * eps, u)
+
     div = dirichlet_divergence(state.shape, d, 1.0)
-    # the loop runs in unit time; the datum and on_step see macroscopic time
     pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
-    step = None if on_step is None else (lambda k, t, u: on_step(k, t * eps * eps, u))
     with _noise_worker(src, threads) as pool:
         noise = (MeanSubtractedNoise(src, dom.site_keys, replicas, d, pool)
                  if src is not None else None)
-        recorded = time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
-                             mask=dom.interior_box, noise=noise, pin=pin, on_step=step,
-                             record_stride=record_stride)
-    if recorded is not None:
-        recorded *= eps
-    return recorded
+        time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
+                  mask=dom.interior_box, noise=noise, pin=pin, on_step=step, record_stride=None)
+    return None if stride is None else np.stack(recorded) * eps

@@ -541,29 +541,23 @@ def run_gff(seed: int, *, d=2, L=4, replicas=2000) -> ExperimentResult:
     return ExperimentResult("gff", header, rows, summary, criteria)
 
 
-def gradient_two_scale_error(dom: DirichletDomain, f, V, src: NoiseSource,
-                             ubar, kappa: float, threads: int | None) -> float:
-    """L2 gap between the gradients of the noisy dynamic and the corrected
-    effective solution, for one replica.
-
-    The corrected solution's cell correctors are driven by the same noise
-    stream as the dynamic itself (both address increments by absolute site
-    coordinates and step indices), so this measures the pathwise gradient
-    coupling of the expansion.  `threads` goes to the Dirichlet run.
-    """
+def gradient_two_scale_error(traj: np.ndarray, ubar: SpaceTimeField, kappa: float, V,
+                             src: NoiseSource) -> float:
+    """L2 gap between the gradients of one replica of the noisy dynamic,
+    `traj` recorded at the slices of `ubar`, and the corrected effective
+    solution, whose cell correctors are driven by `src`, that replica's
+    noise stream (both address increments by absolute site coordinates and
+    step indices): the pathwise gradient coupling of the expansion."""
+    dom: DirichletDomain = ubar.grid
     eps = dom.mesh
-    d = dom.dim
-    stride = max(int(round(1.0 / (eps * eps) / stable_dt(V, d))) // (ubar.nslices - 1), 1)
-    traj = run_dirichlet(dom, f, V, src, np.arange(1), record_stride=stride,
-                         threads=threads)[:, 0]
     w = build_two_scale(ubar, make_correctors(ubar, kappa, V, src))
     acc = 0.0
     for j in range(ubar.nslices):
         du = traj[j] - w[j]
-        for ax in range(d):
+        for ax in range(dom.dim):
             g = np.diff(du, axis=ax) / eps
             acc += float((g**2).sum()) * ubar.dt
-    return float(np.sqrt(eps**d * acc))
+    return float(np.sqrt(eps**dom.dim * acc))
 
 
 def _gradient_diagnostic(epsilons, replicas):
@@ -612,24 +606,21 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
         if abs(1.0 / N - eps) > 1e-12:
             raise ConfigError(f"mesh {eps} is not the inverse of an integer")
         dom = DirichletDomain(d, N)
-        stride = max(int(round(1.0 / (eps * eps) / dt_unit)) // 256, 1)
+        n_unit = int(round(1.0 / (eps * eps) / dt_unit))  # steps of the Dirichlet run
+        stride = max(n_unit // 256, 1)
         ubar = solve_homogenized(Dsigma, dom, f, dt_unit=dt_unit,
                                  record_stride=stride)
         interior = dom.interior_mask
         dt_rec = ubar.dt
 
-        if eps in diag_eps and diag_reps and not zero_noise:
-            kappa = round(np.sqrt(eps) / eps) * eps
-            for rep in range(diag_reps):
-                gerr = gradient_two_scale_error(dom, f, V,
-                                                src.with_replica(rep), ubar,
-                                                kappa, threads)
-                gradient_rows.append((eps, rep, gerr))
-
         # the deterministic diagnostic is the batched run with one replica
-        # and the noise off
+        # and the noise off; the gradient diagnostic reads the first
+        # diag_reps replicas, recorded at the slices of ubar
+        diag = eps in diag_eps and diag_reps and not zero_noise
         noise_src, n_rep = (None, 1) if zero_noise else (src, replicas)
-        acc = np.zeros(n_rep)
+        n_run = max(n_rep, diag_reps) if diag else n_rep
+        record = (max(n_unit // (ubar.nslices - 1), 1), diag_reps) if diag else None
+        acc = np.zeros(n_run)
 
         def on_step(k, t, state):
             if (k + 1) % stride == 0:
@@ -637,12 +628,18 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
                 diff = state[:, interior] * eps - ubar.values[j][interior]
                 acc[:] += (diff**2).sum(axis=1) * dt_rec
 
-        run_dirichlet(dom, f, V, noise_src, np.arange(n_rep), on_step=on_step,
-                      threads=threads)
-        errs = np.sqrt(eps**d * acc)
+        traj = run_dirichlet(dom, f, V, noise_src, np.arange(n_run), on_step,
+                             record=record, threads=threads)
+        errs = np.sqrt(eps**d * acc[:n_rep])
         for rep, e in enumerate(errs):
             rows.append((eps, rep, float(e)))
         means.append(float(np.mean(errs)))
+        if diag:
+            kappa = round(np.sqrt(eps) / eps) * eps
+            for rep in range(diag_reps):
+                gerr = gradient_two_scale_error(traj[:, rep], ubar, kappa, V,
+                                                src.with_replica(rep))
+                gradient_rows.append((eps, rep, gerr))
     eps_sorted = np.asarray(sorted(epsilons, reverse=True))
     means = np.asarray(means)
     summary = {"epsilons": eps_sorted, "mean_error": means,

@@ -34,9 +34,10 @@ from .lattice import (
     forward_difference,
     horizon_steps,
     make_torus,
+    periodic_divergence,
 )
 from .noise import NoiseSource
-from .parabolic import EffectiveGradient, linearized_corrector_drift
+from .parabolic import EffectiveGradient, linearized_environment, linearized_flux
 from .potential import Potential
 
 
@@ -233,6 +234,7 @@ class _StreamSum:
         self.done = 0
         self.stack = []
         self.buf = np.empty(tuple(lead) + (_LEAF + width,))
+        self.carry = np.empty(tuple(lead) + (width,))
         self.fill = 0
 
     def slot(self, width: int) -> np.ndarray:
@@ -250,7 +252,9 @@ class _StreamSum:
                 right = self.stack.pop()
                 self.stack[-1] = self.stack[-1] + right
             self.fill -= size
-            self.buf[..., :self.fill] = self.buf[..., size:size + self.fill]
+            # through `carry`, as numpy copies overlapping views to a temporary
+            np.copyto(self.carry[..., :self.fill], self.buf[..., size:size + self.fill])
+            np.copyto(self.buf[..., :self.fill], self.carry[..., :self.fill])
             self.done += 1
 
     def total(self) -> np.ndarray:
@@ -332,40 +336,38 @@ def estimate_hessian(
     r = L // 2
     window = float(r * r)
     box = (slice(None),) + grid.box_slices(r)
-    eye = np.eye(d)
 
     state, path, t_keep, n_keep, dt = stationary_start(
         grid, pv, V, src, np.arange(replicas), horizon=float(L * L))
     j0 = int(round((-window - t_keep) / dt))  # first slice of the window
-    env = np.empty((replicas, d) + grid.shape)
+    env = np.empty((d, replicas) + grid.shape)
     w = np.zeros((d, replicas) + grid.shape)
-    bufs = tuple(np.empty_like(w) for _ in range(3))
+    div, flux = periodic_divergence(w.shape, d), linearized_flux(env, np.eye(d))
     acc = np.zeros((replicas, d, d))
-    count = 0
+    count = n_keep + 1 - max(j0, 0)  # slices in the window
 
-    def measure(j, phi):
-        # env <- V''(p + grad phi) of slice j, then the window sums of slice j
-        nonlocal count
-        for ax in range(d):
-            env[:, ax] = V.vpp(forward_difference(phi, 1 + ax) + pv[ax])
-        if j < j0:
-            return
+    def measured(ax, grad, out, tmp):
+        # the corrector's flux V''(p + grad phi) (e_i + grad w_i) along ax
+        # is the summand of entry (i, ax)
+        f = flux(ax, grad, out, tmp)
         for i in range(d):
-            for ax in range(d):
-                gw = forward_difference(w[i], 1 + ax) + (1.0 if ax == i else 0.0)
-                prod = env[:, ax][box] * gw[box]
-                for b in range(replicas):  # per-replica means keep their order
-                    acc[b, i, ax] += prod[b].mean()
-        count += 1
+            prod = f[i][box]
+            for b in range(replicas):  # per-replica means keep their order
+                acc[b, i, ax] += prod[b].mean()
+        return f
 
-    def on_step(k, t, phi):
-        nonlocal w
-        w += dt * linearized_corrector_drift(w, env, eye, bufs)
-        measure(k + 1, phi)
+    def step(j):  # the corrector step from slice j, in the environment of slice j
+        du = div(w, measured if j >= j0 else flux)
+        np.add(w, np.multiply(du, dt, out=du), out=w)
 
-    measure(0, state)
-    evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state,
-                 replicas=np.arange(replicas), on_step=on_step)
+    def on_flux(t, ax, grad, f):  # the environment of the slice the drift evaluates
+        linearized_environment(V, grad, pv[ax], env[ax])
+
+    for ax in range(d):  # slice 0
+        on_flux(t_keep, ax, forward_difference(state, 1 + ax), None)
+    evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state, replicas=np.arange(replicas),
+                 on_step=lambda k, t, phi: step(k), on_flux=on_flux)
+    step(n_keep)  # measures the last slice
     entries = acc / count
     mean = entries.mean(axis=0)
     se = entries.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -602,38 +604,39 @@ def linearization_modulus(
         b = len(ids)
         # members: p for every replica, then each q for every replica
         tilts = SlopePath.constant(np.repeat([pv] + qs, b, axis=0))
-        env = np.empty((b, d) + grid.shape)
+        env = np.empty((d, b) + grid.shape)
         w = np.zeros((m, b) + grid.shape)
-        bufs = tuple(np.empty_like(w) for _ in range(3))
-        resid = np.empty_like(w)
+        div, flux = periodic_divergence(w.shape, d), linearized_flux(env, xi)
+        resid, sq_grad = np.empty_like(w), np.empty_like(w)
         # the squared residual gradients, summed as if each (probe, replica,
         # axis) stream were one contiguous (slices, *shape) array
         sq = _StreamSum((m, b, d), n, grid.nsites)
         sq.slot(grid.nsites)[...] = 0.0  # every member and w start at zero
         sq.advance(grid.nsites)
 
-        def set_env(phi_p):
-            for ax in range(d):
-                env[:, ax] = V.vpp(forward_difference(phi_p, 1 + ax) + pv[ax])
+        def on_flux(t, ax, grad, f):  # slice k, from the p-members, the first b
+            linearized_environment(V, grad[:b], pv[ax], env[ax])
 
         def on_step(k, t, state):
             # the corrector step k uses the environment of slice k, i.e.
             # before the update that produced `state`
-            nonlocal w, resid
             members = state.reshape((1 + m, b) + grid.shape)
-            w += dt * linearized_corrector_drift(w, env, xi, bufs)
-            np.subtract(members[1:], members[0], out=resid)
-            resid -= w
+            du = div(w, flux)
+            np.add(w, np.multiply(du, dt, out=du), out=w)
+            for i in range(m):
+                np.subtract(members[1 + i], members[0], out=resid[i])
+            np.subtract(resid, w, out=resid)
             slot = sq.slot(grid.nsites).reshape((m, b, d) + grid.shape)
             for ax in range(d):
-                g = forward_difference(resid, 2 + ax, out=slot[:, :, ax])
-                np.square(g, out=g)
+                g = forward_difference(resid, 2 + ax, out=sq_grad)
+                np.copyto(slot[:, :, ax], np.square(g, out=g))
             sq.advance(grid.nsites)
-            set_env(members[0])
 
-        set_env(np.zeros((b,) + grid.shape))
+        for ax in range(d):  # slice 0: every member starts at zero
+            on_flux(t0, ax, np.zeros((b,) + grid.shape), None)
         evolve_torus(grid, V, tilts, src, t0, n_steps, dt, np.zeros(grid.shape),
-                     replicas=np.tile(ids, 1 + m), on_step=on_step, threads=threads)
+                     replicas=np.tile(ids, 1 + m), on_step=on_step, on_flux=on_flux,
+                     threads=threads)
         total = sq.total()
         acc = np.zeros((m, b))
         for ax in range(d):

@@ -8,16 +8,18 @@ holds site values on one uniform time grid and snaps query times to the
 nearest slice.
 
 Every periodic difference and divergence of the package is one of the
-stencil functions below: the shift, forward difference and backward
-divergence.  A Dirichlet difference is that of `np.diff`, where nothing
-wraps around: along axis i the grid has N edges (x, x+e_i), one per site of
-`dirichlet_edges`, and no value on the far face.  The one Dirichlet
-divergence, `dirichlet_divergence`, is bound once per run to the state's
-shape: it owns its index tuples and buffers, and reads only the edges of
-`interior_across`, which are all that the interior update needs.  Every
+stencil functions below; the torus dynamic and its linearization share one,
+`periodic_divergence`.  A Dirichlet difference is that of `np.diff`, where
+nothing wraps around: along axis i the grid has N edges (x, x+e_i), one per
+site of `dirichlet_edges`, and no value on the far face.  The Dirichlet
+divergence, `dirichlet_divergence`, reads only the edges of
+`interior_across`, which are all that the interior update needs.  Both
+divergences are bound once per run to a shape and own their buffers.  Every
 solver steps through the one explicit time loop, `time_loop`, and supplies
 only its drift; under an interior mask the drift holds the masked sites
-only.
+only.  numpy runs a ufunc on strided or broadcast operands through buffers
+that it allocates on every call, so the hot kernels take their differences
+over flattened arrays, copy out the entries wanted, and broadcast by copies.
 
 Site indexing is row-major over {-L..L}^d.  Edge fields store the value on
 the positively oriented edge (x, x+e_i) at index [i, x]; antisymmetry is
@@ -246,38 +248,17 @@ def _along(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
     return tuple(idx)
 
 
-@lru_cache(maxsize=None)
-def _shift_index(ndim: int, ax: int, n: int, step: int) -> tuple[tuple[slice, ...], ...]:
-    """(to, from) index pairs of `shift`'s two copies, flattened."""
-    k = step % n
-    return (_along(ndim, ax, slice(k, None)), _along(ndim, ax, slice(None, n - k)),
-            _along(ndim, ax, slice(None, k)), _along(ndim, ax, slice(n - k, None)))
-
-
-def shift(a: np.ndarray, ax: int, step: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic shift along ax, equal to np.roll(a, step, axis=ax).
-
-    step = -1 reads the forward neighbor, out[x] = a[x + e_ax]; step = +1
-    reads the backward one, out[x] = a[x - e_ax].
-    """
-    if out is None:
-        out = np.empty_like(a)
-    to_hi, from_lo, to_lo, from_hi = _shift_index(a.ndim, ax, a.shape[ax], step)
-    out[to_hi] = a[from_lo]
-    out[to_lo] = a[from_hi]
-    return out
-
-
 def forward_difference(u: np.ndarray, ax: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic forward difference u(x + e_ax) - u(x)."""
-    return np.subtract(shift(u, ax, -1), u, out=out)
-
-
-def forward_gradients(u: np.ndarray) -> np.ndarray:
-    """All forward differences of a torus slice: out[i] = u(.+e_i) - u(.)."""
-    out = np.empty((u.ndim,) + u.shape, dtype=np.float64)
-    for ax in range(u.ndim):
-        forward_difference(u, ax, out=out[ax])
+    """Periodic forward difference u(x + e_ax) - u(x), into a C-contiguous
+    `out`: one subtraction over the flattened field, then the wrap face."""
+    if out is None:
+        out = np.empty(u.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    s, first, last = _wrap_index(u.shape, ax)
+    flat = u.reshape(-1)
+    np.subtract(flat[s:], flat[:-s], out=out.reshape(-1)[:-s])
+    np.subtract(u[first], u[last], out=out[last])
     return out
 
 
@@ -286,7 +267,7 @@ def divergence_field(g: np.ndarray) -> np.ndarray:
     site: the sum over i of g_i(x) - g_i(x - e_i)."""
     out = np.zeros(g.shape[1:], dtype=np.float64)
     for ax in range(g.shape[0]):
-        out += g[ax] - shift(g[ax], ax, 1)
+        out += g[ax] - np.roll(g[ax], 1, axis=ax)
     return out
 
 
@@ -305,10 +286,12 @@ def interior_across(d: int, ax: int, along: slice) -> tuple:
     return (Ellipsis,) + tuple(along if k == ax else slice(1, -1) for k in range(d))
 
 
-def _c_stride(shape: tuple[int, ...], ax: int) -> int:
-    """The step, in elements, from one site to the next along ax of a
-    C-contiguous array of this shape."""
-    return math.prod(shape[ax + 1:])
+@lru_cache(maxsize=None)
+def _wrap_index(shape: tuple[int, ...], ax: int) -> tuple:
+    """(stride, first layer, last layer) along array axis ax of C-contiguous
+    arrays of this shape, the stride in elements from one site to the next."""
+    return (math.prod(shape[ax + 1:]), _along(len(shape), ax, slice(None, 1)),
+            _along(len(shape), ax, slice(-1, None)))
 
 
 def dirichlet_divergence(shape: tuple[int, ...], d: int, h: float):
@@ -326,12 +309,8 @@ def dirichlet_divergence(shape: tuple[int, ...], d: int, h: float):
 
     The flux on edge (x, x + e_ax) enters with opposite signs at x and
     x + e_ax, so the discrete integration-by-parts identity holds exactly.
-
-    numpy runs a ufunc on strided views through buffers of its own, which
-    it allocates and fills on every call.  So each difference is taken
-    over the flattened field, one contiguous subtraction whose entries at
-    the far face (and across rows) are never read, and the entries wanted
-    are then copied out of it into a contiguous buffer.
+    Each difference is one subtraction over the flattened field, whose
+    entries at the far face (and across rows) are never read.
     """
     shape = tuple(shape)
     lead = len(shape) - d
@@ -344,7 +323,7 @@ def dirichlet_divergence(shape: tuple[int, ...], d: int, h: float):
         edges = shape[:lead] + tuple(n - 1 if k == ax else n - 2 for k, n in enumerate(sides))
         g = np.empty(edges)
         f_diffs = np.empty(g.size)  # of the flux, flat
-        s_u, s_f = _c_stride(shape, lead + ax), _c_stride(edges, lead + ax)
+        s_u, s_f = _wrap_index(shape, lead + ax)[0], _wrap_index(edges, lead + ax)[0]
         axes.append((s_u, diffs[:-s_u],
                      diffs.reshape(shape)[interior_across(d, ax, slice(None, -1))],
                      g, np.empty_like(g), np.empty_like(g), s_f, f_diffs[:-s_f],
@@ -371,15 +350,40 @@ def dirichlet_divergence(shape: tuple[int, ...], d: int, h: float):
     return divergence
 
 
+def periodic_divergence(shape: tuple[int, ...], d: int):
+    """The divergence of a flux of the forward differences of torus fields
+    of `shape` (leading batch axes allowed), bound to that shape once.
+
+    Returns `div(u, flux)`: the sum over axes ax of f(x) - f(x - e_ax),
+    where `flux(ax, g, out, tmp)` writes f, a flux of the difference g along
+    ax, into `out` and returns it (`tmp` is scratch).  g, out, tmp and the
+    result are the binding's buffers.  It adds f, then subtracts its shift
+    (a flat copy, then the wrap face), which rounds differently from
+    `divergence_field`'s `+= f - f(. - e_ax)`.
+    """
+    shape = tuple(shape)
+    lead = len(shape) - d
+    drift, grad, out, tmp = (np.empty(shape) for _ in range(4))
+
+    def divergence(u: np.ndarray, flux) -> np.ndarray:
+        if u.shape != shape:
+            raise ValueError(f"bound to fields of shape {shape}, got {u.shape}")
+        drift.fill(0.0)
+        for ax in range(d):
+            f = flux(ax, forward_difference(u, lead + ax, out=grad), out, tmp)
+            s, first, last = _wrap_index(shape, lead + ax)
+            np.copyto(tmp.reshape(-1)[s:], f.reshape(-1)[:-s])
+            np.copyto(tmp[first], f[last])
+            np.add(drift, f, out=drift)
+            np.subtract(drift, tmp, out=drift)
+        return drift
+
+    return divergence
+
+
 # ---------------------------------------------------------------------------
 # explicit time loop
 # ---------------------------------------------------------------------------
-
-def _scaled(a: np.ndarray, c: float) -> np.ndarray:
-    """a, scaled by c in place."""
-    a *= c
-    return a
-
 
 def _gathered(a: np.ndarray, buf: np.ndarray | None) -> np.ndarray:
     """a, copied into buf unless buf is None."""
@@ -433,20 +437,18 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     # Every per-step array is owned by the run (the drift's and the noise's
     # buffers), so the loop scales them in place and allocates nothing:
     # a step that still allocates part of its arrays costs page faults.
-    #
-    # Under a mask the interior is a strided view, and numpy runs a ufunc on
-    # strided operands through buffers that it allocates on every call: the
-    # loop copies the interior and the draw's interior into contiguous
-    # buffers of its own, updates there, and copies the interior back.
+    # Under a mask the interior is a strided view: the loop updates
+    # contiguous copies of it and of the draw's, and copies the interior back.
     work, xi_in = (None, None) if mask is None else (np.empty(inner.shape), np.empty(inner.shape))
     for k in range(n_steps):
         du = drift(k, t0 + k * dt, state)
         if du.shape != inner.shape:
             raise ValueError(f"the drift has shape {du.shape}; the masked state, {inner.shape}")
         u = _gathered(inner, work)
-        u += _scaled(du, dt)
+        u += np.multiply(du, dt, out=du)
         if draws is not None:
-            u += _scaled(_gathered(next(draws).reshape(state.shape)[idx], xi_in), sq)
+            xi = _gathered(next(draws).reshape(state.shape)[idx], xi_in)
+            u += np.multiply(xi, sq, out=xi)
         if work is not None:
             inner[...] = work
         t_next = t0 + (k + 1) * dt

@@ -5,9 +5,9 @@ Each solver supplies a drift kernel to the explicit loop
 same stability rule (dt <= 1/(8 d c+)), so deterministic and stochastic
 trajectories can be coupled exactly.  The periodic heat kernel is started
 from a mean-zero point mass; superposing kernel tables realizes the
-representation formula for forced equations, and the same stepping solves
-the linearized equation along a recorded trajectory
-(`linearized_corrector_drift`).
+representation formula for forced equations.  The linearized equation
+dw/dt = div(a (grad w + xi)), a = V''(p + grad phi), steps through the torus
+dynamic's divergence with another flux, `linearized_flux`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .lattice import (
     dirichlet_divergence,
     divergence_field,
     forward_difference,
-    forward_gradients,
-    shift,
+    periodic_divergence,
     time_loop,
 )
 from .potential import Potential
@@ -145,7 +144,7 @@ def solve_linear_parabolic(
     u = np.zeros(grid.shape) if init is None else np.array(init, dtype=float, copy=True)
 
     def linear_drift(k, t, u):
-        du = divergence_field(a * forward_gradients(u))
+        du = divergence_field(a * np.stack([forward_difference(u, ax) for ax in range(u.ndim)]))
         if site_forcing is not None:
             du += site_forcing.at(t)
         return du
@@ -154,33 +153,30 @@ def solve_linear_parabolic(
     return SpaceTimeField(grid, t0, dt, out)
 
 
-def linearized_corrector_drift(w: np.ndarray, env: np.ndarray, xi: np.ndarray,
-                               bufs) -> np.ndarray:
-    """The drift div(a grad w) + div(a xi) of the linearized equation, batched.
+def linearized_environment(V: Potential, grad: np.ndarray, p: float, out: np.ndarray) -> None:
+    """a = V''(p + grad phi) on the edges along one axis, into `out`, from
+    phi's untilted differences `grad` and the tilt's component p there."""
+    out[...] = V.vpp(np.add(grad, p, out=out))
 
-    w has shape (m, B, *shape): m tilt directions xi (shape (m, d)) times B
-    environments.  env, shape (B, d, *shape), holds a(t, e) at the start of
-    the step and is shared by the m directions.  `bufs` holds three scratch
-    arrays of w's shape; the drift is returned in the last one.  An explicit
-    step is `w += dt * drift`; mean-zero w stays mean-zero.
+
+def linearized_flux(env: np.ndarray, xi: np.ndarray):
+    """The flux a (grad w + xi) of the linearized equation, as
+    `lattice.periodic_divergence` takes it, for w of shape (m, B, *shape):
+    m tilt directions xi (shape (m, d)) times B environments.  env, shape
+    (d, B, *shape), holds a along each axis, read at each call.  A step is
+    `w += dt * div(w, flux)`; mean-zero w stays mean-zero.
     """
-    flux, shifted, du = bufs
-    lead = (-1,) + (1,) * (w.ndim - 1)
-    # evolve_torus's accumulation order, `+= f; -= shift(f)`, written into
-    # preallocated buffers because per-call cost dominates on small arrays.
-    du.fill(0.0)
-    for ax in range(xi.shape[1]):
-        a = 2 + ax
-        shift(w, a, -1, out=flux)
-        flux -= w
-        if np.any(xi[:, ax] != 0.0):
-            # exact for the directions with xi[ax] == 0 too: flux is never
-            # -0.0 (w starts at +0.0), so adding 0.0 changes no bit
-            flux += xi[:, ax].reshape(lead)
-        flux *= env[:, ax]
-        du += flux
-        du -= shift(flux, a, 1, out=shifted)
-    return du
+    tilted = [bool(np.any(xi[:, ax] != 0.0)) for ax in range(xi.shape[1])]
+
+    def flux(ax, grad, out, tmp):
+        for i in range(len(xi)):  # per direction, not broadcast over them
+            g = grad[i]
+            if tilted[ax]:  # adding 0.0 is exact: w starts at +0.0, never -0.0
+                g = np.add(g, xi[i, ax], out=out[i])
+            np.multiply(g, env[ax], out=out[i])
+        return out
+
+    return flux
 
 
 def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> SpaceTimeField:
@@ -200,12 +196,13 @@ def solve_linearized_corrector(phi: SpaceTimeField, p, xi, V: Potential) -> Spac
     _check_dt(dt, d, V.c_plus)
     n = phi.nslices
     # environment along the whole trajectory, vectorized over slices
-    env = np.empty((n - 1, d) + grid.shape)
+    env = np.empty((n - 1, d, 1) + grid.shape)
     for ax in range(d):
-        env[:, ax] = V.vpp(forward_difference(phi.values[:-1], 1 + ax) + pv[ax])
+        linearized_environment(V, forward_difference(phi.values[:-1], 1 + ax), pv[ax],
+                               env[:, ax, 0])
     w = np.zeros((1, 1) + grid.shape)
-    bufs = tuple(np.empty_like(w) for _ in range(3))
-    out = time_loop(w, lambda k, t, w: linearized_corrector_drift(w, env[k:k + 1], xi[None], bufs),
+    div = periodic_divergence(w.shape, d)
+    out = time_loop(w, lambda k, t, w: div(w, linearized_flux(env[k], xi[None])),
                     phi.t0, dt, n - 1, record_stride=1)
     return SpaceTimeField(grid, phi.t0, dt, out[:, 0, 0])
 

@@ -81,9 +81,10 @@ def kinked(b: float) -> Potential:
         raise ValueError(f"kink size must lie in (0, 1), got {b}")
 
     def vp(x, out=None, tmp=None):
-        # x + b * clip(x, -1, 1), one operation at a time
+        # x + b * clip(x, -1, 1), one operation at a time, without np.clip's wrappers
         x = np.asarray(x, dtype=np.float64)
-        out = np.clip(x, -1.0, 1.0, out=np.empty_like(x) if out is None else out)
+        out = np.maximum(x, -1.0, out=np.empty_like(x) if out is None else out)
+        np.minimum(out, 1.0, out=out)
         np.multiply(b, out, out=out)
         return np.add(x, out, out=out)
 

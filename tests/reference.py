@@ -1,7 +1,8 @@
 """Reference implementations that the unit tests compare library code
-against: pointwise forms of the torus stencil, the window accumulator that
-recomputes fluxes from the state, the parabolic Hoelder seminorm, and the
-continuous-time relaxation variance."""
+against: pointwise forms of the torus stencil, the shift stencils of the
+torus drift and of the linearized corrector's drift, the window accumulator
+that recomputes fluxes from the state, the parabolic Hoelder seminorm, and
+the continuous-time relaxation variance."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from gradphi.lattice import (
     SpaceTimeField,
     TorusGrid,
     divergence_field,
-    forward_gradients,
+    forward_difference,
 )
 from gradphi.spectral import laplacian_eigenvalues
 
@@ -80,6 +81,11 @@ def divergence(g: EdgeField, x) -> float:
     return float(divergence_field(g.data)[g.grid.array_index(x)])
 
 
+def forward_gradients(u: np.ndarray) -> np.ndarray:
+    """All forward differences of a torus slice: out[i] = u(.+e_i) - u(.)."""
+    return np.stack([forward_difference(u, ax) for ax in range(u.ndim)])
+
+
 def nonlinear_div_field(V, q, u: np.ndarray) -> np.ndarray:
     """The drift field x -> sum_y V'(q.(y-x) + u(y) - u(x)) on the torus."""
     g = forward_gradients(u)
@@ -92,6 +98,55 @@ def nonlinear_div(V, q, u: np.ndarray, x) -> float:
     """Pointwise value of the uniformly convex elliptic operator at site x."""
     return float(nonlinear_div_field(V, np.asarray(q, dtype=float), u)[
         tuple((np.asarray(x) + (u.shape[0] - 1) // 2) % u.shape[0])])
+
+
+# ---------------------------------------------------------------------------
+# shift stencils
+# ---------------------------------------------------------------------------
+
+def shift(a: np.ndarray, ax: int, step: int) -> np.ndarray:
+    """Periodic shift along ax: step = -1 reads the forward neighbor,
+    out[x] = a[x + e_ax]; step = +1 reads the backward one."""
+    return np.roll(a, step, axis=ax)
+
+
+def torus_drift(V, q, u: np.ndarray) -> np.ndarray:
+    """The drift of `evolve_torus` on a batch u of shape (B, *shape) under
+    the tilt q (None, a shared (d,) tilt or (B, d) per member), axis by axis
+    `drift += f; drift -= shift(f)` with f = V'(grad u + q)."""
+    d = u.ndim - 1
+    drift = np.zeros_like(u)
+    for ax in range(d):
+        a = 1 + ax
+        grad = shift(u, a, -1) - u
+        x = grad
+        if q is not None:
+            q = np.asarray(q, dtype=float)
+            if q.ndim == 2:
+                x = grad + q[:, ax].reshape((-1,) + (1,) * d)
+            elif q[ax] != 0.0:
+                x = grad + q[ax]
+        f = V.vp(x)
+        drift += f
+        drift -= shift(f, a, 1)
+    return drift
+
+
+def linearized_corrector_drift(w: np.ndarray, env: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The drift div(a grad w) + div(a xi) of the linearized equation for w
+    of shape (m, B, *shape), with env of shape (B, d, *shape) and the m tilt
+    directions xi of shape (m, d), in the torus drift's order."""
+    lead = (-1,) + (1,) * (w.ndim - 1)
+    du = np.zeros_like(w)
+    for ax in range(xi.shape[1]):
+        a = 2 + ax
+        flux = shift(w, a, -1) - w
+        if np.any(xi[:, ax] != 0.0):
+            flux += xi[:, ax].reshape(lead)
+        flux *= env[:, ax]
+        du += flux
+        du -= shift(flux, a, 1)
+    return du
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gradphi.lattice import (
     forward_difference,
     horizon_steps,
     make_torus,
-    shift,
 )
 from gradphi.dynamics import (
     SlopePath,
@@ -29,7 +28,7 @@ from gradphi.dynamics import (
 )
 from gradphi.noise import NoiseSource
 from gradphi.potential import quadratic, soft_quartic
-from reference import relaxation_variance
+from reference import relaxation_variance, torus_drift
 
 
 def test_zero_horizon_gives_zero_field():
@@ -92,7 +91,7 @@ def test_discrete_relaxation_variance_tends_to_continuous():
 
 def test_torus_step_accumulation_order():
     # a noiseless step is bitwise the hand-written `drift += f; drift -=
-    # shift(f)` update; the other order, `drift += f - shift(f)`, rounds
+    # roll(f)` update; the other order, `drift += f - roll(f)`, rounds
     # differently on this field
     grid = make_torus(2, 4)
     V = soft_quartic(0.5)
@@ -106,10 +105,29 @@ def test_torus_step_accumulation_order():
     for ax in range(2):
         f = V.vp(forward_difference(u, ax) + q[ax])
         drift += f
-        drift -= shift(f, ax, 1)
-        other += f - shift(f, ax, 1)
+        drift -= np.roll(f, 1, axis=ax)
+        other += f - np.roll(f, 1, axis=ax)
     assert np.array_equal(state, u + dt * drift)
     assert not np.array_equal(state, u + dt * other)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("tilt", ["none", "shared", "per-member"])
+def test_torus_step_equals_the_shift_stencil(d, L, tilt):
+    # a noiseless step of a batch (sides 3 and 5) is bitwise the shift
+    # stencil's drift, with no tilt, a shared tilt (zero in one component)
+    # and one tilt per member
+    B, grid = 3, make_torus(d, L)
+    V = soft_quartic(0.5)
+    dt = stable_dt(V, d)
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(B,) + grid.shape)
+    q = {"none": None, "shared": np.r_[0.3, np.zeros(d - 1)],
+         "per-member": rng.normal(size=(B, d))}[tilt]
+    state, _ = evolve_torus(grid, V, None if q is None else SlopePath.constant(q), None,
+                            0.0, 1, dt, u, replicas=np.arange(B))
+    assert np.array_equal(state, u + dt * torus_drift(V, q, u))
 
 
 @pytest.mark.parametrize("tilt", ["none", "shared", "per-member"])
@@ -167,7 +185,8 @@ def test_dirichlet_step_allocates_nothing():
 
         return at
 
-    runs = (lambda: run_dirichlet(dom, datum, quadratic(), None, np.arange(B), threads=None),
+    runs = (lambda: run_dirichlet(dom, datum, quadratic(), None, np.arange(B), None, record=None,
+                                  threads=None),
             lambda: solve_homogenized(EffectiveGradient.identity(), dom, datum,
                                       record_stride=4096, dt_unit=stable_dt(quadratic(), 2)))
     for run in runs:
@@ -196,8 +215,8 @@ def test_batched_replicas_match_single_replica_runs():
                           replicas=np.arange(B), record_stride=5)
     dom = DirichletDomain(2, 4)
 
-    dirichlet = run_dirichlet(dom, _sine_datum, V, src, replicas=np.arange(B),
-                              record_stride=16, threads=None)
+    dirichlet = run_dirichlet(dom, _sine_datum, V, src, np.arange(B), None, record=(16, B),
+                              threads=None)
     for r in range(B):
         solo = src.with_replica(2 + r)
         one = np.arange(1)
@@ -206,7 +225,7 @@ def test_batched_replicas_match_single_replica_runs():
         _, rec_r = evolve_torus(grid, V, path, solo, -1.0, 20, dt, init_r,
                                 replicas=one, record_stride=5)
         assert np.array_equal(rec[:, r], rec_r[:, 0])
-        dirichlet_r = run_dirichlet(dom, _sine_datum, V, solo, replicas=one, record_stride=16,
+        dirichlet_r = run_dirichlet(dom, _sine_datum, V, solo, one, None, record=(16, 1),
                                     threads=None)
         assert np.array_equal(dirichlet[:, r], dirichlet_r[:, 0])
 
@@ -465,7 +484,7 @@ def _sine_datum(pts):
 
 def test_dirichlet_zero_data_zero_noise_stays_zero():
     dom = DirichletDomain(2, 4)
-    out = run_dirichlet(dom, _zero_datum, quadratic(), None, np.arange(1), record_stride=1,
+    out = run_dirichlet(dom, _zero_datum, quadratic(), None, np.arange(1), None, record=(1, 1),
                         threads=None)
     assert np.max(np.abs(out)) == 0.0
 
@@ -483,8 +502,8 @@ def test_dirichlet_boundary_pinned_every_step():
             expect = smooth(t, dom.boundary_mask) / dom.mesh
             checked.append(np.max(np.abs(state[:, dom.boundary_mask] - expect)))
 
-    run_dirichlet(dom, _sine_datum, quadratic(), NoiseSource(seed=44), np.arange(1),
-                  on_step=on_step, threads=None)
+    run_dirichlet(dom, _sine_datum, quadratic(), NoiseSource(seed=44), np.arange(1), on_step,
+                  record=None, threads=None)
     assert checked and max(checked) < 1e-12
 
 
@@ -541,8 +560,8 @@ def test_dirichlet_matches_homogenized_identity_zero_noise():
 
     dom = DirichletDomain(2, 4)
 
-    micro = run_dirichlet(dom, _sine_datum, quadratic(), None, np.arange(1),
-                          record_stride=8, threads=None)[:, 0]
+    micro = run_dirichlet(dom, _sine_datum, quadratic(), None, np.arange(1), None,
+                          record=(8, 1), threads=None)[:, 0]
     macro = solve_homogenized(EffectiveGradient.identity(), dom, _sine_datum,
                               dt_unit=stable_dt(quadratic(), 2), record_stride=8)
     assert micro.shape == macro.values.shape

@@ -293,6 +293,21 @@ def test_hydro_gradient_two_scale_diagnostic():
     assert all(np.isfinite(row["error"]) and row["error"] > 0 for row in diag)
 
 
+def test_hydro_gradient_diagnostic_with_more_replicas_than_the_run_reports():
+    # the main run covers the diagnostic's replicas and reports the first
+    # `replicas` of them only; every row equals that of a run reporting all
+    from gradphi.harness import hydro_limit_experiment
+
+    cfg = {"potential": {"kind": "quadratic"}, "epsilons": [0.25], "f": {"name": "sine_product"},
+           "gradient_diagnostic": {"epsilons": [0.25], "replicas": 2}}
+    few = hydro_limit_experiment(seed=7, replicas=1, **cfg)
+    every = hydro_limit_experiment(seed=7, replicas=2, **cfg)
+    assert few.rows == every.rows[:1]
+    assert few.summary["mean_error"][0] == every.rows[0][2]
+    assert few.summary["gradient_two_scale"] == every.summary["gradient_two_scale"]
+    assert len(few.summary["gradient_two_scale"]) == 2
+
+
 @pytest.mark.parametrize("name, cfg", [
     ("flux-decay", {"potential": {"kind": "soft_quartic", "a": 0.5}, "L": 8,
                     "windows": [2, 3, 4], "replicas": 12, "horizon": 4, "seed": 5}),

@@ -9,24 +9,26 @@ from gradphi.lattice import (
     dirichlet_divergence,
     divergence_field,
     forward_difference,
-    forward_gradients,
     horizon_steps,
     interior_across,
     make_torus,
-    shift,
+    periodic_divergence,
     time_loop,
 )
 from gradphi.dynamics import run_dirichlet, stable_dt
 from gradphi.noise import MeanSubtractedNoise, NoiseSource
-from gradphi.parabolic import EffectiveGradient
+from gradphi.parabolic import EffectiveGradient, linearized_flux
 from gradphi.potential import quadratic, soft_quartic
 from reference import (
     EdgeField,
     divergence,
+    forward_gradients,
     grad,
+    linearized_corrector_drift,
     neighbors,
     nonlinear_div,
     nonlinear_div_field,
+    torus_drift,
 )
 
 
@@ -202,12 +204,38 @@ def _stencil_fields():
 def test_periodic_stencil_equals_roll():
     for a in _stencil_fields():
         for ax in range(a.ndim):
-            for step in (1, -1):
-                assert np.array_equal(shift(a, ax, step), np.roll(a, step, axis=ax))
-                out = np.empty_like(a)
-                assert shift(a, ax, step, out=out) is out
-                assert np.array_equal(out, np.roll(a, step, axis=ax))
             assert np.array_equal(forward_difference(a, ax), np.roll(a, -1, axis=ax) - a)
+            out = np.empty_like(a)
+            assert forward_difference(a, ax, out=out) is out
+            assert np.array_equal(out, np.roll(a, -1, axis=ax) - a)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                forward_difference(a, ax, out=np.empty(a.shape[::-1]).T)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("side", [3, 5])
+def test_periodic_divergence_equals_the_shift_stencil(d, side):
+    # the bound kernel with V' as its flux, and with the linearized flux,
+    # is bitwise the shift stencil of the torus drift and of the linearized
+    # corrector's drift, over one and two leading batch axes
+    rng = np.random.default_rng(14)
+    V = soft_quartic(0.5)
+    u = rng.normal(size=(3,) + (side,) * d)
+    div = periodic_divergence(u.shape, d)
+    assert np.array_equal(div(u, lambda ax, g, out, tmp: V.vp(g, out=out, tmp=tmp)),
+                          torus_drift(V, None, u))
+    with pytest.raises(ValueError, match="bound to fields"):
+        div(u[:2], None)
+
+    m, B = 3, 2
+    w = rng.normal(size=(m, B) + (side,) * d)
+    env = rng.uniform(1.0, 1.5, size=(d, B) + (side,) * d)
+    xis = [np.zeros((m, d)), np.eye(m, d) * 0.4, rng.normal(size=(m, d))]
+    xis[1][:, 1:] = 0.0  # nonzero in the first component only, zero in one direction
+    div = periodic_divergence(w.shape, d)
+    for xi in xis:
+        expect = linearized_corrector_drift(w, np.moveaxis(env, 0, 1), xi)
+        assert np.array_equal(div(w, linearized_flux(env, xi)), expect)
 
 
 def test_gradient_and_divergence_fields_equal_roll():
@@ -251,7 +279,7 @@ def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
     eps = dom.mesh
     src, reps = NoiseSource(seed=31), np.arange(2)
     rec = run_dirichlet(dom, lambda p: lambda t: np.exp(t) * np.sin(3.0 * p.sum(axis=-1)),
-                        V, src, reps, record_stride=1, threads=None)
+                        V, src, reps, None, record=(1, 2), threads=None)
     dt = stable_dt(V, d)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
     k0 = int(round(t0 / dt))

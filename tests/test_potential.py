@@ -29,6 +29,19 @@ def test_soft_quartic_closed_forms():
         soft_quartic(0.0)
 
 
+def test_kinked_vp_has_the_bits_of_clip():
+    # V' clips with maximum then minimum: the bits of np.clip, NaN and -0.0
+    # included, so x + b clip(x, -1, 1) is unchanged bit for bit
+    b = 0.5
+    x = np.concatenate([[np.nan, -0.0, 0.0, -np.inf, np.inf, -1.0, 1.0, np.nextafter(1.0, 2.0),
+                         np.nextafter(-1.0, -2.0)],
+                        np.random.default_rng(5).normal(scale=2.0, size=1000)])
+    clipped = np.clip(x, -1.0, 1.0)
+    assert np.minimum(np.maximum(x, -1.0), 1.0).tobytes() == clipped.tobytes()
+    assert kinked(b).vp(x).tobytes() == (x + b * clipped).tobytes()
+    assert np.signbit(kinked(b).vp(x)[1]) and np.isnan(kinked(b).vp(x)[0])
+
+
 def test_kinked_closed_forms():
     b = 0.3
     V = kinked(b)
