@@ -402,12 +402,15 @@ def run_dirichlet(
     state = np.zeros((len(replicas),) + dom.shape)
     state[:, all_mask] = datum(t0_unit * eps * eps, all_mask) / eps
 
-    stride, n = record or (None, 0)
-    recorded = [state[:n].copy()]
+    recorded = None
+    if record is not None:
+        stride, n = record
+        recorded = np.empty((n_steps // stride + 1, n) + dom.shape)
+        recorded[0] = state[:n]
 
     def step(k, t, u):  # the loop runs in unit time, on_step sees macroscopic time
-        if stride is not None and (k + 1) % stride == 0:
-            recorded.append(u[:n].copy())
+        if recorded is not None and (k + 1) % stride == 0:
+            recorded[(k + 1) // stride] = u[:n]
         if on_step is not None:
             on_step(k, t * eps * eps, u)
 
@@ -418,4 +421,6 @@ def run_dirichlet(
                  if src is not None else None)
         time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
                   mask=dom.interior_box, noise=noise, pin=pin, on_step=step, record_stride=None)
-    return None if stride is None else np.stack(recorded) * eps
+    if recorded is not None:
+        recorded *= eps
+    return recorded

@@ -208,14 +208,16 @@ class MeanSubtractedNoise:
     with distinct absolute coordinates); the spatial mean is always taken
     over the trailing `spatial_ndim` axes.
 
-    Every draw is a pure function of its key.  So each step draws every
-    distinct site key (overlapping windows repeat keys) of every distinct
-    replica id (coupled trajectories repeat ids) once and gathers the rest;
-    and a run draws its steps one at a time, or with a one-thread `pool` in
+    Repeated replica ids (coupled trajectories driven by the same noise)
+    share one draw: each step draws every distinct id once and gathers the
+    rows into a buffer owned by the iterator.  The stream prefix of the ids
+    is hashed once per channel, on its first draw, and held here.
+
+    A run draws its steps one at a time, or with a one-thread `pool` in
     blocks of consecutive steps of about `BUDGET` normals, the next block
-    drawn on the pool while the stepper consumes the current one.  Neither
-    changes a bit.  The stream prefix of the ids is hashed once per
-    channel, on its first draw, and held here.
+    drawn on the pool while the stepper consumes the current one.  Every
+    draw is a pure function of its key, so the blocks and the thread change
+    no bit.
     """
 
     def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
@@ -227,10 +229,6 @@ class MeanSubtractedNoise:
             raise ValueError("mean subtraction needs at least two sites")
         ids, rows = np.unique(replicas, return_inverse=True)
         self.replicas, self._rows = (replicas, None) if len(ids) == len(replicas) else (ids, rows)
-        # a grid's keys are distinct: only stacked windows can repeat them
-        sites = np.unique(keys) if keys.ndim > spatial_ndim else keys
-        self._sites, self._at = ((keys, None) if sites.size == keys.size
-                                 else (sites, np.searchsorted(sites, keys)))
         self._axes = tuple(range(2 + keys.ndim - spatial_ndim, 2 + keys.ndim))
         self._prefixes = {}  # channel -> stream prefix of self.replicas
 
@@ -252,19 +250,16 @@ class MeanSubtractedNoise:
             k = end
         return blocks
 
-    def _draw(self, block: range, slot: np.ndarray, bits: np.ndarray, drawn) -> np.ndarray:
+    def _draw(self, block: range, slot: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """The mean-subtracted draw of a block of absolute steps, in slot;
-        `bits` is scratch, and so is `drawn`, where keys repeat."""
+        `bits` is scratch."""
         channel, steps = _channel_step(block)
         prefix = self._prefixes.get(channel)
         if prefix is None:
             prefix = self._prefixes[channel] = self.src.stream_prefix(channel, self.replicas)
         n = len(block)
-        g = self.src.raw_normals(self._sites, steps, self.replicas, channel, prefix=prefix,
-                                 out=(bits[:n], slot[:n] if self._at is None else drawn[:n]))
-        if self._at is not None:
-            # mode="wrap" (the indices are in range) spares take a copy of out
-            g = np.take(g, self._at, axis=2, out=slot[:n].view(np.float64), mode="wrap")
+        g = self.src.raw_normals(self.keys, steps, self.replicas, channel, prefix=prefix,
+                                 out=(bits[:n], slot[:n]))
         g -= g.mean(axis=self._axes, keepdims=True)
         return g
 
@@ -272,25 +267,24 @@ class MeanSubtractedNoise:
         """The draw of each absolute step of `steps`, in order.
 
         A draw is a view into a reused buffer: it stays valid until the next
-        draw is taken.  The buffers (one block, two with a pool, and
-        scratch) live as long as the iterator.
+        draw is taken.  The buffers (one block, two with a pool, one block
+        of scratch bits, and the gathered rows where ids repeat) live as
+        long as the iterator.
         """
         blocks = self._blocks(steps)
         if not blocks:
             return
-        lead = (max(map(len, blocks)), len(self.replicas))
-        bits = _mapped(lead + self._sites.shape)
-        drawn = None if self._at is None else _mapped(lead + self._sites.shape)
-        slots = [_mapped(lead + self.keys.shape) for _ in range(1 if self.pool is None else 2)]
+        shape = (max(map(len, blocks)), len(self.replicas)) + self.keys.shape
+        bits = _mapped(shape)
+        slots = [_mapped(shape) for _ in range(1 if self.pool is None else 2)]
         rows = None if self._rows is None else np.empty((len(self._rows),) + self.keys.shape)
         ahead = None  # the next block, drawing on the pool
         try:
             for i, block in enumerate(blocks):
-                g = (ahead.result() if ahead is not None
-                     else self._draw(block, slots[0], bits, drawn))
+                g = ahead.result() if ahead is not None else self._draw(block, slots[0], bits)
                 if self.pool is not None and i + 1 < len(blocks):
                     ahead = self.pool.submit(self._draw, blocks[i + 1], slots[(i + 1) % 2],
-                                             bits, drawn)
+                                             bits)
                 for row in g:
                     yield row if rows is None else np.take(row, self._rows, axis=0, out=rows,
                                                            mode="wrap")

@@ -284,12 +284,15 @@ def test_second_order_bound_catches_a_flipped_divergence(monkeypatch):
     assert not _halved_gap_residual_ratio() <= 2 ** -1.5
 
 
-def test_linearize_step_allocates_nothing():
+def test_linearize_step_allocates_no_state_sized_array():
     # numpy reports its array data to tracemalloc: once the run is set up,
     # a step of linearize's batch (the coupled p and q members, their noise
     # drawn on this thread, the correctors and the residual sums) allocates
     # no state-sized array (74 KB at this shape).  The level is taken at the
-    # first V' of step 1, once step 0 has made the noise buffers.
+    # first V' of step 1, once step 0 has made the noise buffers.  A step
+    # still allocates about 51 KB below that size: the noise draw's
+    # temporaries and V'' without an `out` (CHANGES.md, the FOUND line on a
+    # linearize step's allocations).
     V = kinked(0.5)
     calls = itertools.count()
     level = []

@@ -195,10 +195,9 @@ def test_block_draws_equal_the_per_step_draws(monkeypatch, keys, ids, spatial_nd
     # every step of a run, drawn one at a time or with a worker thread
     # drawing blocks of `length` steps ahead, is bitwise the draw of that
     # step alone; the runs cross step 0, or stay on one side of it, and each
-    # distinct (id, step, site) is drawn exactly once, where the windows
-    # overlap too
+    # distinct (id, step, site) is drawn exactly once
     src = NoiseSource(seed=41).with_replica(3)
-    n_distinct, n_sites = len(np.unique(ids)), len(np.unique(keys))
+    n_distinct = len(np.unique(ids))
     monkeypatch.setattr(noise_module, "BUDGET", length * n_distinct * keys.size)
     drawn = []
     raw = NoiseSource.raw_normals
@@ -214,8 +213,8 @@ def test_block_draws_equal_the_per_step_draws(monkeypatch, keys, ids, spatial_nd
         with ThreadPoolExecutor(1) if worker else nullcontext() as pool:
             noise = MeanSubtractedNoise(src, keys, ids, spatial_ndim, pool)
             got = [g.copy() for g in noise(run)]
-        assert sum(drawn) == len(run) * n_distinct * n_sites
-        assert max(drawn) <= length * n_distinct * n_sites
+        assert sum(drawn) == len(run) * n_distinct * keys.size
+        assert max(drawn) <= length * n_distinct * keys.size
         assert len(got) == len(run)
         for step, g in zip(run, got):
             assert np.array_equal(g, _per_step_draw(src, keys, ids, spatial_ndim, step))
