@@ -157,9 +157,10 @@ class _WindowAccumulator:
     times Lambda_r, while the dynamics runs; slices enter with unit weight
     (rectangle rule on the integration grid).  It is `evolve_torus`'s
     `on_flux`: the drift hands over the gradient and the flux it evaluates
-    anyway.  The drift never sees the start slice, so a run that starts
-    before -r^2 averages the n_w + 1 slices of [-r^2, 0], and a run that
-    starts at -r^2 the n_w slices of (-r^2, 0], where n_w = r^2 / dt.
+    anyway.  The drift never sees the start slice, so `estimate_tau`, whose
+    run may start at -r^2, hands that slice over itself: its window
+    averages the n_w + 1 slices of [-r^2, 0], where n_w = r^2 / dt.  A
+    flux-decay horizon shorter than r^2 leaves the start slice out.
 
     Each box is copied into a buffer laid out as a box gathered with
     `np.ix_` (batch axis last in memory), so every box mean sums its
@@ -282,9 +283,7 @@ def estimate_tau(
     the equilibrated dynamic (exact free-field sample for the quadratic
     potential, burn-in of L^2 otherwise); a SlopePath starts the dynamic
     from zero and runs a horizon of L^2.  With r = L // 2 the window is
-    [-r^2, 0], except for a constant tilt and the quadratic potential,
-    whose run starts at -r^2: its window is (-r^2, 0], one slice fewer
-    (see `_WindowAccumulator`).
+    [-r^2, 0].
     """
     if replicas < 2:
         raise ValueError("need at least two replicas")
@@ -294,19 +293,22 @@ def estimate_tau(
     window = float(r * r)
 
     constant = not isinstance(slope, SlopePath)
+    start = np.zeros((replicas,) + grid.shape)
     if constant and V.name == "quadratic":
         horizon = window
         start = sample_gff(grid, src, np.arange(replicas))
     elif constant:
         horizon = window + float(L * L)  # burn-in of L^2 before the window
-        start = np.zeros(grid.shape)
     else:
         horizon = max(float(L * L), window)
-        start = np.zeros(grid.shape)
 
     t0, n_steps = horizon_steps(horizon, dt)
     path = as_slope_path(slope, d)
     acc = _WindowAccumulator(grid, [r], replicas)
+    q = path.at(t0)
+    for ax in range(d):  # the start slice, which the drift does not hand over
+        grad = forward_difference(start, 1 + ax)
+        acc(t0, ax, grad, V.vp(grad + q[..., ax].reshape((-1,) + (1,) * d)))
     evolve_torus(grid, V, path, src, t0, n_steps, dt, start,
                  replicas=np.arange(replicas), on_flux=acc)
     flux, _ = acc.averages(r)

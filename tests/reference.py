@@ -1,8 +1,9 @@
 """Reference implementations that the unit tests compare library code
 against: pointwise forms of the torus stencil, the shift stencils of the
 torus drift and of the linearized corrector's drift, the window accumulator
-that recomputes fluxes from the state, the parabolic Hoelder seminorm, and
-the continuous-time relaxation variance."""
+that recomputes fluxes from the state, the parabolic Hoelder seminorm, the
+dense solve of the exact parabolic dual norm, and the continuous-time
+relaxation variance."""
 
 from __future__ import annotations
 
@@ -251,6 +252,40 @@ def holder_seminorm(f: SpaceTimeField, Q: ParabolicCylinder | None, alpha: float
             ratio = np.abs(flat[j][:, None] - flat[k][None, :]) / denom
             best = max(best, float(ratio.max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# exact parabolic dual norm
+# ---------------------------------------------------------------------------
+
+def dense_dual_norm(values: np.ndarray, dt: float, L_weight: float) -> float:
+    """The exact discrete parabolic dual norm by one dense solve.
+
+    Slices 1..m of `values` pair with test functions v that vanish at slice
+    0 and outside the box; the unit ball is v^T B v <= 1 with
+    B = s (I x K + D^T D x K^{-1} / dt^2), s = dt / (m dt nsp),
+    K = I / L_weight^2 + the Dirichlet Laplacian assembled site by site
+    from the box's neighbours, and (D v)_j = v_j - v_{j-1}.  The norm is
+    sqrt(l^T B^{-1} l) for the pairing l = s f.
+    """
+    n_t = values.shape[0]
+    shape = values.shape[1:]
+    sites = list(np.ndindex(*shape))
+    index = {x: i for i, x in enumerate(sites)}
+    nsp, m = len(sites), n_t - 1
+    K = np.eye(nsp) / L_weight**2
+    for x in sites:
+        K[index[x], index[x]] += 2 * len(shape)
+        for ax in range(len(shape)):
+            for step in (-1, 1):
+                y = x[:ax] + (x[ax] + step,) + x[ax + 1:]
+                if y in index:
+                    K[index[x], index[y]] -= 1.0
+    D = np.eye(m) - np.eye(m, k=-1)
+    s = dt / (m * dt * nsp)
+    B = s * (np.kron(np.eye(m), K) + np.kron(D.T @ D, np.linalg.inv(K)) / dt**2)
+    ell = s * np.asarray(values[1:], dtype=np.float64).reshape(m * nsp)
+    return float(np.sqrt(ell @ np.linalg.solve(B, ell)))
 
 
 # ---------------------------------------------------------------------------

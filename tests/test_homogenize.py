@@ -126,13 +126,18 @@ def test_flux_decay_needs_three_scales():
 def paired_accumulators(monkeypatch):
     """Runs the reference accumulator, which recomputes the box gradients and
     fluxes from each state as `on_step`, next to every drift-fed `on_flux`
-    accumulator of homogenize's torus runs; the list holds the pairs."""
+    accumulator of homogenize's torus runs; the list holds the pairs.  An
+    accumulator that holds a slice before the run was handed the start
+    slice, and the reference gets the start state too."""
     pairs = []
     run = homogenize.evolve_torus
 
     def paired(grid, V, slope, src, t0, n_steps, dt, init, on_flux=None, **kw):
         if on_flux is not None:
-            ref = WindowAccumulator(grid, V, slope, on_flux.radii, len(kw["replicas"]))
+            n_batch = len(kw["replicas"])
+            ref = WindowAccumulator(grid, V, slope, on_flux.radii, n_batch)
+            if any(on_flux.counts.values()):
+                ref(0, t0, np.broadcast_to(init, (n_batch,) + grid.shape))
             pairs.append((on_flux, ref))
             kw["on_step"] = ref
         return run(grid, V, slope, src, t0, n_steps, dt, init, on_flux=on_flux, **kw)
@@ -218,6 +223,34 @@ def test_tau_accumulator_equals_the_reference(paired_accumulators, name, d, L):
         paired_accumulators.clear()
         estimate_tau(slope, L, V, 4, NoiseSource(9), d=d)
         _assert_pairs_equal(paired_accumulators, 1)
+
+
+@pytest.fixture
+def window_accumulators(monkeypatch):
+    """Every `_WindowAccumulator` that homogenize builds."""
+    built = []
+
+    class Recorded(homogenize._WindowAccumulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(homogenize, "_WindowAccumulator", Recorded)
+    return built
+
+
+def test_tau_window_averages_n_w_plus_one_slices(window_accumulators):
+    # the slices of [-r^2, 0] from any start: the quadratic constant tilt's
+    # run starts at -r^2 itself, the others before it
+    L, r = 6, 3
+    path = SlopePath(np.array([-np.inf, -4.0]), np.array([[0.1, 0.0], [0.3, 0.0]]))
+    for slope, V in [((0.3, 0.0), quadratic()), (path, quadratic()),
+                     ((0.3, 0.0), soft_quartic(0.5))]:
+        window_accumulators.clear()
+        estimate_tau(slope, L, V, 2, NoiseSource(10))
+        (acc,) = window_accumulators
+        n_w = int(round(r * r / stable_dt(V, 2)))
+        assert acc.counts[r] == n_w + 1
 
 
 def test_linearization_modulus_quadratic_vanishes():

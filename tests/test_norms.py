@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradphi.lattice import SpaceTimeField, make_torus
-from gradphi.norms import _ParabolicBall, hminus1_par_exact, hminus1_par_multiscale
-from reference import holder_seminorm
+from gradphi.norms import hminus1_par_exact, hminus1_par_multiscale
+from reference import dense_dual_norm, holder_seminorm
 
 
 def _field(grid, vals, t0=-1.0):
@@ -67,44 +67,45 @@ def test_multiscale_random_signs_below_constant():
         assert est < ref
 
 
-def _dense_dual_norm(values, dt, L_weight):
-    """Independent dense assembly of the exact dual norm."""
-    n_t = values.shape[0]
-    shape = values.shape[1:]
-    nsp = int(np.prod(shape))
-    m = n_t - 1
-    ball = _ParabolicBall(shape, m, dt, L_weight)
-    K = ball.K
-    Kinv = np.linalg.inv(K)
-    D = np.eye(m) - np.eye(m, k=-1)  # (Dv)_j = v_j - v_{j-1}, v_0 = 0
-    B = ball.scale * (np.kron(np.eye(m), K) + np.kron(D.T @ D, Kinv) / dt**2)
-    ell = (ball.scale * values[1:].reshape(m, nsp)).ravel()
-    return float(np.sqrt(ell @ np.linalg.solve(B, ell)))
-
-
 def test_exact_dual_norm_zero_field():
-    res = hminus1_par_exact(np.zeros((4, 3, 3)), dt=0.5)
-    assert res.value == 0.0 and res.converged
+    assert hminus1_par_exact(np.zeros((4, 3, 3)), dt=0.5) == 0.0
 
 
 def test_exact_dual_norm_matches_dense_solve_on_spike():
     # single spike on a 3 x 3 x (3 slices) cylinder
     vals = np.zeros((3, 3, 3))
     vals[2, 1, 1] = 1.0
-    res = hminus1_par_exact(vals, dt=0.5, tol=1e-8)
-    oracle = _dense_dual_norm(vals, dt=0.5, L_weight=1.5)
-    assert res.converged
-    assert res.value == pytest.approx(oracle, rel=1e-6)
+    oracle = dense_dual_norm(vals, dt=0.5, L_weight=1.5)
+    assert hminus1_par_exact(vals, dt=0.5) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_exact_dual_norm_matches_dense_solve_on_random_fields():
+    # three 3 x 3 boxes, a non-cube 4 x 6 box and a d = 3 box; the weight is
+    # half the longest side
     rng = np.random.default_rng(7)
-    for _ in range(3):
-        vals = rng.normal(size=(4, 3, 3))
-        res = hminus1_par_exact(vals, dt=0.7, tol=1e-8)
-        oracle = _dense_dual_norm(vals, dt=0.7, L_weight=1.5)
-        assert res.converged
-        assert res.value == pytest.approx(oracle, rel=1e-6)
+    shapes = [(4, 3, 3)] * 3 + [(5, 4, 6), (4, 3, 3, 3)]
+    for shape in shapes:
+        vals = rng.normal(size=shape)
+        oracle = dense_dual_norm(vals, dt=0.7, L_weight=max(shape[1:]) / 2.0)
+        assert hminus1_par_exact(vals, dt=0.7) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_exact_dual_norm_of_one_mode_above_the_dense_size():
+    # 81 free slices of 27 x 27 sites, 59,049 unknowns: f is one product
+    # eigenmode, sin((2k - 1) pi j / (2m + 1)) in time and a sine per axis,
+    # so the norm is sqrt(s |f|^2 / (lambda + mu / (dt^2 lambda)))
+    m, n, dt, k, modes = 81, 27, 0.4, 3, (2, 5)
+    j = np.arange(1, m + 1)
+    x = np.arange(1, n + 1)
+    vals = np.zeros((m + 1, n, n))
+    vals[1:] = (np.sin((2 * k - 1) * np.pi * j / (2 * m + 1))[:, None, None]
+                * np.sin(modes[0] * np.pi * x / (n + 1))[:, None]
+                * np.sin(modes[1] * np.pi * x / (n + 1)))
+    mu = 2 - 2 * np.cos((2 * k - 1) * np.pi / (2 * m + 1))
+    lam = 1 / (n / 2) ** 2 + sum(2 - 2 * np.cos(a * np.pi / (n + 1)) for a in modes)
+    s = 1.0 / (m * n * n)
+    expected = np.sqrt(s * np.sum(vals**2) / (lam + mu / (dt**2 * lam)))
+    assert hminus1_par_exact(vals, dt=dt) == pytest.approx(expected, rel=1e-12)
 
 
 def test_exact_dual_norm_crude_upper_bound():
@@ -113,9 +114,8 @@ def test_exact_dual_norm_crude_upper_bound():
     vals = rng.normal(size=(6, 5, 5))
     dt = 0.5
     duration = (vals.shape[0] - 1) * dt
-    res = hminus1_par_exact(vals, dt=dt)
     l2 = np.sqrt(np.mean(vals**2))
-    assert res.value <= l2 * (duration + 5)
+    assert hminus1_par_exact(vals, dt=dt) <= l2 * (duration + 5)
 
 
 def test_multiscale_dominates_exact_within_factor_ten():
@@ -125,7 +125,7 @@ def test_multiscale_dominates_exact_within_factor_ten():
     dt = 3.0
     for _ in range(5):
         vals = rng.normal(size=(n_t, 9, 9))
-        exact = hminus1_par_exact(vals, dt=dt).value
+        exact = hminus1_par_exact(vals, dt=dt)
         est = hminus1_par_multiscale(vals, dt=dt, m=2)
         assert exact <= 10.0 * est
 
