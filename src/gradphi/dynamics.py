@@ -149,11 +149,11 @@ def evolve_torus(
     Returns (final_state, recorded), both with the batch axis, where
     recorded stacks every record_stride-th slice (including the initial one)
     if requested.  `on_step(k, t_next, state)` is invoked after each update.
-    `on_flux(t, ax, grad, flux)` sees the same states: for each axis ax, the
-    untilted forward difference grad along ax and the flux V'(grad + q(t)),
-    both of shape (B, *grid.shape).  The drift hands them over as it
-    evaluates them, and one more evaluation after the loop covers the final
-    state; the arrays are the run's buffers, valid during the call only.
+    `on_flux(t, ax, grad, flux)` sees each of the n_steps + 1 states once,
+    the start first, at t = t0 + k dt: per axis ax, the untilted forward
+    difference grad and the flux V'(grad + q(t)), both (B, *grid.shape), as
+    the drift evaluates them, plus one evaluation after the loop for the
+    final state; the arrays are the run's buffers, valid during the call.
     With `threads` >= 2 a worker thread draws the noise a block ahead.
 
     The absolute step index is round(t/dt): windows driven by the same
@@ -175,8 +175,6 @@ def evolve_torus(
 
     def torus_drift(k, t, phi):
         q = slope.at(t) if slope is not None else None
-        # step k evaluates the state on_step saw after step k - 1
-        observe = on_flux if k > 0 else None
 
         def flux(ax, grad, out, tmp):
             x = grad
@@ -187,8 +185,8 @@ def evolve_torus(
                 elif q[ax] != 0.0:
                     x = np.add(grad, q[ax], out=tilted)
             V.vp(x, out=out, tmp=tmp)
-            if observe is not None:
-                observe(t, ax, grad, out)
+            if on_flux is not None:
+                on_flux(t, ax, grad, out)
             return out
 
         return div(phi, flux)
@@ -197,7 +195,7 @@ def evolve_torus(
         noise = MeanSubtractedNoise(src, keys, ids, d, pool) if src is not None else None
         recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
                              on_step=on_step, record_stride=record_stride)
-    if on_flux is not None and n_steps > 0:
+    if on_flux is not None:
         torus_drift(n_steps, t0 + n_steps * dt, state)
     return state, recorded
 

@@ -122,6 +122,13 @@ def _tilt(spec, d: int, what: str) -> np.ndarray:
     return p
 
 
+def _replicas(n, least: int) -> int:
+    """A replica count that the error estimates can use; fewer is a ConfigError."""
+    if int(n) < least:
+        raise ConfigError(f"replicas: the error estimates need at least {least}, got {n!r}")
+    return int(n)
+
+
 def _potential(spec) -> Potential:
     """The potential of a config block; a malformed block is a ConfigError."""
     try:
@@ -253,7 +260,7 @@ def run_corrector_experiment(seed: int, *, potential, sizes, d=2,
     V = _potential(potential)
     d = int(d)
     Ls = [int(v) for v in sizes]
-    replicas = int(replicas)
+    replicas = _replicas(replicas, 3)
     src = NoiseSource(seed=seed)
     res = corrector_fluctuation_experiment(Ls, V, replicas, src, d=d)
     rows = [
@@ -301,7 +308,7 @@ def run_flux_decay(seed: int, threads=None, *, potential, L, windows, d=2,
         raise ConfigError(f"flux-decay windows: a decay fit needs three, got {windows!r}")
     if max(ells) > L:
         raise ConfigError(f"flux-decay windows: {windows!r} do not fit in L = {L}")
-    replicas = int(replicas)
+    replicas = _replicas(replicas, 3)
     src = NoiseSource(seed=seed)
     res = flux_decay_experiment(ells, L, V, replicas, src, d=d,
                                 horizon=horizon, threads=threads)
@@ -337,7 +344,7 @@ def run_surface_tension(seed: int, *, potential, L, slopes, d=2,
         slopes = [slope_from_config(p, d) for p in slopes]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"slopes: {exc!r}") from exc
-    replicas = int(replicas)
+    replicas = _replicas(replicas, 2)
     src = NoiseSource(seed=seed)
     rows, criteria = [], {}
     summary_rows = []
@@ -364,7 +371,7 @@ def run_hessian(seed: int, *, potential, L, d=2, slope=None,
     d = int(d)
     L = int(L)
     p = _tilt(slope, d, "slope")
-    replicas = int(replicas)
+    replicas = _replicas(replicas, 2)
     src = NoiseSource(seed=seed)
     est = estimate_hessian(p, L, V, replicas, src, d=d)
     rows = [
@@ -390,7 +397,7 @@ def run_linearize(seed: int, threads=None, *, potential, L, d=2, base_slope=None
     p = _tilt(base_slope, d, "base_slope")
     gaps = [float(g) for g in gaps]
     qs = [p + np.eye(d)[0] * g for g in gaps]
-    replicas = int(replicas)
+    replicas = _replicas(replicas, 2)
     src = NoiseSource(seed=seed)
     res = linearization_modulus(p, qs, L, V, src, replicas, d=d, threads=threads)
     rows = [(g, r, se, replicas) for g, r, se in zip(res.gaps, res.residuals,
@@ -597,6 +604,9 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
     if gradient_diagnostic is not None:
         diag_eps, diag_reps = _bind(_gradient_diagnostic, gradient_diagnostic,
                                     "gradient_diagnostic")()
+        if zero_noise or diag_reps < 1 or not diag_eps <= set(epsilons):
+            raise ConfigError(f"gradient_diagnostic: needs the noise on, a replica and its "
+                              f"meshes {sorted(diag_eps)} among epsilons {epsilons}")
     gradient_rows = []
 
     rows = []
@@ -616,7 +626,7 @@ def hydro_limit_experiment(seed: int, threads=None, *, potential, epsilons, f, d
         # the deterministic diagnostic is the batched run with one replica
         # and the noise off; the gradient diagnostic reads the first
         # diag_reps replicas, recorded at the slices of ubar
-        diag = eps in diag_eps and diag_reps and not zero_noise
+        diag = eps in diag_eps
         noise_src, n_rep = (None, 1) if zero_noise else (src, replicas)
         n_run = max(n_rep, diag_reps) if diag else n_rep
         record = (max(n_unit // (ubar.nslices - 1), 1), diag_reps) if diag else None

@@ -20,7 +20,6 @@ import numpy as np
 from . import noise
 from .dynamics import (
     SlopePath,
-    as_slope_path,
     evolve_torus,
     sample_gff,
     stable_dt,
@@ -157,10 +156,11 @@ class _WindowAccumulator:
     times Lambda_r, while the dynamics runs; slices enter with unit weight
     (rectangle rule on the integration grid).  It is `evolve_torus`'s
     `on_flux`: the drift hands over the gradient and the flux it evaluates
-    anyway.  The drift never sees the start slice, so `estimate_tau`, whose
-    run may start at -r^2, hands that slice over itself: its window
-    averages the n_w + 1 slices of [-r^2, 0], where n_w = r^2 / dt.  A
-    flux-decay horizon shorter than r^2 leaves the start slice out.
+    anyway, for every state of the run, the start included.  So the window
+    of `estimate_tau`, whose run may start at -r^2, averages the n_w + 1
+    slices of [-r^2, 0], where n_w = r^2 / dt.  `flux_decay_experiment`
+    keeps the start slice from it, so a horizon shorter than r^2 leaves
+    that slice out.
 
     Each box is copied into a buffer laid out as a box gathered with
     `np.ix_` (batch axis last in memory), so every box mean sums its
@@ -279,38 +279,25 @@ def estimate_tau(
     """Replica mean of the flux average over the trailing half-size window,
     with the (replicas, d) per-replica averages as its samples.
 
-    `slope` is a constant tilt or a SlopePath.  Constant tilts start from
-    the equilibrated dynamic (exact free-field sample for the quadratic
-    potential, burn-in of L^2 otherwise); a SlopePath starts the dynamic
-    from zero and runs a horizon of L^2.  With r = L // 2 the window is
+    `slope` is a constant tilt or a SlopePath.  Constant tilts start in
+    `stationary_start` with a horizon of r^2, where r = L // 2; a SlopePath
+    starts the dynamic from zero and runs a horizon of L^2.  The window is
     [-r^2, 0].
     """
     if replicas < 2:
         raise ValueError("need at least two replicas")
     grid = make_torus(d, L)
-    dt = stable_dt(V, d)
     r = L // 2
-    window = float(r * r)
-
-    constant = not isinstance(slope, SlopePath)
-    start = np.zeros((replicas,) + grid.shape)
-    if constant and V.name == "quadratic":
-        horizon = window
-        start = sample_gff(grid, src, np.arange(replicas))
-    elif constant:
-        horizon = window + float(L * L)  # burn-in of L^2 before the window
+    ids = np.arange(replicas)
+    if isinstance(slope, SlopePath):
+        dt = stable_dt(V, d)
+        t0, n_steps = horizon_steps(float(L * L), dt)
+        start, path = np.zeros(grid.shape), slope
     else:
-        horizon = max(float(L * L), window)
-
-    t0, n_steps = horizon_steps(horizon, dt)
-    path = as_slope_path(slope, d)
+        start, path, t0, n_steps, dt = stationary_start(grid, slope, V, src, ids,
+                                                        horizon=float(r * r))
     acc = _WindowAccumulator(grid, [r], replicas)
-    q = path.at(t0)
-    for ax in range(d):  # the start slice, which the drift does not hand over
-        grad = forward_difference(start, 1 + ax)
-        acc(t0, ax, grad, V.vp(grad + q[..., ax].reshape((-1,) + (1,) * d)))
-    evolve_torus(grid, V, path, src, t0, n_steps, dt, start,
-                 replicas=np.arange(replicas), on_flux=acc)
+    evolve_torus(grid, V, path, src, t0, n_steps, dt, start, replicas=ids, on_flux=acc)
     flux, _ = acc.averages(r)
     mean = flux.mean(axis=0)
     se = flux.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -333,6 +320,8 @@ def estimate_hessian(
     The replicas run as one batch of the stationary dynamic, and the d
     responses step along with it.
     """
+    if replicas < 2:
+        raise ValueError("need at least two replicas")
     grid = make_torus(d, L)
     pv = np.asarray(p, dtype=float)
     r = L // 2
@@ -365,8 +354,6 @@ def estimate_hessian(
     def on_flux(t, ax, grad, f):  # the environment of the slice the drift evaluates
         linearized_environment(V, grad, pv[ax], env[ax])
 
-    for ax in range(d):  # slice 0
-        on_flux(t_keep, ax, forward_difference(state, 1 + ax), None)
     evolve_torus(grid, V, path, src, t_keep, n_keep, dt, state, replicas=np.arange(replicas),
                  on_step=lambda k, t, phi: step(k), on_flux=on_flux)
     step(n_keep)  # measures the last slice
@@ -451,8 +438,11 @@ def flux_decay_experiment(
     # every core busy, so a worker would only compete with them
     def run_tile(ids):
         acc = _WindowAccumulator(grid, ells, len(ids))
-        evolve_torus(grid, V, None, src, t0, n_steps, dt, np.zeros(grid.shape),
-                     replicas=ids, on_flux=acc)
+        # leaves out the start slice: a window that `horizon` cuts averages
+        # (t0, 0], not [t0, 0] (FOUND in CHANGES.md; mending it moves
+        # bench/golden.json)
+        evolve_torus(grid, V, None, src, t0, n_steps, dt, np.zeros(grid.shape), replicas=ids,
+                     on_flux=lambda t, *flux: acc(t, *flux) if t > t0 else None)
         return [acc.averages(e) for e in ells]
 
     parts = parallel_map(run_tile, tiles, workers)
@@ -589,6 +579,8 @@ def linearization_modulus(
     the run goes, bitwise in the order of a sum over the whole space-time
     record, so memory does not grow with the horizon.
     """
+    if replicas < 2:
+        raise ValueError("need at least two replicas")
     grid = make_torus(d, L)
     dt = stable_dt(V, d)
     chunk = 16
@@ -634,8 +626,6 @@ def linearization_modulus(
                 np.copyto(slot[:, :, ax], np.square(g, out=g))
             sq.advance(grid.nsites)
 
-        for ax in range(d):  # slice 0: every member starts at zero
-            on_flux(t0, ax, np.zeros((b,) + grid.shape), None)
         evolve_torus(grid, V, tilts, src, t0, n_steps, dt, np.zeros(grid.shape),
                      replicas=np.tile(ids, 1 + m), on_step=on_step, on_flux=on_flux,
                      threads=threads)

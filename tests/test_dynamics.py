@@ -155,9 +155,35 @@ def test_torus_step_allocates_nothing(tilt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert acc.counts[16] == 6
+    assert acc.counts[16] == 7  # the n + 1 states of 6 steps
     state_bytes = B * grid.nsites * 8  # 811,200
     assert peak - level[0] < 256 * 1024 < state_bytes / 3
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_on_flux_sees_each_state_once(n, d):
+    # the n + 1 states of an n-step run, the start included, each once and
+    # in order at t0 + k dt, axis by axis; the start bit for bit
+    grid, V, B = make_torus(d, 2), soft_quartic(0.5), 3
+    dt = stable_dt(V, d)
+    t0 = -7 * dt
+    q = np.linspace(0.3, -0.2, d)
+    start = NoiseSource(seed=11).field_normals(grid.site_keys, np.arange(B), tag=0)
+    seen = []
+
+    def on_flux(t, ax, grad, flux):
+        seen.append((t, ax, grad.copy(), flux.copy()))
+
+    _, rec = evolve_torus(grid, V, SlopePath.constant(q), NoiseSource(seed=3), t0, n, dt,
+                          start, replicas=np.arange(B), record_stride=1, on_flux=on_flux)
+    assert len(seen) == d * (n + 1)
+    for i, (t, ax, grad, flux) in enumerate(seen):
+        k = i // d
+        assert (t, ax) == (t0 + k * dt, i % d)
+        state = start if k == 0 else rec[k]
+        assert np.array_equal(grad, forward_difference(state, 1 + ax))
+        assert np.array_equal(flux, V.vp(grad + q[ax]))
 
 
 def test_dirichlet_step_allocates_nothing():

@@ -163,6 +163,21 @@ def test_cli_missing_config_key_exits_2(tmp_path):
     ("flux-decay", {"potential": {"kind": "quadratic"}, "L": 4, "windows": [2, 4, 8]}),
     ("excess", {"L": 4, "scales": [2, 4], "replicas": 2}),
     ("excess", {"L": 4, "scales": [4, 8], "replicas": 2}),
+    ("surface-tension", {"potential": {"kind": "quadratic"}, "L": 2, "replicas": 1,
+                         "slopes": [[0.1, 0.0]]}),
+    ("hessian", {"potential": {"kind": "quadratic"}, "L": 2, "replicas": 1}),
+    ("linearize", {"potential": {"kind": "kinked", "b": 0.5}, "L": 2, "replicas": 1}),
+    ("flux-decay", {"potential": {"kind": "quadratic"}, "L": 4, "windows": [1, 2, 3],
+                    "replicas": 2, "horizon": 1}),
+    ("corrector", {"potential": {"kind": "quadratic"}, "sizes": [2, 3, 4], "replicas": 2}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5, 0.25],
+               "f": {"name": "zero"}, "gradient_diagnostic": {"epsilons": [0.125],
+                                                              "replicas": 1}}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5], "zero_noise": True,
+               "f": {"name": "zero"}, "gradient_diagnostic": {"epsilons": [0.5],
+                                                              "replicas": 1}}),
+    ("hydro", {"potential": {"kind": "quadratic"}, "epsilons": [0.5], "f": {"name": "zero"},
+               "gradient_diagnostic": {"epsilons": [0.5], "replicas": 0}}),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, name, cfg):
     # an unknown potential, a missing potential parameter, a misspelled
@@ -170,8 +185,11 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, name, cfg):
     # components, an affine boundary datum without d coefficients (the
     # 2-d default in 3-d, three in 2-d), a thread count, which only
     # --threads sets, too few flux-decay windows, a window wider than the
-    # torus, and excess scales outside [4, L]: one error line, no
-    # traceback, and nothing written
+    # torus, excess scales outside [4, L], fewer replicas than the error
+    # estimates need (two; three for the jackknifes of flux-decay and
+    # corrector), and a gradient diagnostic at a mesh that is not run,
+    # without noise or without a replica: one error line, no traceback,
+    # and nothing written
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, **cfg}))
     out = tmp_path / "o"

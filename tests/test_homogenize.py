@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,15 @@ def test_tau_requires_replicas():
         estimate_tau((0.0, 0.0), 4, quadratic(), 1, NoiseSource(seed=1))
 
 
+def test_hessian_and_modulus_require_replicas():
+    # one replica has no standard error
+    with pytest.raises(ValueError):
+        estimate_hessian((0.0, 0.0), 4, quadratic(), 1, NoiseSource(seed=1))
+    with pytest.raises(ValueError):
+        linearization_modulus((0.0, 0.0), [(0.1, 0.0)], 4, quadratic(), NoiseSource(seed=1),
+                              replicas=1)
+
+
 def test_tau_constant_equals_constant_path_on_same_noise():
     # a tuple tilt, shared by the batch, and the constant path of one tilt
     # per member drive the zero-started dynamic to the same window fluxes
@@ -125,23 +135,36 @@ def test_flux_decay_needs_three_scales():
 @pytest.fixture
 def paired_accumulators(monkeypatch):
     """Runs the reference accumulator, which recomputes the box gradients and
-    fluxes from each state as `on_step`, next to every drift-fed `on_flux`
-    accumulator of homogenize's torus runs; the list holds the pairs.  An
-    accumulator that holds a slice before the run was handed the start
+    fluxes from each state as `on_step`, next to every `_WindowAccumulator`
+    that homogenize's torus runs feed through `on_flux`; the list holds the
+    pairs.  A run's accumulator is the one its thread built last.  An
+    accumulator that holds a slice when step 0 ends was handed the start
     slice, and the reference gets the start state too."""
     pairs = []
+    built = {}  # thread id -> the accumulator that thread built last
     run = homogenize.evolve_torus
+
+    class Found(homogenize._WindowAccumulator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[threading.get_ident()] = self
 
     def paired(grid, V, slope, src, t0, n_steps, dt, init, on_flux=None, **kw):
         if on_flux is not None:
-            n_batch = len(kw["replicas"])
-            ref = WindowAccumulator(grid, V, slope, on_flux.radii, n_batch)
-            if any(on_flux.counts.values()):
-                ref(0, t0, np.broadcast_to(init, (n_batch,) + grid.shape))
-            pairs.append((on_flux, ref))
-            kw["on_step"] = ref
+            acc = built.pop(threading.get_ident())
+            ref = WindowAccumulator(grid, V, slope, acc.radii, acc.n_batch)
+            start = np.broadcast_to(init, (acc.n_batch,) + grid.shape)
+
+            def on_step(k, t, state):
+                if k == 0 and any(acc.counts.values()):
+                    ref(0, t0, start)
+                ref(k, t, state)
+
+            pairs.append((acc, ref))
+            kw["on_step"] = on_step
         return run(grid, V, slope, src, t0, n_steps, dt, init, on_flux=on_flux, **kw)
 
+    monkeypatch.setattr(homogenize, "_WindowAccumulator", Found)
     monkeypatch.setattr(homogenize, "evolve_torus", paired)
     return pairs
 
@@ -251,6 +274,17 @@ def test_tau_window_averages_n_w_plus_one_slices(window_accumulators):
         (acc,) = window_accumulators
         n_w = int(round(r * r / stable_dt(V, 2)))
         assert acc.counts[r] == n_w + 1
+
+
+def test_flux_decay_window_cut_by_the_horizon_leaves_out_the_start(window_accumulators):
+    # horizon 4 at dt = 1/24: the uncut window of radius 1 averages the 25
+    # slices of [-1, 0]; the cut windows of radii 2 and 3, the 96 slices of
+    # (-4, 0], without the start slice at -4
+    V = soft_quartic(0.5)
+    flux_decay_experiment([1, 2, 3], 6, V, 3, NoiseSource(5), horizon=4.0, threads=None)
+    (acc,) = window_accumulators
+    assert stable_dt(V, 2) == 1 / 24
+    assert acc.counts == {1: 25, 2: 96, 3: 96}
 
 
 def test_linearization_modulus_quadratic_vanishes():
