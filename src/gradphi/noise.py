@@ -13,12 +13,42 @@ steps (the two-sided Brownian motion) and initial-condition sampling.
 from __future__ import annotations
 
 import mmap
+import os
+import sys
+import types
 from collections.abc import Iterator
 from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
+
+
+def _load_ndtri():
+    """scipy's `ndtri` ufunc, loaded from `scipy.special._ufuncs` without
+    running `scipy.special`'s package init when that has not run yet.
+
+    The init costs about 0.2 s and 19 MB a process (its array-API layer
+    loads numpy.f2py, numpy.testing, numpy.ma and numpy.random), and none
+    of it is used here.  The ufunc is the very object that
+    `scipy.special.ndtri` names, so every draw keeps its bits, and a later
+    `import scipy.special` runs the real init, which reuses the loaded
+    extension module.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.ndtri
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    sys.modules["scipy.special"] = stub
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        del sys.modules["scipy.special"]
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1

@@ -13,6 +13,7 @@ evaluate the flux into buffers it owns.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable
@@ -96,11 +97,15 @@ def kinked(b: float) -> Potential:
                      params={"b": b})
 
 
-# fixed 64-point Gauss-Legendre rule on [-1, 1] against the bump weight
-_QUAD_NODES, _QUAD_GL_W = np.polynomial.legendre.leggauss(64)
-_BUMP = np.exp(-1.0 / (1.0 - _QUAD_NODES**2))
-_QUAD_W = _QUAD_GL_W * _BUMP
-_QUAD_W = _QUAD_W / _QUAD_W.sum()  # normalizer folded in: weights sum to 1
+@functools.cache
+def _bump_rule():
+    """The fixed 64-point Gauss-Legendre rule on [-1, 1] against the bump
+    weight, as (nodes, weights), built on first use: the rule imports
+    numpy.polynomial and solves an eigenproblem, which a run that never
+    mollifies need not pay."""
+    nodes, gl_w = np.polynomial.legendre.leggauss(64)
+    w = gl_w * np.exp(-1.0 / (1.0 - nodes**2))
+    return nodes, w / w.sum()  # normalizer folded in: weights sum to 1
 
 
 def mollify(V: Potential, kappa: float) -> Potential:
@@ -112,12 +117,13 @@ def mollify(V: Potential, kappa: float) -> Potential:
     """
     if kappa <= 0:
         raise ValueError(f"mollification width must be positive, got {kappa}")
+    nodes, weights = _bump_rule()
 
     def conv(f):
         def g(x, out=None, tmp=None):
             x = np.asarray(x, dtype=np.float64)
-            vals = f(x[..., None] - kappa * _QUAD_NODES)
-            out = np.matmul(vals, _QUAD_W, out=out)
+            vals = f(x[..., None] - kappa * nodes)
+            out = np.matmul(vals, weights, out=out)
             if not np.all(np.isfinite(out)):
                 raise FloatingPointError("mollification quadrature produced non-finite values")
             return out

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,52 @@ from gradphi.noise import (
     _mix_int,
     site_keys,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# modules that no CLI run uses: `scipy.special`'s package init would load the
+# first three, and `mollify`'s quadrature rule, built at import, the fourth
+UNUSED_AT_IMPORT = ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
+                    "numpy.polynomial")
+
+
+def _fresh_python(code):
+    """Run `code` in a fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    """Importing the CLI loads none of the unused modules (checked by name,
+    not by time), and a later `import scipy.special` runs its real init and
+    names the very ufunc the draws use."""
+    _fresh_python(f"""
+        import sys
+        import gradphi.cli
+        loaded = [m for m in {UNUSED_AT_IMPORT!r} if m in sys.modules]
+        assert not loaded, loaded
+        import scipy.special
+        import gradphi.noise
+        assert sys.modules["scipy.special"].__file__.endswith("__init__.py")
+        assert hasattr(scipy.special, "gamma")
+        assert scipy.special.ndtri is gradphi.noise.ndtri
+        """)
+
+
+def test_scipy_special_imported_first_keeps_the_real_package():
+    _fresh_python("""
+        import sys
+        import scipy.special
+        special = sys.modules["scipy.special"]
+        import gradphi.noise
+        assert sys.modules["scipy.special"] is special
+        assert special.__file__.endswith("__init__.py")
+        assert special.ndtri is gradphi.noise.ndtri
+        """)
 
 
 def _per_step_draw(src, keys, ids, spatial_ndim, step):
