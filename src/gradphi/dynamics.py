@@ -16,8 +16,6 @@ spatial average zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,14 +105,6 @@ def slope_from_config(spec, d: int) -> SlopePath:
     return path
 
 
-def _noise_worker(src: NoiseSource | None, threads: int | None):
-    """The one-thread pool on which a run draws its noise a block ahead,
-    held for the run: with noise and `threads` >= 2, else no pool (None)."""
-    if src is None or threads is None or threads < 2:
-        return nullcontext()
-    return ThreadPoolExecutor(1)
-
-
 # ---------------------------------------------------------------------------
 # core torus engine
 # ---------------------------------------------------------------------------
@@ -154,7 +144,9 @@ def evolve_torus(
     difference grad and the flux V'(grad + q(t)), both (B, *grid.shape), as
     the drift evaluates them, plus one evaluation after the loop for the
     final state; the arrays are the run's buffers, valid during the call.
-    With `threads` >= 2 a worker thread draws the noise a block ahead.
+    With `threads` >= 2 the noise (`MeanSubtractedNoise`) starts its own
+    thread, which draws a block ahead, and stops it when the run ends or
+    raises.
 
     The absolute step index is round(t/dt): windows driven by the same
     NoiseSource share their Brownian increments.
@@ -191,10 +183,9 @@ def evolve_torus(
 
         return div(phi, flux)
 
-    with _noise_worker(src, threads) as pool:
-        noise = MeanSubtractedNoise(src, keys, ids, d, pool) if src is not None else None
-        recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
-                             on_step=on_step, record_stride=record_stride)
+    noise = MeanSubtractedNoise(src, keys, ids, d, threads) if src is not None else None
+    recorded = time_loop(state, torus_drift, t0, dt, n_steps, noise=noise,
+                         on_step=on_step, record_stride=record_stride)
     if on_flux is not None:
         torus_drift(n_steps, t0 + n_steps * dt, state)
     return state, recorded
@@ -384,7 +375,8 @@ def run_dirichlet(
     n replicas, shape (slices, n, *dom.shape), from macroscopic time -1;
     with None nothing is recorded and None is returned.  With src=None the
     noise is switched off (deterministic diagnostic mode).  With `threads`
-    >= 2 a worker thread draws the noise a block ahead.
+    >= 2 the noise (`MeanSubtractedNoise`) starts its own thread, which
+    draws a block ahead, and stops it when the run ends or raises.
     """
     eps = dom.mesh
     d = dom.dim
@@ -414,11 +406,10 @@ def run_dirichlet(
 
     div = dirichlet_divergence(state.shape, d, 1.0)
     pin = (boundary, lambda t: datum(t * eps * eps, boundary) / eps)
-    with _noise_worker(src, threads) as pool:
-        noise = (MeanSubtractedNoise(src, dom.site_keys, replicas, d, pool)
-                 if src is not None else None)
-        time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
-                  mask=dom.interior_box, noise=noise, pin=pin, on_step=step, record_stride=None)
+    noise = (MeanSubtractedNoise(src, dom.site_keys, replicas, d, threads)
+             if src is not None else None)
+    time_loop(state, lambda k, t, u: div(u, V.vp), t0_unit, dt_unit, n_steps,
+              mask=dom.interior_box, noise=noise, pin=pin, on_step=step, record_stride=None)
     if recorded is not None:
         recorded *= eps
     return recorded

@@ -342,9 +342,9 @@ def estimate_hessian(
         # is the summand of entry (i, ax)
         f = flux(ax, grad, out, tmp)
         for i in range(d):
-            prod = f[i][box]
-            for b in range(replicas):  # per-replica means keep their order
-                acc[b, i, ax] += prod[b].mean()
+            # the gather holds the batch axis innermost: its C-ordered copy
+            # sums each replica's box in the order of that box's own mean
+            acc[:, i, ax] += np.ascontiguousarray(f[i][box]).reshape(replicas, -1).mean(axis=1)
         return f
 
     def step(j):  # the corrector step from slice j, in the environment of slice j

@@ -407,11 +407,13 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
         state[..., pin_mask] = pin_values(t')     with pin = (pin_mask, pin_values)
         on_step(k, t', state)
 
-    where `noise(range(k0, k0 + n_steps))` iterates over the draws xi of
-    the run's absolute steps, one per step, each consumed before the next
-    is taken.  The drift holds the values of the masked sites only, in an
-    array of the shape of `state[..., mask]` (of the state's shape without
-    a mask); any other shape raises.  The noise draw covers every site and
+    where `noise(range(k0, k0 + n_steps))` is a generator of the draws xi
+    of the run's absolute steps, one per step, each consumed before the
+    next is taken; the loop closes it when it ends or raises, which
+    releases what the generator holds, such as a draw-ahead thread.  The
+    drift holds the values of the masked sites only, in an array of the
+    shape of `state[..., mask]` (of the state's shape without a mask); any
+    other shape raises.  The noise draw covers every site and
     is reshaped to the state's shape.  The loop scales the drift and the
     draw in place, by dt and sqrt(2 dt), so both must be scratch arrays
     that the drift kernel or the noise owns and refills on its next call.
@@ -432,7 +434,7 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
         recorded = np.empty((n_steps // record_stride + 1,) + state.shape)
         recorded[0] = state
     k0 = int(round(t0 / dt))
-    draws = None if noise is None else iter(noise(range(k0, k0 + n_steps)))
+    draws = None if noise is None else noise(range(k0, k0 + n_steps))
     sq = np.sqrt(2.0 * dt)
     # Every per-step array is owned by the run (the drift's and the noise's
     # buffers), so the loop scales them in place and allocates nothing:
@@ -440,24 +442,29 @@ def time_loop(state: np.ndarray, drift, t0: float, dt: float, n_steps: int,
     # Under a mask the interior is a strided view: the loop updates
     # contiguous copies of it and of the draw's, and copies the interior back.
     work, xi_in = (None, None) if mask is None else (np.empty(inner.shape), np.empty(inner.shape))
-    for k in range(n_steps):
-        du = drift(k, t0 + k * dt, state)
-        if du.shape != inner.shape:
-            raise ValueError(f"the drift has shape {du.shape}; the masked state, {inner.shape}")
-        u = _gathered(inner, work)
-        u += np.multiply(du, dt, out=du)
+    try:
+        for k in range(n_steps):
+            du = drift(k, t0 + k * dt, state)
+            if du.shape != inner.shape:
+                raise ValueError(f"the drift has shape {du.shape}; "
+                                 f"the masked state, {inner.shape}")
+            u = _gathered(inner, work)
+            u += np.multiply(du, dt, out=du)
+            if draws is not None:
+                xi = _gathered(next(draws).reshape(state.shape)[idx], xi_in)
+                u += np.multiply(xi, sq, out=xi)
+            if work is not None:
+                inner[...] = work
+            t_next = t0 + (k + 1) * dt
+            if pin is not None:
+                state[..., pin[0]] = pin[1](t_next)
+            if on_step is not None:
+                on_step(k, t_next, state)
+            if recorded is not None and (k + 1) % record_stride == 0:
+                recorded[(k + 1) // record_stride] = state
+    finally:
         if draws is not None:
-            xi = _gathered(next(draws).reshape(state.shape)[idx], xi_in)
-            u += np.multiply(xi, sq, out=xi)
-        if work is not None:
-            inner[...] = work
-        t_next = t0 + (k + 1) * dt
-        if pin is not None:
-            state[..., pin[0]] = pin[1](t_next)
-        if on_step is not None:
-            on_step(k, t_next, state)
-        if recorded is not None and (k + 1) % record_stride == 0:
-            recorded[(k + 1) // record_stride] = state
+            draws.close()
     return recorded
 
 

@@ -17,7 +17,7 @@ import os
 import sys
 import types
 from collections.abc import Iterator
-from concurrent.futures import Executor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,18 +243,19 @@ class MeanSubtractedNoise:
     rows into a buffer owned by the iterator.  The stream prefix of the ids
     is hashed once per channel, on its first draw, and held here.
 
-    A run draws its steps one at a time, or with a one-thread `pool` in
-    blocks of consecutive steps of about `BUDGET` normals, the next block
-    drawn on the pool while the stepper consumes the current one.  Every
-    draw is a pure function of its key, so the blocks and the thread change
-    no bit.
+    A run draws its steps one at a time, or, with `threads` >= 2, in
+    blocks of consecutive steps of about `BUDGET` normals: each iterator
+    then starts its own draw-ahead thread, which draws the next block while
+    the stepper consumes the current one, and stops it when the iterator
+    finishes or is closed.  Every draw is a pure function of its key, so
+    the blocks and the thread change no bit.
     """
 
     def __init__(self, src: NoiseSource, keys: np.ndarray, replicas: np.ndarray,
-                 spatial_ndim: int, pool: Executor | None):
+                 spatial_ndim: int, threads: int | None):
         self.src = src
         self.keys = keys
-        self.pool = pool
+        self.ahead = threads is not None and threads >= 2
         if np.prod(keys.shape[keys.ndim - spatial_ndim:]) < 2:
             raise ValueError("mean subtraction needs at least two sites")
         ids, rows = np.unique(replicas, return_inverse=True)
@@ -264,13 +265,13 @@ class MeanSubtractedNoise:
 
     def _blocks(self, steps: range) -> list[range]:
         """`steps` cut into blocks, none crossing from the backward into the
-        forward channel: of at most BUDGET normals (one step at least) with
-        a pool, of one step without.  Longer blocks without a pool would
-        save per-call time (0.035 s of hydro-dirichlet's corrector runs,
-        measured on a 2-core VM), but their buffers raised the run's peak
-        RSS by 1.5-2.6 MB, so memory rules them out."""
+        forward channel: of at most BUDGET normals (one step at least) when
+        drawing ahead, of one step otherwise.  Longer blocks without the
+        thread would save per-call time (0.035 s of hydro-dirichlet's
+        corrector runs, measured on a 2-core VM), but their buffers raised
+        the run's peak RSS by 1.5-2.6 MB, so memory rules them out."""
         per_step = len(self.replicas) * self.keys.size
-        length = 1 if self.pool is None else max(1, BUDGET // per_step)
+        length = max(1, BUDGET // per_step) if self.ahead else 1
         blocks, k = [], steps.start
         while k < steps.stop:
             end = min(k + length, steps.stop)
@@ -297,29 +298,31 @@ class MeanSubtractedNoise:
         """The draw of each absolute step of `steps`, in order.
 
         A draw is a view into a reused buffer: it stays valid until the next
-        draw is taken.  The buffers (one block, two with a pool, one block
-        of scratch bits, and the gathered rows where ids repeat) live as
-        long as the iterator.
+        draw is taken.  The buffers (one block, two when drawing ahead, one
+        block of scratch bits, and the gathered rows where ids repeat) and
+        the draw-ahead thread live as long as the iterator.
         """
         blocks = self._blocks(steps)
         if not blocks:
             return
         shape = (max(map(len, blocks)), len(self.replicas)) + self.keys.shape
         bits = _mapped(shape)
-        slots = [_mapped(shape) for _ in range(1 if self.pool is None else 2)]
+        slots = [_mapped(shape) for _ in range(2 if self.ahead else 1)]
         rows = None if self._rows is None else np.empty((len(self._rows),) + self.keys.shape)
+        pool = ThreadPoolExecutor(1) if self.ahead else None
         ahead = None  # the next block, drawing on the pool
         try:
             for i, block in enumerate(blocks):
                 g = ahead.result() if ahead is not None else self._draw(block, slots[0], bits)
-                if self.pool is not None and i + 1 < len(blocks):
-                    ahead = self.pool.submit(self._draw, blocks[i + 1], slots[(i + 1) % 2],
-                                             bits)
+                if pool is not None and i + 1 < len(blocks):
+                    ahead = pool.submit(self._draw, blocks[i + 1], slots[(i + 1) % 2], bits)
                 for row in g:
                     yield row if rows is None else np.take(row, self._rows, axis=0, out=rows,
                                                            mode="wrap")
         finally:
-            # a run stopped early still waits for the block in flight and
-            # reads its result
+            # at the end, or when the iterator is closed early, the thread
+            # finishes the block in flight and is joined, and its result is read
+            if pool is not None:
+                pool.shutdown()
             if ahead is not None:
                 ahead.result()

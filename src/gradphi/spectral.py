@@ -89,23 +89,15 @@ def heat_kernel_exact(grid: TorusGrid, y, t: float, dt: float) -> np.ndarray:
     """Explicit-scheme heat kernel for a == 1 from source (0, y), via modes.
 
     Matches stepping of the mean-zero kernel exactly: each mode k != 0 is
-    damped by (1 - dt*lambda_k) per step.
+    damped by (1 - dt*lambda_k) per step.  `y` is a site's integer
+    coordinates.
     """
     lam = laplacian_eigenvalues(grid)
     n = int(round(t / dt))
     damp = (1.0 - dt * lam) ** n
-    damp_flat = damp.ravel().copy()
-    damp_flat[0] = 0.0  # mean-zero: the k = 0 mode is removed by the initial condition
-    N = grid.side
-    dx = grid.coordinates - np.asarray(y)  # (*shape, d)
-    # direct mode sum: P(x) = (1/|L|) sum_{k != 0} damp_k cos(2 pi k.(x-y)/N)
-    out = np.zeros(grid.shape)
-    for k_flat, dval in enumerate(damp_flat):
-        if dval == 0.0:
-            continue
-        k = np.unravel_index(k_flat, grid.shape)
-        ang = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            ang = ang + 2.0 * np.pi * k[ax] * dx[..., ax] / N
-        out += dval * np.cos(ang)
-    return out / grid.nsites
+    damp.flat[0] = 0.0  # mean-zero: the k = 0 mode is removed by the initial condition
+    # P(x) = (1/|L|) sum_{k != 0} damp_k cos(2 pi k.(x-y)/N): the inverse FFT
+    # of the damping factors, read at (x - y) mod N
+    kernel = np.fft.ifftn(damp).real
+    dx = (grid.coordinates - np.asarray(y)) % grid.side
+    return kernel[tuple(np.moveaxis(dx, -1, 0))]

@@ -163,6 +163,7 @@ def test_criterion_03_surface_tension_oracle():
 # 4. finite-volume convergence
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_04_finite_volume_convergence():
     V = soft_quartic(0.5)
     p = (0.5, 0.0)
@@ -178,6 +179,7 @@ def test_criterion_04_finite_volume_convergence():
 # 5. flux decay
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_flux_decay():
     res = flux_decay_experiment([2, 4, 8, 16], 32, soft_quartic(0.5), 300,
                                 NoiseSource(seed=501), threads=2)
@@ -193,6 +195,7 @@ def test_criterion_05_flux_decay():
 # 6. corrector fluctuations
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_corrector_fluctuations():
     res = corrector_fluctuation_experiment([8, 16, 32], quadratic(), 400,
                                            NoiseSource(seed=601), d=2)
@@ -222,6 +225,7 @@ def test_criterion_06_corrector_fluctuations():
 # 7. hydrodynamic limit
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_hydrodynamic_limit():
     cfg = {
         "potential": {"kind": "quadratic"},
@@ -263,6 +267,7 @@ def test_criterion_08_occupation_time():
 # 9. Lusin set and linearization modulus
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_lusin_and_linearization():
     V = kinked(0.5)
     vals = [lusin_measure(V, 2.0, kap, 0.1) for kap in (0.2, 0.1, 0.05)]
@@ -307,6 +312,7 @@ def test_criterion_10_norm_machinery():
 # 11. large-scale regularity diagnostic
 # -------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_large_scale_regularity():
     res = run_excess(seed=1101, threads=2, potential={"kind": "quadratic"},
                      L=32, scales=[8, 16, 32], replicas=20)

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     (np.__version__, scipy.__version__) != (VERSIONS["numpy"], VERSIONS["scipy"]),
     reason=f"the digest baseline holds numpy {VERSIONS['numpy']} and "

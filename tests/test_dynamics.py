@@ -1,9 +1,11 @@
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gradphi import noise as noise_module
 from gradphi import spectral
 from gradphi.homogenize import _WindowAccumulator
 from gradphi.lattice import (
@@ -59,6 +61,7 @@ def test_slope_path_must_cover_window():
         run_corrector(grid, 4.0, path, quadratic(), NoiseSource(seed=1))
 
 
+@pytest.mark.slow
 def test_corrector_variance_matches_spectral_oracle():
     # quadratic V, d=2, L=8, zero tilt: the final-slice site variance over
     # replicas matches the exact Gaussian relaxation variance within 3
@@ -531,6 +534,44 @@ def test_dirichlet_boundary_pinned_every_step():
     run_dirichlet(dom, _sine_datum, quadratic(), NoiseSource(seed=44), np.arange(1), on_step,
                   record=None, threads=None)
     assert checked and max(checked) < 1e-12
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("run", ["torus", "dirichlet"])
+def test_noisy_run_stops_its_draw_ahead_thread(monkeypatch, run, raises):
+    # at two threads the noise draws each block (one step here) ahead on a
+    # thread of its own; the thread is there at every step and gone when the
+    # run returns, or when on_step raises with a block in flight, even while
+    # the caller holds the exception
+    monkeypatch.setattr(noise_module, "BUDGET", 1)
+    before = threading.active_count()
+    during = []
+
+    def on_step(k, t, state):
+        during.append(threading.active_count())
+        if raises and k == 3:
+            raise RuntimeError("stopped at step 3")
+
+    def go():
+        if run == "torus":
+            grid = make_torus(2, 3)
+            evolve_torus(grid, quadratic(), None, NoiseSource(seed=5), 0.0, 12, 0.05,
+                         np.zeros(grid.shape), replicas=np.arange(2), on_step=on_step,
+                         threads=2)
+        else:
+            run_dirichlet(DirichletDomain(2, 4), _sine_datum, quadratic(), NoiseSource(seed=5),
+                          np.arange(2), on_step, record=None, threads=2)
+
+    if raises:
+        # `caught` holds the traceback, and so the run's frames, through the
+        # asserts below
+        with pytest.raises(RuntimeError, match="step 3") as caught:  # noqa: F841
+            go()
+    else:
+        go()
+    assert len(during) == 4 if raises else len(during) > 4
+    assert during == [before + 1] * len(during)
+    assert threading.active_count() == before
 
 
 def test_dirichlet_eigenfunction_decay_matches_dense_eigensolve():

@@ -283,7 +283,8 @@ def test_dirichlet_interior_updates_equal_the_padded_stencil(d):
     dt = stable_dt(V, d)
     t0, n_steps = horizon_steps(1.0 / (eps * eps), dt)
     k0 = int(round(t0 / dt))
-    draws = MeanSubtractedNoise(src, dom.site_keys, reps, d, None)(range(k0, k0 + n_steps))
+    noise = MeanSubtractedNoise(src, dom.site_keys, reps, d, threads=None)
+    draws = noise(range(k0, k0 + n_steps))
     inner = (Ellipsis,) + dom.interior_box
     for k in range(n_steps):
         u = rec[k] / eps

@@ -2,8 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -243,10 +241,10 @@ def _window_keys():
 @pytest.mark.parametrize("worker, length", [(False, 1), (True, 1), (True, 7), (True, 64)])
 def test_block_draws_equal_the_per_step_draws(monkeypatch, keys, ids, spatial_ndim,
                                               worker, length):
-    # every step of a run, drawn one at a time or with a worker thread
-    # drawing blocks of `length` steps ahead, is bitwise the draw of that
-    # step alone; the runs cross step 0, or stay on one side of it, and each
-    # distinct (id, step, site) is drawn exactly once
+    # every step of a run, drawn one at a time or, at two threads, with the
+    # noise's own thread drawing blocks of `length` steps ahead, is bitwise
+    # the draw of that step alone; the runs cross step 0, or stay on one
+    # side of it, and each distinct (id, step, site) is drawn exactly once
     src = NoiseSource(seed=41).with_replica(3)
     n_distinct = len(np.unique(ids))
     monkeypatch.setattr(noise_module, "BUDGET", length * n_distinct * keys.size)
@@ -261,9 +259,8 @@ def test_block_draws_equal_the_per_step_draws(monkeypatch, keys, ids, spatial_nd
     monkeypatch.setattr(NoiseSource, "raw_normals", counting)
     for run in (range(-9, 6), range(-20, -3), range(3, 80), range(-1, 1)):
         drawn.clear()
-        with ThreadPoolExecutor(1) if worker else nullcontext() as pool:
-            noise = MeanSubtractedNoise(src, keys, ids, spatial_ndim, pool)
-            got = [g.copy() for g in noise(run)]
+        noise = MeanSubtractedNoise(src, keys, ids, spatial_ndim, 2 if worker else None)
+        got = [g.copy() for g in noise(run)]
         assert sum(drawn) == len(run) * n_distinct * keys.size
         assert max(drawn) <= length * n_distinct * keys.size
         assert len(got) == len(run)
